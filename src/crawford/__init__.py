@@ -29,31 +29,27 @@ from .ellipsoid import (
 )
 from .linalg import (
     ComplexMatrix,
-    ConvergenceError,
-    EigenDecomposition,
     GaussianRational,
     HermitianPencil,
     clear_denominators,
     frobenius_ceiling,
     hat_embed,
     hermitian_split,
-    symmetric_eig,
 )
 from .oracle import (
     SupportProfile,
     chi_oracle,
     sample_boundary,
     support_profile,
-    zero_membership,
 )
 from .sdp import (
     BlockDiagSymmetric,
     SdpInstance,
+    annihilators,
     build_instance,
     export_sdpa,
     modulus_psd_block,
     read_sdpa,
-    subspace_basis,
 )
 
 __version__ = "0.1.0"
@@ -63,10 +59,8 @@ __all__ = [
     "BlockDiagSymmetric",
     "CertifiedBall",
     "ComplexMatrix",
-    "ConvergenceError",
     "CrawfordQuery",
     "CrawfordResult",
-    "EigenDecomposition",
     "EllipsoidCapExceeded",
     "GaussianRational",
     "HermitianPencil",
@@ -74,6 +68,7 @@ __all__ = [
     "SdpInstance",
     "SolveResult",
     "SupportProfile",
+    "annihilators",
     "build_chart",
     "build_instance",
     "certified_ball",
@@ -91,8 +86,5 @@ __all__ = [
     "sample_boundary",
     "separation_oracle",
     "solve",
-    "subspace_basis",
     "support_profile",
-    "symmetric_eig",
-    "zero_membership",
 ]

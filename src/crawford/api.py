@@ -7,7 +7,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -34,9 +33,6 @@ class CrawfordQuery:
     center: GaussianRational = GaussianRational(0, 0)
     epsilon: float = 1e-6
     method: Method = Method.SDP_ELLIPSOID
-    # optional preconditioner: rotate so tr C is (nearly) real positive
-    # before solving; |z| is rotation-equivariant, so chi is unaffected
-    rotate: bool = False
 
     def __post_init__(self):
         if not self.epsilon > 0.0:
@@ -67,16 +63,6 @@ def _witness_from_solution(y_block: np.ndarray) -> np.ndarray:
     p = 0.5 * (y_block[:n, :n] + y_block[n:, n:])
     k = 0.5 * (y_block[n:, :n] - y_block[:n, n:])
     return p + 1j * k
-
-
-def _rotation_factor(t_mat: ComplexMatrix) -> GaussianRational:
-    """Gaussian-integer q ~ 64 e^{-i arg(tr)}: multiplying by q keeps
-    entries Gaussian-integer (modest growth) and chi scales by |q|."""
-    tr = t_mat.trace()
-    if tr.is_zero():
-        return GaussianRational(1, 0)
-    th = math.atan2(float(tr.im), float(tr.re))
-    return GaussianRational(round(math.cos(th) * 64), round(-math.sin(th) * 64))
 
 
 def crawford(query: CrawfordQuery) -> CrawfordResult:
@@ -112,32 +98,24 @@ def crawford(query: CrawfordQuery) -> CrawfordResult:
 
     if query.method in (Method.SDP_ELLIPSOID, Method.BOTH):
         cint, scale = clear_denominators(t_mat)
-        rot_c, rot_mag = 1.0 + 0.0j, 1.0
-        if query.rotate:
-            q = _rotation_factor(cint)
-            cint = cint.scale(q)
-            rot_c = complex(q)
-            rot_mag = math.sqrt(float(q.abs2()))
         pencil = hermitian_split(cint)
         inst = sdp.build_instance(pencil, frobenius_ceiling(cint))
         ball = ellipsoid.certified_ball(inst, cint)
-        res = ellipsoid.solve(inst, ball, eps * scale * rot_mag)
-        chi_val = res.value / (scale * rot_mag)
+        res = ellipsoid.solve(inst, ball, eps * scale)
+        chi_val = res.value / scale
         u, w, v = res.Z.uv[0, 0], res.Z.uv[1, 1], res.Z.uv[0, 1]
-        nearest = complex(0.5 * (u - w), v) / (scale * rot_c)
+        nearest = complex(0.5 * (u - w), v) / scale
         witness = _witness_from_solution(res.Z.y)
         stats.update(
             iterations=res.iterations,
             cuts_feasibility=res.cuts_feasibility,
             cuts_objective=res.cuts_objective,
-            lower_bound=res.lower_bound / (scale * rot_mag),
+            lower_bound=res.lower_bound / scale,
             max_feasible_distance=res.max_feasible_distance,
             outer_R=float(ball.outer_R),
-            epsilon_solver=eps * scale * rot_mag,
+            epsilon_solver=eps * scale,
             scale_factor=scale,
         )
-        if query.rotate:
-            stats["rotation"] = rot_c
 
     if query.method in (Method.ORACLE_SWEEP, Method.BOTH):
         search = oracle.support_search(t_mat, eps)

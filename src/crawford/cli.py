@@ -198,10 +198,10 @@ def cmd_export(matrix_path, config: RunConfig, out_path) -> int:
     inst, _, scale = _instance_for(c, config)
     sdp.export_sdpa(inst, out_path)
     bs = inst.block_sizes
-    b_vals = [float(b) for _, b in inst.constraints]
+    b_last = [float(b) for _, b in inst.tails[-2:]]
     print(f"wrote {out_path}")
     print(f"N = {inst.N}, mDIM = {inst.m}, blocks = {bs[0]} {bs[1]} {bs[2]}")
-    print(f"b: {len(b_vals) - 2} zeros then {b_vals[-2]:g} {b_vals[-1]:g}")
+    print(f"b: {inst.m - 2} zeros then {b_last[0]:g} {b_last[1]:g}")
     if scale != 1:
         print(f"note: instance is for l*C with l = {scale}")
     return 0

@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .linalg import ComplexMatrix
-from .sdp import BlockDiagSymmetric, SdpInstance
+from .sdp import BlockDiagSymmetric, SdpInstance, annihilators, hat_projection
 
 
 class ChartError(RuntimeError):
@@ -82,9 +82,7 @@ class AffineChart:
 @dataclass(frozen=True)
 class Cut:
     kind: str                           # feasible_improving | feasibility | objective
-    block: Optional[int]                # 1, 2, 3 for feasibility cuts
-    eigenvector: Optional[np.ndarray]
-    normal: Optional[np.ndarray]        # chart coordinates
+    normal: np.ndarray                  # chart coordinates
     min_eig: float
     objective: float
 
@@ -134,7 +132,7 @@ def certified_ball(inst: SdpInstance, c_matrix: ComplexMatrix) -> CertifiedBall:
     c = Fraction(inst.frob_ceiling)
     assert c + x >= 0 and c - x >= 0 and (c + x) * (c - x) - y * y >= 0
     # G satisfies every equality constraint, exact
-    for f, b in inst.tail_constraints():
+    for f, b in inst.tails:
         assert f.inner(g) == b
     return CertifiedBall(
         center=g,
@@ -145,69 +143,43 @@ def certified_ball(inst: SdpInstance, c_matrix: ComplexMatrix) -> CertifiedBall:
     )
 
 
-def _structure_flats(n: int) -> np.ndarray:
-    """Orthonormal rows spanning hat-subspace + H_2 + H_1 in flat block
-    coordinates (dimension n^2 + 4 by 4n^2 + 5)."""
+def _equality_rows(inst: SdpInstance) -> np.ndarray:
+    """Every homogeneous equality constraint as a row in flat block
+    coordinates: the block-internal annihilator entries, the four tails
+    (row-normalized), and the symmetry of the stored y and uv blocks."""
+    n = inst.n
+    index = BlockDiagSymmetric.flat_index
     d_flat = 4 * n * n + 5
-    s2 = math.sqrt(2.0)
     rows = []
-
-    def hat_row(h: np.ndarray) -> np.ndarray:
-        yh = np.block([[h.real, -h.imag], [h.imag, h.real]])
-        v = np.zeros(d_flat)
-        v[: 4 * n * n] = yh.ravel()
-        return v / s2                   # hat doubles the squared norm
-
-    for i in range(n):
-        h = np.zeros((n, n), dtype=complex)
-        h[i, i] = 1.0
-        rows.append(hat_row(h))
-    for i in range(n):
-        for j in range(i + 1, n):
-            h = np.zeros((n, n), dtype=complex)
-            h[i, j] = h[j, i] = 1.0 / s2
-            rows.append(hat_row(h))
-            h = np.zeros((n, n), dtype=complex)
-            h[i, j] = -1j / s2
-            h[j, i] = 1j / s2
-            rows.append(hat_row(h))
-    base = 4 * n * n
-    for v in (
-        _unit(d_flat, base),
-        _pair(d_flat, base + 1, base + 2),
-        _unit(d_flat, base + 3),
-        _unit(d_flat, base + 4),
-    ):
-        rows.append(v)
+    for ann in annihilators(n):
+        row = np.zeros(d_flat)
+        for i, j, v in ann:
+            if index(n, i, j) is not None:
+                row[index(n, i, j)] = row[index(n, j, i)] = v
+        if row.any():
+            rows.append(row)
+    tails = np.array([f.flat() for f, _ in inst.tails])
+    # normalize rows so the rank test is meaningful when ||Ahat|| is huge
+    rows.extend(tails / np.linalg.norm(tails, axis=1, keepdims=True))
+    m = inst.ambient_dim
+    for i in range(m):
+        for j in range(i + 1, m):
+            if index(n, i, j) is not None:
+                row = np.zeros(d_flat)
+                row[index(n, i, j)], row[index(n, j, i)] = 1.0, -1.0
+                rows.append(row)
     return np.array(rows)
-
-
-def _unit(m, i):
-    v = np.zeros(m)
-    v[i] = 1.0
-    return v
-
-
-def _pair(m, i, j):
-    v = np.zeros(m)
-    v[i] = v[j] = 1.0 / math.sqrt(2.0)
-    return v
 
 
 def build_chart(inst: SdpInstance) -> AffineChart:
     """Orthonormal chart of the d = n^2 dimensional homogeneous equality
-    space: start from the structure subspace (n^2 + 4 dims), then cut out
-    the four tail equalities via an SVD null space."""
+    space: the SVD null space of every equality constraint."""
     n = inst.n
-    struct = _structure_flats(n)
-    tails = np.array([f.flat() for f, _ in inst.tail_constraints()])
-    # normalize rows so the rank test is meaningful when ||Ahat|| is huge
-    tails /= np.linalg.norm(tails, axis=1, keepdims=True)
-    m = struct @ tails.T                # (n^2+4, 4)
-    u, sv, _ = np.linalg.svd(m, full_matrices=True)
-    if sv.shape[0] < 4 or sv[3] <= 1e-8 * max(1.0, sv[0]):
-        raise ChartError("tail constraints rank-deficient on the structure subspace")
-    basis = u[:, 4:].T @ struct
+    rows = _equality_rows(inst)
+    _, sv, vt = np.linalg.svd(rows, full_matrices=True)
+    if sv[-1] <= 1e-8 * sv[0]:
+        raise ChartError("equality constraints are rank-deficient")
+    basis = vt[rows.shape[0] :]
     if basis.shape[0] != n * n:
         raise ChartError(f"chart dimension {basis.shape[0]}, expected {n * n}")
     g = _ball_center(inst).to_float()
@@ -222,7 +194,9 @@ def _min_eig_2x2(t: np.ndarray):
     if b == 0.0:
         v = np.array([1.0, 0.0]) if a <= c else np.array([0.0, 1.0])
     else:
-        v = np.array([lam - c, b])
+        # take the row of T - lam I whose difference does not cancel:
+        # lam - c is pure round-off when a > c and |b| is tiny
+        v = np.array([b, lam - a]) if a > c else np.array([lam - c, b])
         v /= np.linalg.norm(v)
     return lam, v
 
@@ -255,8 +229,6 @@ def separation_oracle(
         kind = "feasible_improving" if objective < best_value else "objective"
         return Cut(
             kind=kind,
-            block=None,
-            eigenvector=None,
             normal=obj_normal,
             min_eig=worst,
             objective=objective,
@@ -267,15 +239,11 @@ def separation_oracle(
         v = qy[:, 0]
         emb[: 4 * n * n] = np.outer(v, v).ravel()
     elif block == 2:
-        v = v_t
-        emb[4 * n * n : 4 * n * n + 4] = np.outer(v, v).ravel()
+        emb[4 * n * n : 4 * n * n + 4] = np.outer(v_t, v_t).ravel()
     else:
-        v = np.array([1.0])
         emb[-1] = 1.0
     return Cut(
         kind="feasibility",
-        block=block,
-        eigenvector=v,
         normal=-(chart.basis @ emb),
         min_eig=worst,
         objective=objective,
@@ -288,20 +256,14 @@ def repair_point(
     """Round a nearly-feasible big block into an exactly structured
     certificate.
 
-    Clip Y to the PSD cone, average with its symplectic conjugate to land
-    exactly in the hat subspace, rescale to trace 2, then rebuild the 2x2
-    and scalar blocks from the encoded point z = x + iy.  The returned
-    objective r = |z| is a true numerical-range modulus, hence an upper
-    bound on the optimum regardless of how rough Y was.
+    Clip Y to the PSD cone, project it onto the hat subspace (an average
+    of two congruent copies, so still PSD), rescale to trace 2, then
+    rebuild the 2x2 and scalar blocks from the encoded point z = x + iy.
+    The returned objective r = |z| is a true numerical-range modulus,
+    hence an upper bound on the optimum regardless of how rough Y was.
     """
-    n = inst.n
     w, q = np.linalg.eigh(0.5 * (y_block + y_block.T))
-    y1 = (q * np.clip(w, 0.0, None)) @ q.T
-    p = 0.5 * (y1[:n, :n] + y1[n:, n:])
-    p = 0.5 * (p + p.T)
-    k = 0.5 * (y1[n:, :n] - y1[:n, n:])
-    k = 0.5 * (k - k.T)
-    yh = np.block([[p, -k], [k, p]])
+    yh = hat_projection((q * np.clip(w, 0.0, None)) @ q.T)
     tr = float(np.trace(yh))
     if tr <= 1e-6:
         raise ChartError("repair collapsed the trace; point was garbage")
@@ -382,7 +344,7 @@ def solve(
                 iterations=it,
                 cuts_feasibility=n_feas,
                 cuts_objective=n_obj,
-                certified_gap=eps,
+                certified_gap=best_cert - lb,
                 lower_bound=lb,
                 max_feasible_distance=max_dist,
             )

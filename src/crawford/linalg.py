@@ -3,7 +3,7 @@ symmetric embedding used by the SDP construction.
 
 Everything in this module that touches matrix *construction* is exact
 (fractions.Fraction end to end).  Floating point only enters through the
-dense eigensolver and the `to_complex` / `to_float` views.
+`to_complex` view.
 """
 
 from __future__ import annotations
@@ -11,15 +11,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 import numpy as np
 
 RationalLike = Union[int, Fraction]
-
-
-class ConvergenceError(RuntimeError):
-    """Jacobi sweep cap exceeded without meeting the off-norm threshold."""
 
 
 def _frac(x) -> Fraction:
@@ -247,87 +243,6 @@ def hat_embed(h: ComplexMatrix) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
-    values: np.ndarray   # descending
-    vectors: np.ndarray  # columns match values
-
-
-def _off_norm(a: np.ndarray) -> float:
-    # summing the squared off-diagonal entries directly; the difference
-    # ||A||_F^2 - ||diag||^2 cancels catastrophically near convergence
-    o = a.copy()
-    np.fill_diagonal(o, 0.0)
-    return float(np.linalg.norm(o))
-
-
-def symmetric_eig(m, max_sweeps: int = 100) -> EigenDecomposition:
-    """Cyclic Jacobi diagonalization of a real symmetric matrix.
-
-    Sweeps rotate away every off-diagonal pair in row-major order until the
-    off-diagonal Frobenius norm drops below 1e-14 * ||M||_F.  Raises
-    ConvergenceError if that has not happened after `max_sweeps` sweeps
-    (it converges quadratically, so hitting the cap means broken input).
-    """
-    a = np.array(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("need a square matrix")
-    if not np.allclose(a, a.T, rtol=0.0, atol=1e-12 * (1.0 + np.abs(a).max())):
-        raise ValueError("matrix is not symmetric")
-    a = 0.5 * (a + a.T)
-    d = a.shape[0]
-    v = np.eye(d)
-    fro = float(np.linalg.norm(a))
-    if d == 1 or fro == 0.0:
-        w = np.diag(a).copy()
-        order = np.argsort(w)[::-1]
-        return EigenDecomposition(values=w[order], vectors=v[:, order])
-
-    thresh = 1e-14 * fro
-    skip = thresh / d
-    converged = False
-    for _ in range(max_sweeps):
-        off = _off_norm(a)
-        if off <= thresh:
-            converged = True
-            break
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = a[p, q]
-                if abs(apq) <= skip:
-                    # leaving all of these untouched still puts the
-                    # off-norm below thresh at the next sweep check
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.hypot(1.0, tau))
-                else:
-                    t = -1.0 / (-tau + math.hypot(1.0, tau))
-                cth = 1.0 / math.hypot(1.0, t)
-                sth = t * cth
-                cp = a[:, p].copy()
-                cq = a[:, q].copy()
-                a[:, p] = cth * cp - sth * cq
-                a[:, q] = sth * cp + cth * cq
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = cth * rp - sth * rq
-                a[q, :] = sth * rp + cth * rq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = cth * vp - sth * vq
-                v[:, q] = sth * vp + cth * vq
-    else:
-        converged = _off_norm(a) <= thresh
-    if not converged:
-        raise ConvergenceError(f"Jacobi did not converge in {max_sweeps} sweeps")
-    w = np.diag(a).copy()
-    order = np.argsort(w, kind="stable")[::-1]
-    return EigenDecomposition(values=w[order], vectors=v[:, order])
-
-
 def frobenius_ceiling(c: ComplexMatrix) -> int:
     """ceil(||C||_F) computed in exact integer arithmetic.
 
@@ -344,35 +259,16 @@ def frobenius_ceiling(c: ComplexMatrix) -> int:
 
 
 def clear_denominators(c: ComplexMatrix):
-    """Return (l*C, l) where l is the product of the denominators of the
-    real and imaginary parts of every entry, so l*C is Gaussian-integer
-    and chi(C) = chi(l*C)/l.
-
-    The product (not the lcm) keeps the scale reproducible from the entry
-    list alone.
+    """Return (l*C, l) where l is the lcm of the denominators of the real
+    and imaginary parts of every entry, so l*C is Gaussian-integer and
+    chi(C) = chi(l*C)/l.
     """
     l = 1
     for row in c.entries:
         for x in row:
-            l *= x.re.denominator * x.im.denominator
+            l = math.lcm(l, x.re.denominator, x.im.denominator)
     scaled = c.scale(l)
     for row in scaled.entries:
         for x in row:
             assert x.re.denominator == 1 and x.im.denominator == 1
     return scaled, l
-
-
-def gaussian_integer_matrix(rows: Sequence[Sequence[complex]]) -> ComplexMatrix:
-    """Convenience for tests/scripts: build from python complex numbers with
-    integer real and imaginary parts."""
-    out = []
-    for row in rows:
-        r = []
-        for x in row:
-            xc = complex(x)
-            re, im = int(round(xc.real)), int(round(xc.imag))
-            if re != xc.real or im != xc.imag:
-                raise ValueError(f"non-integer entry {x!r}")
-            r.append(GaussianRational(re, im))
-        out.append(r)
-    return ComplexMatrix(out)

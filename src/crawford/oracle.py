@@ -129,13 +129,6 @@ def chi_oracle(c: ComplexMatrix, delta: float) -> float:
     return support_search(c, delta).chi
 
 
-def zero_membership(c: ComplexMatrix, delta: float = 1e-6) -> bool:
-    """True when 0 lies in W(C) up to delta: every support value on the
-    certified grid is <= 1e-10."""
-    prof = support_profile(c, delta)
-    return float(prof.gmin.max()) <= 1e-10
-
-
 def sample_boundary(c: ComplexMatrix, m: int):
     """m boundary points z_k = x_k* C x_k with x_k a top eigenvector of
     the support direction theta_k = 2 pi k / m.  Exact members of W(C);

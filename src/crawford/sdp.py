@@ -4,7 +4,8 @@ Variable lives in H_{2n+3}(R) with block sizes (2n, 2, 1):
 Z = diag(Y, [[u, v], [v, w]], t).  The constraint list is
 
   F_1 .. F_N          annihilators pinning Y to the hat subspace and the
-                      blocks to each other (entries in {-1, 0, 1}),
+                      blocks to each other, kept as sparse (i, j, +-1)
+                      entries (`annihilators`),
   F_{N+1}             u - w = <Ahat, Y>,
   F_{N+2}             2v = <Bhat, Y>,
   F_{N+3}             tr Y = 2,
@@ -20,11 +21,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .linalg import ComplexMatrix, HermitianPencil
+from .linalg import HermitianPencil
+
+
+def _block_position(n: int, i: int) -> Tuple[int, int]:
+    """Block number (1, 2 or 3) and in-block index of ambient index i."""
+    k = 2 * n
+    if i < k:
+        return 1, i
+    if i < k + 2:
+        return 2, i - k
+    return 3, 0
 
 
 @dataclass(frozen=True)
@@ -50,31 +61,12 @@ class BlockDiagSymmetric:
     def n(self) -> int:
         return self.y.shape[0] // 2
 
-    @property
-    def dim(self) -> int:
-        return self.y.shape[0] + 3
-
     def inner(self, other: "BlockDiagSymmetric"):
         return (
             (self.y * other.y).sum()
             + (self.uv * other.uv).sum()
             + self.t * other.t
         )
-
-    def embed(self) -> np.ndarray:
-        """Full (2n+3) x (2n+3) matrix with this block-diagonal content."""
-        m = self.dim
-        exact = self.y.dtype == object
-        out = (
-            np.full((m, m), Fraction(0), dtype=object)
-            if exact
-            else np.zeros((m, m))
-        )
-        k = self.y.shape[0]
-        out[:k, :k] = self.y
-        out[k : k + 2, k : k + 2] = self.uv
-        out[k + 2, k + 2] = self.t
-        return out
 
     def to_float(self) -> "BlockDiagSymmetric":
         return BlockDiagSymmetric(
@@ -92,33 +84,22 @@ class BlockDiagSymmetric:
         )
 
     @staticmethod
+    def flat_index(n: int, i: int, j: int) -> Optional[int]:
+        """Position of ambient entry (i, j) in `flat` coordinates, or None
+        when (i, j) couples two different blocks."""
+        (bi, li), (bj, lj) = _block_position(n, i), _block_position(n, j)
+        if bi != bj:
+            return None
+        k = 2 * n
+        offset, width = ((0, k), (k * k, 2), (k * k + 4, 1))[bi - 1]
+        return offset + li * width + lj
+
+    @staticmethod
     def from_flat(n: int, vec: np.ndarray) -> "BlockDiagSymmetric":
         k = 2 * n
         y = np.asarray(vec[: k * k], dtype=float).reshape(k, k)
         uv = np.asarray(vec[k * k : k * k + 4], dtype=float).reshape(2, 2)
         return BlockDiagSymmetric(y=y, uv=uv, t=float(vec[-1]))
-
-    @staticmethod
-    def zeros(n: int, exact: bool = True) -> "BlockDiagSymmetric":
-        if exact:
-            return BlockDiagSymmetric(
-                y=np.full((2 * n, 2 * n), Fraction(0), dtype=object),
-                uv=np.full((2, 2), Fraction(0), dtype=object),
-                t=Fraction(0),
-            )
-        return BlockDiagSymmetric(
-            y=np.zeros((2 * n, 2 * n)), uv=np.zeros((2, 2)), t=0.0
-        )
-
-
-def block_project(full: np.ndarray, n: int) -> BlockDiagSymmetric:
-    """Block-diagonal part of a full (2n+3) x (2n+3) matrix."""
-    k = 2 * n
-    return BlockDiagSymmetric(
-        y=full[:k, :k].copy(),
-        uv=full[k : k + 2, k : k + 2].copy(),
-        t=full[k + 2, k + 2],
-    )
 
 
 def modulus_psd_block(x: float, y: float, r: float) -> np.ndarray:
@@ -126,18 +107,16 @@ def modulus_psd_block(x: float, y: float, r: float) -> np.ndarray:
     return np.array([[r + x, y], [y, r - x]], dtype=float)
 
 
-def _sym_unit(m: int, i: int, j: int) -> np.ndarray:
-    """E_ij: symmetric unit matrix with 1 at (i,j) and (j,i), Fractions."""
-    out = np.full((m, m), Fraction(0), dtype=object)
-    out[i, j] = Fraction(1)
-    out[j, i] = Fraction(1)
-    return out
+# One annihilator: upper-triangle entries (i, j, s), i <= j, of a
+# symmetric (2n+3) x (2n+3) matrix with s at (i, j) and (j, i).
+Annihilator = Tuple[Tuple[int, int, int], ...]
 
 
-def subspace_basis(n: int) -> List[np.ndarray]:
+def annihilators(n: int) -> List[Annihilator]:
     """The N = n^2 + 7n + 2 independent annihilators of the block-diagonal
-    hat-structured subspace, as full (2n+3) x (2n+3) symmetric matrices
-    with entries in {-1, 0, 1}.
+    hat-structured subspace, each a short tuple of (i, j, +-1) entries.
+    This list is the single description of the structure: the SDPA
+    export and the ellipsoid chart are both derived from it.
 
     Ordering (0-based indices, ambient size m = 2n+3):
       1. E_ij for i < 2n, j in {2n, 2n+1, 2n+2}: kill coupling of the big
@@ -150,36 +129,49 @@ def subspace_basis(n: int) -> List[np.ndarray]:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    m = 2 * n + 3
-    out: List[np.ndarray] = []
-    for i in range(2 * n):
-        for j in (2 * n, 2 * n + 1, 2 * n + 2):
-            out.append(_sym_unit(m, i, j))
-    for i in (2 * n, 2 * n + 1):
-        out.append(_sym_unit(m, i, 2 * n + 2))
+    k = 2 * n
+    out: List[Annihilator] = []
+    for i in range(k):
+        for j in (k, k + 1, k + 2):
+            out.append(((i, j, 1),))
+    for i in (k, k + 1):
+        out.append(((i, k + 2, 1),))
     for i in range(n):
-        out.append(_sym_unit(m, i, n + i))
+        out.append(((i, n + i, 1),))
     for i in range(n):
         for j in range(i + 1, n):
-            out.append(_sym_unit(m, i, n + j) + _sym_unit(m, j, n + i))
+            out.append(((i, n + j, 1), (j, n + i, 1)))
     for i in range(n):
         for j in range(i, n):
-            out.append(_sym_unit(m, i, j) - _sym_unit(m, n + i, n + j))
+            out.append(((i, j, 1), (n + i, n + j, -1)))
     assert len(out) == n * n + 7 * n + 2
     return out
 
 
+def hat_projection(y: np.ndarray) -> np.ndarray:
+    """Orthogonal projection of a real 2n x 2n matrix onto the subspace
+    the annihilators leave to the big block: [[P, -K], [K, P]] with P
+    symmetric and K antisymmetric."""
+    n = y.shape[0] // 2
+    p = 0.5 * (y[:n, :n] + y[n:, n:])
+    p = 0.5 * (p + p.T)
+    k = 0.5 * (y[n:, :n] - y[:n, n:])
+    k = 0.5 * (k - k.T)
+    return np.block([[p, -k], [k, p]])
+
+
 @dataclass(frozen=True)
 class SdpInstance:
-    """Exact instance data.  `constraints` holds (F_i, b_i) for i = 1..N+4
-    with each F_i a full symmetric object array; the last four are the
-    embedded tail constraints.  `ahat` / `bhat` keep the hat matrices
-    handy for the solver and for certificate repair.
+    """Exact instance data.  The constraints are F_1 .. F_N, the
+    annihilators (all with b = 0, see `annihilators`), followed by the
+    four block-diagonal tail constraints (F, b) in `tails`.  `ahat` /
+    `bhat` keep the hat matrices handy for the solver and for
+    certificate repair.
     """
 
     n: int
     f0: BlockDiagSymmetric
-    constraints: Tuple[Tuple[np.ndarray, Fraction], ...]
+    tails: Tuple[Tuple[BlockDiagSymmetric, Fraction], ...]
     frob_ceiling: int
     ahat: np.ndarray
     bhat: np.ndarray
@@ -198,12 +190,7 @@ class SdpInstance:
 
     @property
     def m(self) -> int:
-        return len(self.constraints)
-
-    def tail_constraints(self) -> List[Tuple[BlockDiagSymmetric, Fraction]]:
-        return [
-            (block_project(f, self.n), b) for f, b in self.constraints[self.N :]
-        ]
+        return self.N + len(self.tails)
 
 
 def build_instance(pencil: HermitianPencil, frob_ceiling: int) -> SdpInstance:
@@ -237,12 +224,10 @@ def build_instance(pencil: HermitianPencil, frob_ceiling: int) -> SdpInstance:
     ]
     b_tail = [zero, zero, Fraction(2), Fraction(2 * (frob_ceiling + 2))]
 
-    constraints = [(f, zero) for f in subspace_basis(n)]
-    constraints += [(f.embed(), b) for f, b in zip(tail, b_tail)]
     return SdpInstance(
         n=n,
         f0=f0,
-        constraints=tuple(constraints),
+        tails=tuple(zip(tail, b_tail)),
         frob_ceiling=frob_ceiling,
         ahat=pencil.ahat,
         bhat=pencil.bhat,
@@ -267,24 +252,28 @@ def export_sdpa(inst: SdpInstance, path) -> None:
     such entries come out as empty matrices.  LF endings, no comments.
     """
     n = inst.n
-    k = 2 * n
-    spans = [(0, k, 1), (k, k + 2, 2), (k + 2, k + 3, 3)]
-    lines = [str(inst.m), "3", f"{k} 2 1"]
-    lines.append(" ".join(_fmt(b) for _, b in inst.constraints))
+    lines = [str(inst.m), "3", f"{2 * n} 2 1"]
+    rhs = [Fraction(0)] * inst.N + [b for _, b in inst.tails]
+    lines.append(" ".join(_fmt(v) for v in rhs))
 
-    def emit(matno: int, full: np.ndarray):
-        for lo, hi, blk in spans:
-            for i in range(lo, hi):
-                for j in range(i, hi):
-                    v = full[i, j]
-                    if v != 0:
-                        lines.append(
-                            f"{matno} {blk} {i - lo + 1} {j - lo + 1} {_fmt(v)}"
-                        )
+    def entry(matno: int, blk: int, i: int, j: int, v):
+        lines.append(f"{matno} {blk} {i + 1} {j + 1} {_fmt(v)}")
 
-    emit(0, inst.f0.embed())
-    for idx, (f, _) in enumerate(inst.constraints, start=1):
-        emit(idx, f)
+    def emit_blocks(matno: int, f: BlockDiagSymmetric):
+        for blk, block in enumerate((f.y, f.uv, np.array([[f.t]])), start=1):
+            for i in range(block.shape[0]):
+                for j in range(i, block.shape[0]):
+                    if block[i, j] != 0:
+                        entry(matno, blk, i, j, block[i, j])
+
+    emit_blocks(0, inst.f0)
+    for matno, ann in enumerate(annihilators(n), start=1):
+        for i, j, v in ann:
+            (bi, li), (bj, lj) = _block_position(n, i), _block_position(n, j)
+            if bi == bj:
+                entry(matno, bi, li, lj, v)
+    for matno, (f, _) in enumerate(inst.tails, start=inst.N + 1):
+        emit_blocks(matno, f)
     data = "\n".join(lines) + "\n"
     try:
         with open(path, "w", newline="\n") as fh:

@@ -1,6 +1,8 @@
 """Shared fixtures-in-spirit for the test suite: the reference 2x2
 example with known chi, and random matrix generators."""
 
+from fractions import Fraction
+
 import numpy as np
 
 from crawford.linalg import ComplexMatrix, GaussianRational
@@ -20,6 +22,18 @@ EXAMPLE = EXAMPLE_TILDE.translate(EXAMPLE_CENTER)
 # refinement; nearest point approx 1.5334 + 1.1605i at theta 0.6478506
 CHI_EXAMPLE = 1.9230539413330539
 
+# 3x3 with real parts over 3 and imaginary parts over 7: the lcm of the
+# denominators is 21, their product 21^9
+COPRIME_DENOMINATORS = ComplexMatrix(
+    [
+        [gr(Fraction(a, 3), Fraction(b, 7)) for a, b in zip(re, im)]
+        for re, im in zip(
+            [[5, 2, 2], [5, 1, 4], [4, -4, -5]],
+            [[-3, -3, 5], [5, -6, -1], [4, -5, 4]],
+        )
+    ]
+)
+
 IDENTITY2 = ComplexMatrix([[gr(1), gr(0)], [gr(0), gr(1)]])
 DIAG_PM = ComplexMatrix([[gr(1), gr(0)], [gr(0), gr(-1)]])
 
@@ -38,8 +52,6 @@ def random_gaussian_integer(rng, n, lo=-5, hi=5):
 
 def random_hermitian_gaussian_integer(rng, n, lo=-5, hi=5):
     c = random_gaussian_integer(rng, n, lo, hi)
-    from fractions import Fraction
-
     return (c + c.adjoint()).scale(Fraction(1, 2))
 
 
@@ -48,3 +60,33 @@ def random_density(rng, n):
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     x = g @ g.conj().T
     return x / np.trace(x).real
+
+
+def densify(ann, m):
+    """Dense float (m x m) symmetric matrix of one sparse annihilator."""
+    out = np.zeros((m, m))
+    for i, j, v in ann:
+        out[i, j] = out[j, i] = v
+    return out
+
+
+def embed(z):
+    """Full float (2n+3) x (2n+3) matrix with the block-diagonal content
+    of z."""
+    k = z.y.shape[0]
+    out = np.zeros((k + 3, k + 3))
+    out[:k, :k] = z.y.astype(float)
+    out[k : k + 2, k : k + 2] = z.uv.astype(float)
+    out[k + 2, k + 2] = float(z.t)
+    return out
+
+
+def dense_constraints(inst):
+    """(F_i, b_i) for i = 1..N+4 as full float matrices: the densified
+    annihilators with b = 0, then the embedded tails."""
+    from crawford.sdp import annihilators
+
+    m = inst.ambient_dim
+    out = [(densify(a, m), 0.0) for a in annihilators(inst.n)]
+    out += [(embed(f), float(b)) for f, b in inst.tails]
+    return out

@@ -24,13 +24,16 @@ from crawford.linalg import (
     hermitian_split,
 )
 from crawford.oracle import chi_oracle
-from crawford.sdp import build_instance, export_sdpa, read_sdpa, subspace_basis
+from crawford.sdp import annihilators, build_instance, export_sdpa, read_sdpa
 from helpers import (
     CHI_EXAMPLE,
     DIAG_PM,
     EXAMPLE,
     EXAMPLE_CENTER,
     EXAMPLE_TILDE,
+    dense_constraints,
+    densify,
+    embed,
     gr,
     identity,
     random_gaussian_integer,
@@ -133,7 +136,7 @@ def test_criterion_04_structure_counts(report):
     ok = True
     for n in range(1, 9):
         N = n * n + 7 * n + 2
-        fs = [f.astype(float).ravel() for f in subspace_basis(n)]
+        fs = [densify(a, 2 * n + 3).ravel() for a in annihilators(n)]
         gram = np.array([[u @ v for v in fs] for u in fs])
         mat = identity(n) if n != 2 else EXAMPLE
         inst = build_instance(hermitian_split(mat), frobenius_ceiling(mat))
@@ -304,19 +307,17 @@ def test_criterion_10_sdpa_golden_file(report, tmp_path):
     golden = DATA / "example_reference.dat-s"
     identical = fresh.read_bytes() == golden.read_bytes()
     data = read_sdpa(fresh)
-    from crawford.sdp import block_project
-
-    mats = [inst.f0] + [block_project(f, inst.n) for f, _ in inst.constraints]
+    cons = dense_constraints(inst)
+    mats = [embed(inst.f0)] + [f for f, _ in cons]
     rt = 0.0
     for got, want in zip(data.matrices, mats):
-        w = want.to_float()
         rt = max(
             rt,
-            np.abs(got[0] - w.y).max(),
-            np.abs(got[1] - w.uv).max(),
-            abs(got[2][0, 0] - w.t),
+            np.abs(got[0] - want[:4, :4]).max(),
+            np.abs(got[1] - want[4:6, 4:6]).max(),
+            abs(got[2][0, 0] - want[6, 6]),
         )
-    rt = max(rt, np.abs(data.b - [float(b) for _, b in inst.constraints]).max())
+    rt = max(rt, np.abs(data.b - [b for _, b in cons]).max())
     ok = identical and rt <= 1e-15
     assert report(
         10,

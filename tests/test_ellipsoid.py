@@ -6,8 +6,8 @@ import pytest
 
 from crawford.ellipsoid import (
     BlockDiagSymmetric,
-    Cut,
     EllipsoidCapExceeded,
+    _min_eig_2x2,
     build_chart,
     certified_ball,
     repair_point,
@@ -15,8 +15,17 @@ from crawford.ellipsoid import (
     solve,
 )
 from crawford.linalg import ComplexMatrix, frobenius_ceiling, hermitian_split
-from crawford.sdp import build_instance
-from helpers import CHI_EXAMPLE, DIAG_PM, EXAMPLE, IDENTITY2, gr, identity
+from crawford.sdp import assemble_feasible_point, build_instance
+from helpers import (
+    CHI_EXAMPLE,
+    DIAG_PM,
+    EXAMPLE,
+    IDENTITY2,
+    dense_constraints,
+    embed,
+    identity,
+    random_density,
+)
 
 
 def make(mat: ComplexMatrix):
@@ -79,13 +88,13 @@ class TestChart:
             assert np.abs(gram - np.eye(b.shape[0])).max() < 1e-12
 
     def test_basis_annihilates_all_constraints(self):
-        from crawford.sdp import block_project
-
         inst, _ = make(EXAMPLE)
         chart = build_chart(inst)
-        for f, _ in inst.constraints:
-            flat = block_project(f, inst.n).to_float().flat()
-            assert np.abs(chart.basis @ flat).max() < 1e-12
+        for row in chart.basis:
+            direction = embed(BlockDiagSymmetric.from_flat(inst.n, row))
+            assert np.abs(direction - direction.T).max() < 1e-12
+            for f, _ in dense_constraints(inst):
+                assert abs((f * direction).sum()) < 1e-12
 
     def test_affine_points_satisfy_equalities(self):
         inst, _ = make(EXAMPLE)
@@ -93,9 +102,9 @@ class TestChart:
         rng = np.random.default_rng(7)
         for _ in range(20):
             zc = rng.standard_normal(chart.dim) * 3.0
-            full = chart.point(zc).embed()
-            for f, b in inst.constraints:
-                assert abs((f.astype(float) * full).sum() - float(b)) < 1e-10
+            full = embed(chart.point(zc))
+            for f, b in dense_constraints(inst):
+                assert abs((f * full).sum() - b) < 1e-10
 
 
 class TestSeparationOracle:
@@ -113,33 +122,69 @@ class TestSeparationOracle:
         assert cut.kind == "objective"
 
     def test_indefinite_uv_block_cut(self):
-        inst, _ = make(EXAMPLE)
+        # Y = G's block and u + w = 0 (t = c + 2): the 2x2 block is
+        # [[x, y], [y, -x]] with (x, y) = tr C / n, eigenvalues +-|tr C| / n
+        inst, ball = make(EXAMPLE)
         chart = build_chart(inst)
-        z = BlockDiagSymmetric(
-            y=np.eye(4), uv=np.array([[-1.0, 0.0], [0.0, 1.0]]), t=1.0
+        g = chart.origin
+        x, y = (float(v) for v in ball.trace_center)
+        zp = BlockDiagSymmetric(
+            y=g.y, uv=np.array([[x, y], [y, -x]]), t=inst.frob_ceiling + 2.0
         )
-        cut = separation_oracle(chart, z, math.inf)
+        zc = chart.basis @ (zp.flat() - chart.origin_flat)
+        assert np.allclose(chart.point(zc).flat(), zp.flat(), atol=1e-12)
+        cut = separation_oracle(chart, chart.point(zc), math.inf)
         assert cut.kind == "feasibility"
-        assert cut.block == 2
-        assert np.allclose(np.abs(cut.eigenvector), [1.0, 0.0], atol=1e-12)
-        assert cut.min_eig == pytest.approx(-1.0)
+        assert cut.min_eig == pytest.approx(-math.hypot(x, y))
+        assert_cut_separates(inst, chart, zc, cut, np.random.default_rng(19))
 
     def test_eigenvector_cut_separates(self):
         inst, ball = make(EXAMPLE)
         chart = build_chart(inst)
         rng = np.random.default_rng(17)
         zc = rng.standard_normal(chart.dim) * 50.0
-        zp = chart.point(zc)
-        cut = separation_oracle(chart, zp, math.inf)
+        cut = separation_oracle(chart, chart.point(zc), math.inf)
         assert cut.kind == "feasibility"
-        v = cut.eigenvector
-        blocks = {1: zp.y, 2: zp.uv, 3: np.array([[zp.t]])}
-        zb = blocks[cut.block]
-        assert v @ zb @ v < 0.0
-        for _ in range(30):
-            m = rng.standard_normal(zb.shape)
-            psd = m @ m.T
-            assert v @ psd @ v >= 0.0
+        assert cut.min_eig < 0.0
+        assert_cut_separates(inst, chart, zc, cut, rng)
+
+
+def assert_cut_separates(inst, chart, zc, cut, rng):
+    """Every PSD chart point x keeps normal . (x - zc) <= min_eig: the
+    feasibility cut is deep and discards no feasible point.  The points
+    run from the PSD boundary r = |z| of the 2x2 block to that of the
+    scalar block, t = 0."""
+    top = inst.frob_ceiling + 2.0
+    for _ in range(30):
+        dens = random_density(rng, inst.n)
+        uv = assemble_feasible_point(inst, dens, 0.0).uv
+        modulus = math.hypot(uv[0, 0], uv[0, 1])
+        for r in (modulus, modulus + (top - modulus) * rng.random(), top):
+            z = assemble_feasible_point(inst, dens, r)
+            x = chart.basis @ (z.flat() - chart.origin_flat)
+            assert np.allclose(chart.point(x).flat(), z.flat(), atol=1e-9)
+            assert cut.normal @ (x - zc) <= cut.min_eig + 1e-9
+
+
+class TestMinEig2x2:
+    def test_tiny_offdiagonal_with_larger_first_entry(self):
+        # lam - c cancels to round-off here; the eigenvector must still
+        # attain the smallest eigenvalue
+        t = np.array([[4.0, 1e-17], [1e-17, -0.39]])
+        lam, v = _min_eig_2x2(t)
+        assert lam == pytest.approx(-0.39)
+        assert np.linalg.norm(v) == pytest.approx(1.0)
+        assert v @ t @ v == pytest.approx(lam, abs=1e-12)
+
+    def test_matches_eigh(self):
+        rng = np.random.default_rng(41)
+        for _ in range(200):
+            a, c = rng.standard_normal(2) * 5.0
+            b = rng.standard_normal() * 10.0 ** rng.integers(-18, 2)
+            t = np.array([[a, b], [b, c]])
+            lam, v = _min_eig_2x2(t)
+            assert lam == pytest.approx(np.linalg.eigvalsh(t)[0], abs=1e-12)
+            assert v @ t @ v == pytest.approx(lam, abs=1e-12)
 
 
 class TestPsdTraceBound:
@@ -193,10 +238,11 @@ class TestSolve:
         assert np.linalg.eigvalsh(z.uv)[0] >= -tol
         assert z.t >= -tol
         assert res.value == pytest.approx(inst.f0.to_float().inner(z), abs=1e-12)
-        full = z.embed()
-        for f, b in inst.constraints:
-            assert abs((f.astype(float) * full).sum() - float(b)) <= 1e-9
-        assert res.certified_gap == 1e-4
+        full = embed(z)
+        for f, b in dense_constraints(inst):
+            assert abs((f * full).sum() - b) <= 1e-9
+        assert res.certified_gap == res.value - res.lower_bound
+        assert 0.0 <= res.certified_gap <= 1e-4
         assert res.lower_bound <= res.value
         assert res.value - res.lower_bound <= 1e-4 + 1e-12
         assert res.cuts_feasibility + res.cuts_objective <= res.iterations

@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -8,15 +7,19 @@ from hypothesis import strategies as st
 
 from crawford.linalg import (
     ComplexMatrix,
-    ConvergenceError,
     GaussianRational,
     clear_denominators,
     frobenius_ceiling,
     hat_embed,
     hermitian_split,
-    symmetric_eig,
 )
-from helpers import EXAMPLE, EXAMPLE_TILDE, gr, random_gaussian_integer
+from helpers import (
+    COPRIME_DENOMINATORS,
+    EXAMPLE,
+    EXAMPLE_TILDE,
+    gr,
+    random_gaussian_integer,
+)
 
 rationals = st.fractions(
     min_value=-5, max_value=5, max_denominator=8
@@ -141,44 +144,6 @@ class TestHatEmbed:
             assert lam[0] >= -1e-9
 
 
-class TestSymmetricEig:
-    def test_diagonal(self):
-        dec = symmetric_eig(np.diag([5.0, -1.0]))
-        assert np.allclose(dec.values, [5.0, -1.0])
-
-    def test_swap(self):
-        dec = symmetric_eig(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert np.allclose(dec.values, [1.0, -1.0])
-
-    def test_reference_hat_spectrum(self):
-        pen = hermitian_split(EXAMPLE)
-        dec = symmetric_eig(pen.ahat.astype(float))
-        s5 = math.sqrt(5.0)
-        assert np.allclose(dec.values, [3 + s5, 3 + s5, 3 - s5, 3 - s5], atol=1e-12)
-
-    def test_residual_and_orthogonality_bulk(self):
-        rng = np.random.default_rng(11)
-        for _ in range(1000):
-            m = int(rng.integers(1, 21))
-            a = rng.standard_normal((m, m))
-            a = a + a.T
-            dec = symmetric_eig(a)
-            nrm = max(np.linalg.norm(a), 1e-30)
-            resid = dec.vectors @ np.diag(dec.values) @ dec.vectors.T - a
-            assert np.linalg.norm(resid) <= 1e-12 * nrm + 1e-13
-            assert np.linalg.norm(dec.vectors.T @ dec.vectors - np.eye(m)) <= 1e-12
-            assert np.all(np.diff(dec.values) <= 1e-12)
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError):
-            symmetric_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    def test_cap_raises(self):
-        a = np.array([[0.0, 1.0], [1.0, 0.0]])
-        with pytest.raises(ConvergenceError):
-            symmetric_eig(a, max_sweeps=0)
-
-
 class TestFrobeniusCeiling:
     def test_reference_example(self):
         assert EXAMPLE.frobenius_sq() == 40
@@ -223,6 +188,11 @@ class TestClearDenominators:
         cint, l = clear_denominators(c)
         assert l == 6
         assert cint == ComplexMatrix([[gr(3), gr(0, 2)], [gr(0), gr(6)]])
+
+    def test_lcm_not_product(self):
+        cint, l = clear_denominators(COPRIME_DENOMINATORS)
+        assert l == 21
+        assert cint == COPRIME_DENOMINATORS.scale(21)
 
     @settings(max_examples=60)
     @given(small_matrix(2))

@@ -13,16 +13,13 @@ from crawford.oracle import (
     support_search,
     write_boundary_csv,
     write_boundary_svg,
-    zero_membership,
 )
 from helpers import (
     CHI_EXAMPLE,
     DIAG_PM,
     EXAMPLE,
-    EXAMPLE_TILDE,
     IDENTITY2,
     gr,
-    identity,
     random_gaussian_integer,
 )
 
@@ -130,21 +127,6 @@ class TestSampleBoundary:
     def test_rejects_tiny_m(self):
         with pytest.raises(ValueError):
             sample_boundary(EXAMPLE, 2)
-
-
-class TestZeroMembership:
-    def test_untranslated_reference_contains_zero(self):
-        assert zero_membership(EXAMPLE_TILDE, 1e-4)
-
-    def test_default_delta_agrees(self):
-        assert zero_membership(EXAMPLE_TILDE)
-
-    def test_translated_reference_does_not(self):
-        assert not zero_membership(EXAMPLE, 1e-4)
-
-    def test_identity_does_not(self):
-        for n in (1, 2, 4):
-            assert not zero_membership(identity(n), 1e-4)
 
 
 class TestMinimizingWitness:

@@ -1,5 +1,4 @@
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,15 +7,21 @@ from crawford.linalg import frobenius_ceiling, hermitian_split
 from crawford.sdp import (
     BlockDiagSymmetric,
     SdpInstance,
+    annihilators,
     assemble_feasible_point,
-    block_project,
     build_instance,
     export_sdpa,
     modulus_psd_block,
     read_sdpa,
-    subspace_basis,
 )
-from helpers import EXAMPLE, random_density, random_hermitian_gaussian_integer
+from helpers import (
+    EXAMPLE,
+    dense_constraints,
+    densify,
+    embed,
+    random_density,
+    random_hermitian_gaussian_integer,
+)
 
 
 def example_instance() -> SdpInstance:
@@ -63,27 +68,29 @@ class TestSubspaceBasis:
         for i in range(2):
             for j in range(i, 2):
                 expected.append(sym_unit(m, i, j) - sym_unit(m, 2 + i, 2 + j))
-        got = subspace_basis(2)
+        got = annihilators(2)
         assert len(got) == 20 == len(expected)
-        for f, e in zip(got, expected):
-            assert np.array_equal(f.astype(float), e)
+        for a, e in zip(got, expected):
+            assert np.array_equal(densify(a, m), e)
 
     def test_n1_count_and_independence(self):
-        fs = [f.astype(float).ravel() for f in subspace_basis(1)]
+        fs = [densify(a, 5).ravel() for a in annihilators(1)]
         assert len(fs) == 10
         gram = np.array([[u @ v for v in fs] for u in fs])
         assert np.linalg.matrix_rank(gram) == 10
 
     def test_entries_in_minus_one_zero_one(self):
         for n in (1, 2, 3, 5):
-            for f in subspace_basis(n):
-                vals = set(f.ravel().tolist())
-                assert vals <= {Fraction(-1), Fraction(0), Fraction(1)}
+            for a in annihilators(n):
+                assert {v for _, _, v in a} <= {-1, 1}
+                # upper-triangle entries, each position at most once
+                assert all(i <= j for i, j, _ in a)
+                assert len({(i, j) for i, j, _ in a}) == len(a)
 
     def test_annihilates_structured_points(self):
         rng = np.random.default_rng(21)
         for n in (1, 2, 3):
-            basis = [f.astype(float) for f in subspace_basis(n)]
+            basis = [densify(a, 2 * n + 3) for a in annihilators(n)]
             for _ in range(100 // len((1, 2, 3)) + 1):
                 h = random_hermitian_gaussian_integer(rng, n).to_complex()
                 yh = np.block([[h.real, -h.imag], [h.imag, h.real]])
@@ -91,13 +98,13 @@ class TestSubspaceBasis:
                 z = BlockDiagSymmetric(
                     y=yh, uv=tt + tt.T, t=float(rng.standard_normal())
                 )
-                full = z.embed()
+                full = embed(z)
                 for f in basis:
                     assert abs((f * full).sum()) < 1e-9
 
     def test_dimension_identity(self):
         for n in range(1, 9):
-            fs = [f.astype(float).ravel() for f in subspace_basis(n)]
+            fs = [densify(a, 2 * n + 3).ravel() for a in annihilators(n)]
             N = n * n + 7 * n + 2
             assert len(fs) == N
             # annihilator count + structured-subspace dim fills the ambient space
@@ -107,7 +114,7 @@ class TestSubspaceBasis:
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            subspace_basis(0)
+            annihilators(0)
 
 
 class TestBuildInstance:
@@ -117,7 +124,8 @@ class TestBuildInstance:
         assert inst.N == 20
         assert inst.m == 24
         assert inst.block_sizes == (4, 2, 1)
-        tails = inst.tail_constraints()
+        tails = inst.tails
+        assert len(tails) == 4
         f1, b1 = tails[0]
         assert np.array_equal(f1.y, -inst.ahat)
         assert np.array_equal(
@@ -158,9 +166,9 @@ class TestBuildInstance:
             zval = complex((a_f.conj() * x).sum().real, (b_f.conj() * x).sum().real)
             for r in (abs(zval) * 1.01 + 1e-6, abs(zval) + 1.0):
                 z = assemble_feasible_point(inst, x, r)
-                full = z.embed()
-                for f, b in inst.constraints:
-                    assert abs((f.astype(float) * full).sum() - float(b)) < 1e-8
+                full = embed(z)
+                for f, b in dense_constraints(inst):
+                    assert abs((f * full).sum() - b) < 1e-8
                 assert np.linalg.eigvalsh(z.y)[0] >= -1e-9
                 assert np.linalg.eigvalsh(z.uv)[0] >= -1e-9
                 assert z.t >= -1e-9
@@ -173,9 +181,9 @@ class TestBuildInstance:
         rng = np.random.default_rng(13)
         for _ in range(10):
             z = assemble_feasible_point(inst, random_density(rng, 2), 3.0)
-            full = z.embed()
-            for f, _ in inst.constraints[: inst.N]:
-                assert abs((f.astype(float) * full).sum()) < 1e-9
+            full = embed(z)
+            for f, _ in dense_constraints(inst)[: inst.N]:
+                assert abs((f * full).sum()) < 1e-9
 
     def test_rejects_zero_pencil(self):
         from crawford.linalg import ComplexMatrix
@@ -232,17 +240,13 @@ class TestExportSdpa:
         data = read_sdpa(path)
         assert data.mdim == inst.m
         assert data.block_sizes == (4, 2, 1)
-        assert np.allclose(
-            data.b, [float(b) for _, b in inst.constraints], atol=1e-15
-        )
-        mats = [inst.f0] + [
-            block_project(f, inst.n) for f, _ in inst.constraints
-        ]
+        cons = dense_constraints(inst)
+        assert np.allclose(data.b, [b for _, b in cons], atol=1e-15)
+        mats = [embed(inst.f0)] + [f for f, _ in cons]
         for got, want in zip(data.matrices, mats):
-            w = want.to_float()
-            assert np.allclose(got[0], w.y, atol=1e-15)
-            assert np.allclose(got[1], w.uv, atol=1e-15)
-            assert np.allclose(got[2], [[w.t]], atol=1e-15)
+            assert np.allclose(got[0], want[:4, :4], atol=1e-15)
+            assert np.allclose(got[1], want[4:6, 4:6], atol=1e-15)
+            assert np.allclose(got[2], want[6:, 6:], atol=1e-15)
 
     def test_io_error_carries_path(self, tmp_path):
         inst = example_instance()
