@@ -2,7 +2,7 @@
 """Reproduce the 2x2 reference computation end to end.
 
 Runs chi for C = [[0,-4i],[2,0]] about the center -3-i through both the
-ellipsoid SDP and the support-function sweep, prints the certified
+ellipsoid SDP and the support-function search, prints the certified
 numbers side by side, and writes boundary artifacts (CSV + SVG with the
 minimizing point marked) for the translated matrix.
 """
@@ -62,7 +62,8 @@ def main() -> None:
     translated = c_tilde.translate(center)
     csv_path = args.out_dir / "boundary.csv"
     svg_path = args.out_dir / "boundary.svg"
-    points = write_boundary_csv(translated, args.samples, csv_path)
+    points = sample_boundary(translated, args.samples)
+    write_boundary_csv(points, csv_path)
     write_boundary_svg(points, svg_path, marker=marker)
     best = min(points, key=abs)
     print(f"boundary: {len(points)} samples, min modulus {abs(best):.6f}")

@@ -4,7 +4,7 @@
 For each n the script builds a random Gaussian-integer instance, solves
 it at fixed eps, and reports iterations next to the n^4 log n model; a
 bounded ratio column means the growth is compatible with that model.
-Optionally cross-checks every value against the support-function sweep.
+Every value is cross-checked against the support-function search.
 """
 
 import argparse
@@ -44,18 +44,16 @@ def main() -> None:
     ap.add_argument("--trials", type=int, default=3, help="instances per size")
     ap.add_argument("--seed", type=int, default=123)
     ap.add_argument("--entry-bound", type=int, default=3)
-    ap.add_argument("--cross-check", action="store_true",
-                    help="also run the support-function sweep per instance")
     ap.add_argument("--csv", type=str, default="", help="optional CSV output path")
     args = ap.parse_args()
 
     rng = np.random.default_rng(args.seed)
     rows = []
     print(f"eps = {args.eps:g}, {args.trials} instance(s) per size")
-    header = f"{'n':>3} {'d':>4} {'iters':>8} {'iters/(n^4 ln n)':>17} {'seconds':>8}"
-    if args.cross_check:
-        header += f" {'|sdp-oracle|':>13}"
-    print(header)
+    print(
+        f"{'n':>3} {'d':>4} {'iters':>8} {'iters/(n^4 ln n)':>17} {'seconds':>8}"
+        f" {'|sdp-oracle|':>13}"
+    )
     for n in range(args.n_min, args.n_max + 1):
         for trial in range(args.trials):
             mat = random_matrix(rng, n, -args.entry_bound, args.entry_bound)
@@ -71,6 +69,11 @@ def main() -> None:
                 f"{n:>3} {n * n:>4} {res.iterations:>8} "
                 f"{res.iterations / model:>17.2f} {dt:>8.3f}"
             )
+            gap = abs(res.value - chi_oracle(mat, args.eps))
+            print(line + f" {gap:>13.2e}")
+            if gap > 2 * args.eps:
+                print(f"cross-check failure at n={n}: gap {gap:g}", file=sys.stderr)
+                sys.exit(1)
             row = {
                 "n": n,
                 "trial": trial,
@@ -78,16 +81,8 @@ def main() -> None:
                 "iterations": res.iterations,
                 "value": res.value,
                 "seconds": dt,
+                "oracle_gap": gap,
             }
-            if args.cross_check:
-                ref = chi_oracle(mat, args.eps)
-                gap = abs(res.value - ref)
-                line += f" {gap:>13.2e}"
-                row["oracle_gap"] = gap
-                if gap > 2 * args.eps:
-                    print(f"cross-check failure at n={n}: gap {gap:g}", file=sys.stderr)
-                    sys.exit(1)
-            print(line)
             rows.append(row)
 
     if args.csv:

@@ -5,8 +5,8 @@ chi(c, C) is the distance from the point c to the numerical range
 W(C) = {x* C x : ||x|| = 1}.  The SDP route builds an exact standard-form
 instance whose optimum equals chi, seeds the ellipsoid method with an
 explicit strictly-feasible ball, and certifies the value from both sides.
-The oracle route sweeps support directions with a Lipschitz-certified
-grid.  The two share no solving logic.
+The oracle route maximizes over support directions with a certified
+Lipschitz branch-and-bound.  The two share no solving logic.
 """
 
 from .api import (
@@ -37,10 +37,8 @@ from .linalg import (
     hermitian_split,
 )
 from .oracle import (
-    SupportProfile,
     chi_oracle,
     sample_boundary,
-    support_profile,
 )
 from .sdp import (
     BlockDiagSymmetric,
@@ -67,7 +65,6 @@ __all__ = [
     "Method",
     "SdpInstance",
     "SolveResult",
-    "SupportProfile",
     "annihilators",
     "build_chart",
     "build_instance",
@@ -86,5 +83,4 @@ __all__ = [
     "sample_boundary",
     "separation_oracle",
     "solve",
-    "support_profile",
 ]

@@ -1,6 +1,6 @@
 """High-level entry point: chi(c, C) by translation, denominator
 clearing, SDP construction + ellipsoid solving, with the support-function
-sweep available as an independent method and cross-check."""
+search available as an independent method and cross-check."""
 
 from __future__ import annotations
 
@@ -70,7 +70,7 @@ def crawford(query: CrawfordQuery) -> CrawfordResult:
 
     SDP path: build the exact instance for the cleared-denominator
     translate, solve with the ellipsoid method at accuracy l*epsilon,
-    divide by l.  Oracle path: certified support sweep at delta = epsilon.
+    divide by l.  Oracle path: certified support search at delta = epsilon.
     BOTH runs the two and reports the SDP value, with the oracle value
     and discrepancy in solver_stats.
     """
@@ -119,7 +119,7 @@ def crawford(query: CrawfordQuery) -> CrawfordResult:
 
     if query.method in (Method.ORACLE_SWEEP, Method.BOTH):
         search = oracle.support_search(t_mat, eps)
-        orc_stats = {"grid_size": search.grid_size, "theta": search.theta}
+        orc_stats = {"evaluations": search.grid_size, "theta": search.theta}
         if query.method is Method.ORACLE_SWEEP:
             chi_val = search.chi
             scale = 1

@@ -174,7 +174,7 @@ def cmd_chi(matrix_path, config: RunConfig) -> int:
             f"objective cuts {stats['cuts_objective']})"
         )
     else:
-        print(f"grid evaluations = {stats.get('iterations', 0)}")
+        print(f"oracle evaluations = {stats.get('iterations', 0)}")
     if "oracle_value" in stats:
         print(
             f"oracle cross-check = {stats['oracle_value']:.10g} "
@@ -215,7 +215,7 @@ def cmd_range(matrix_path, samples: int, out_path, config: RunConfig) -> int:
     if out.suffix.lower() == ".svg":
         oracle.write_boundary_svg(points, out, marker=points[k_min])
     else:
-        oracle.write_boundary_csv(c, samples, out)
+        oracle.write_boundary_csv(points, out)
     print(f"wrote {out} ({samples} samples)")
     print(
         f"minimum modulus sample: |z| = {abs(points[k_min]):.10g} "

@@ -2,17 +2,19 @@
 
 Writes chi as a one-dimensional search over support directions:
 
-    dist(0, W(C)) = max(0, max_theta lambda_min(cos theta A + sin theta B))
+    dist(0, W(C)) = max(0, max_theta g(theta)),
+    g(theta) = lambda_min(cos theta A + sin theta B),
 
 which holds because W(C) is compact convex and its support function in
-direction e^{i theta} is lambda_max of the rotated Hermitian part.  The
-search grid is certified through the Lipschitz bound L = ||A||_F + ||B||_F
-on g(theta), so none of this shares logic with the SDP construction or
-the ellipsoid method.
+direction e^{i theta} is lambda_max of the rotated Hermitian part.  g is
+L-Lipschitz with L = ||C||_F >= |g'|, so a Piyavskii-Shubert search over
+theta certifies the value, and shares no logic with the SDP construction
+or the ellipsoid method.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -20,24 +22,13 @@ import numpy as np
 
 from .linalg import ComplexMatrix, hermitian_split
 
-_CHUNK = 32768
-_GOLDEN_ITERS = 40
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-@dataclass(frozen=True)
-class SupportProfile:
-    thetas: np.ndarray
-    gmin: np.ndarray
-    lipschitz_L: float
-
 
 @dataclass(frozen=True)
 class OracleSearch:
     chi: float
-    theta: float          # argmax direction (refined)
+    theta: float          # direction of the best evaluation
     gmax: float           # g at that direction, before clamping at 0
-    grid_size: int
+    grid_size: int        # number of evaluations of g
 
 
 def _float_parts(c: ComplexMatrix):
@@ -45,83 +36,42 @@ def _float_parts(c: ComplexMatrix):
     return pen.a.to_complex(), pen.b.to_complex()
 
 
-def _gmin_grid(a_f: np.ndarray, b_f: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """lambda_min(cos t A + sin t B) on all grid nodes, vectorized."""
-    n = a_f.shape[0]
-    cos, sin = np.cos(thetas), np.sin(thetas)
-    if n == 1:
-        return cos * a_f[0, 0].real + sin * b_f[0, 0].real
-    if n == 2:
-        h11 = cos * a_f[0, 0].real + sin * b_f[0, 0].real
-        h22 = cos * a_f[1, 1].real + sin * b_f[1, 1].real
-        h12 = cos * a_f[0, 1] + sin * b_f[0, 1]
-        return 0.5 * (h11 + h22) - np.hypot(0.5 * (h11 - h22), np.abs(h12))
-    out = np.empty(thetas.shape[0])
-    for lo in range(0, thetas.shape[0], _CHUNK):
-        hi = min(lo + _CHUNK, thetas.shape[0])
-        h = (
-            cos[lo:hi, None, None] * a_f[None, :, :]
-            + sin[lo:hi, None, None] * b_f[None, :, :]
-        )
-        out[lo:hi] = np.linalg.eigvalsh(h)[:, 0]
-    return out
-
-
 def _gmin_at(a_f: np.ndarray, b_f: np.ndarray, theta: float) -> float:
-    h = math.cos(theta) * a_f + math.sin(theta) * b_f
-    if h.shape[0] == 1:
-        return h[0, 0].real
-    return float(np.linalg.eigvalsh(h)[0])
-
-
-def support_profile(c: ComplexMatrix, delta: float) -> SupportProfile:
-    """Uniform grid with spacing fine enough that the grid max of g is
-    within delta/2 of the true max."""
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
-    a_f, b_f = _float_parts(c)
-    lip = float(np.linalg.norm(a_f) + np.linalg.norm(b_f))
-    m = math.ceil(2.0 * math.pi * lip / delta) + 8
-    thetas = 2.0 * math.pi * np.arange(m) / m
-    return SupportProfile(
-        thetas=thetas, gmin=_gmin_grid(a_f, b_f, thetas), lipschitz_L=lip
-    )
-
-
-def _golden_max(f, lo: float, hi: float):
-    a, b = lo, hi
-    c1 = b - _INVPHI * (b - a)
-    c2 = a + _INVPHI * (b - a)
-    f1, f2 = f(c1), f(c2)
-    for _ in range(_GOLDEN_ITERS):
-        if f1 >= f2:
-            b, c2, f2 = c2, c1, f1
-            c1 = b - _INVPHI * (b - a)
-            f1 = f(c1)
-        else:
-            a, c1, f1 = c1, c2, f2
-            c2 = a + _INVPHI * (b - a)
-            f2 = f(c2)
-    return (c1, f1) if f1 >= f2 else (c2, f2)
+    return float(np.linalg.eigvalsh(math.cos(theta) * a_f + math.sin(theta) * b_f)[0])
 
 
 def support_search(c: ComplexMatrix, delta: float) -> OracleSearch:
-    """Grid sweep plus golden-section refinement on the winning bracket."""
-    prof = support_profile(c, delta)
+    """From the four quarter-turn arcs, split the arc with the highest cone
+    peak (g_lo + g_hi)/2 + L (hi - lo)/2 at the peak's angle until no peak
+    exceeds max(0, best + delta); all peaks <= 0 certify chi = 0 exactly."""
+    if delta <= 0.0:
+        raise ValueError("delta must be positive")
     a_f, b_f = _float_parts(c)
-    m = prof.thetas.shape[0]
-    k = int(np.argmax(prof.gmin))
-    step = 2.0 * math.pi / m
-    t0 = prof.thetas[k]
-    theta, gref = _golden_max(
-        lambda t: _gmin_at(a_f, b_f, t), t0 - step, t0 + step
-    )
-    gmax = max(float(prof.gmin[k]), gref)
-    if gref < prof.gmin[k]:
-        theta = t0
-    return OracleSearch(
-        chi=max(0.0, gmax), theta=theta % (2.0 * math.pi), gmax=gmax, grid_size=m
-    )
+    lip = math.sqrt(float(c.frobenius_sq()))
+    nodes = [0.5 * math.pi * k for k in range(4)]
+    vals = [_gmin_at(a_f, b_f, t) for t in nodes]
+    best, theta = max(zip(vals, nodes))
+    evals = 4
+    heap = []
+
+    def push(lo, g_lo, hi, g_hi):
+        peak = 0.5 * (g_lo + g_hi) + 0.5 * lip * (hi - lo)
+        heapq.heappush(heap, (-peak, lo, g_lo, hi, g_hi))
+
+    for k in range(4):
+        push(nodes[k], vals[k], nodes[k] + 0.5 * math.pi, vals[(k + 1) % 4])
+    while heap and -heap[0][0] > max(0.0, best + delta):
+        _, lo, g_lo, hi, g_hi = heapq.heappop(heap)
+        t = 0.5 * (lo + hi) + (g_hi - g_lo) / (2.0 * lip)
+        if not lo < t < hi:
+            continue  # a peak at an end of its arc is popped only by rounding
+        g_t = _gmin_at(a_f, b_f, t)
+        evals += 1
+        if g_t > best:
+            best, theta = g_t, t
+        push(lo, g_lo, t, g_t)
+        push(t, g_t, hi, g_hi)
+    return OracleSearch(chi=max(0.0, best), theta=theta, gmax=best, grid_size=evals)
 
 
 def chi_oracle(c: ComplexMatrix, delta: float) -> float:
@@ -140,12 +90,8 @@ def sample_boundary(c: ComplexMatrix, m: int):
     out = []
     for k in range(m):
         t = 2.0 * math.pi * k / m
-        h = math.cos(t) * a_f + math.sin(t) * b_f
-        if h.shape[0] == 1:
-            x = np.array([1.0 + 0.0j])
-        else:
-            _, vec = np.linalg.eigh(h)
-            x = vec[:, -1]
+        _, vec = np.linalg.eigh(math.cos(t) * a_f + math.sin(t) * b_f)
+        x = vec[:, -1]
         out.append(complex(x.conj() @ cf @ x))
     return out
 
@@ -178,23 +124,17 @@ def minimizing_witness(a_f: np.ndarray, b_f: np.ndarray, theta: float):
     return x / np.linalg.norm(x)
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
-
-
-def write_boundary_csv(c: ComplexMatrix, m: int, path) -> list:
-    """CSV "theta,re,im", one row per sample node."""
-    points = sample_boundary(c, m)
+def write_boundary_csv(points, path) -> None:
+    """CSV "theta,re,im", one row per point of sample_boundary(c, len(points))."""
     lines = ["theta,re,im"]
     for k, z in enumerate(points):
-        t = 2.0 * math.pi * k / m
-        lines.append(f"{_fmt(t)},{_fmt(z.real)},{_fmt(z.imag)}")
+        t = 2.0 * math.pi * k / len(points)
+        lines.append(f"{t!r},{z.real!r},{z.imag!r}")
     try:
         with open(path, "w", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
     except OSError as e:
         raise OSError(f"cannot write CSV {path}: {e}") from e
-    return points
 
 
 def write_boundary_svg(points, path, marker=None) -> None:

@@ -18,8 +18,8 @@ EXAMPLE_TILDE = ComplexMatrix([[gr(0, 0), gr(0, -4)], [gr(2, 0), gr(0, 0)]])
 EXAMPLE_CENTER = gr(-3, -1)
 EXAMPLE = EXAMPLE_TILDE.translate(EXAMPLE_CENTER)
 
-# frozen from the support sweep at delta = 1e-8 plus golden-section
-# refinement; nearest point approx 1.5334 + 1.1605i at theta 0.6478506
+# the support-function search gives this value at delta = 1e-10; nearest
+# point approx 1.5334 + 1.1605i at theta 0.6478506
 CHI_EXAMPLE = 1.9230539413330539
 
 # 3x3 with real parts over 3 and imaginary parts over 7: the lcm of the

@@ -95,24 +95,35 @@ def test_criterion_01_worked_example_both_paths(report):
 def test_criterion_02_oracle_equivalence_50_random(report):
     rng = np.random.default_rng(20260825)
     t0 = time.time()
-    worst = 0.0
-    count = 0
+    cases = []
     for rep in range(10):
         for n in (2, 3, 4, 5, 6):
             mat = random_gaussian_integer(rng, n, -5, 5)
-            if mat.is_zero():
-                continue
-            res = crawford(
-                CrawfordQuery(matrix=mat, epsilon=1e-4, method=Method.BOTH)
-            )
-            worst = max(worst, abs(res.solver_stats["discrepancy"]))
-            count += 1
+            cases.append((mat, GaussianRational(0, 0)))
+    # random matrices almost always have 0 in W(C); about the centre
+    # ceil(||C||_F) + 1 chi is at least 1
+    for rep in range(2):
+        for n in (2, 3, 4, 5, 6):
+            mat = random_gaussian_integer(rng, n, -5, 5)
+            cases.append((mat, GaussianRational(frobenius_ceiling(mat) + 1, 0)))
+    worst = 0.0
+    count = positive = 0
+    for mat, center in cases:
+        if mat.is_zero():
+            continue
+        res = crawford(
+            CrawfordQuery(matrix=mat, center=center, epsilon=1e-4, method=Method.BOTH)
+        )
+        worst = max(worst, abs(res.solver_stats["discrepancy"]))
+        count += 1
+        positive += res.solver_stats["oracle_value"] > 0.0
     dt = time.time() - t0
-    ok = worst <= 2e-4 and count >= 50
+    ok = worst <= 2e-4 and count >= 60 and positive >= 10
     assert report(
         2,
         ok,
-        f"sdp vs oracle on {count} random matrices n=2..6: "
+        f"sdp vs oracle on {count} random matrices n=2..6 "
+        f"({count - positive} with chi = 0, {positive} with chi > 0): "
         f"max |difference| = {worst:.2e} <= 2e-4 ({dt:.0f} s)",
     )
 

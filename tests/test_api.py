@@ -13,6 +13,7 @@ from crawford.api import (
     numerical_radius_upper,
 )
 from crawford.linalg import ComplexMatrix, GaussianRational, hermitian_split
+from crawford.oracle import support_search
 from helpers import (
     CHI_EXAMPLE,
     COPRIME_DENOMINATORS,
@@ -174,7 +175,9 @@ class TestStatsAndValidation:
 
     def test_oracle_stats_fields(self):
         res = run(EXAMPLE, method=Method.ORACLE_SWEEP)
-        assert res.solver_stats["iterations"] > 1000
+        stats = res.solver_stats
+        assert stats["evaluations"] == support_search(EXAMPLE, EPS).grid_size
+        assert stats["iterations"] == stats["evaluations"] >= 4
 
     def test_epsilon_validated(self):
         with pytest.raises(ValueError):

@@ -155,6 +155,16 @@ class TestCmdChi:
         assert payload["method"] == "oracle"
         assert abs(payload["chi"] - CHI_EXAMPLE) < 1e-4
 
+    def test_oracle_method_default_eps(self, tmp_path, capsys):
+        # at the default eps, 1e-6, the oracle route must still be quick
+        p = write_matrix(tmp_path / "c.json", EXAMPLE_TILDE)
+        code = main(["chi", p, "--center=-3-i", "--method", "oracle"])
+        out = capsys.readouterr().out
+        assert code == 0
+        chi = float(out.splitlines()[0].split("=")[1])
+        assert abs(chi - 1.923) <= 1e-3
+        assert "oracle evaluations = " in out
+
 
 class TestExitCodes:
     def test_missing_file_io(self, tmp_path, capsys):

@@ -4,12 +4,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from crawford.linalg import ComplexMatrix, GaussianRational, hermitian_split
+from crawford.linalg import (
+    ComplexMatrix,
+    GaussianRational,
+    frobenius_ceiling,
+    hermitian_split,
+)
 from crawford.oracle import (
     chi_oracle,
     minimizing_witness,
     sample_boundary,
-    support_profile,
     support_search,
     write_boundary_csv,
     write_boundary_svg,
@@ -18,6 +22,7 @@ from helpers import (
     CHI_EXAMPLE,
     DIAG_PM,
     EXAMPLE,
+    EXAMPLE_TILDE,
     IDENTITY2,
     gr,
     random_gaussian_integer,
@@ -27,6 +32,14 @@ from helpers import (
 def float_parts(mat: ComplexMatrix):
     pen = hermitian_split(mat)
     return pen.a.to_complex(), pen.b.to_complex()
+
+
+def sampled_gmax(mat: ComplexMatrix, m: int = 4096) -> float:
+    """max over m uniform directions of lambda_min(cos t A + sin t B)."""
+    a_f, b_f = float_parts(mat)
+    t = 2.0 * math.pi * np.arange(m) / m
+    h = np.cos(t)[:, None, None] * a_f + np.sin(t)[:, None, None] * b_f
+    return float(np.linalg.eigvalsh(h)[:, 0].max())
 
 
 class TestChiOracle:
@@ -45,27 +58,53 @@ class TestChiOracle:
         c = ComplexMatrix([[gr(3, 4)]])
         assert chi_oracle(c, 1e-4) == pytest.approx(5.0, abs=1e-9)
 
-    def test_grid_size_formula(self):
-        delta = 1e-2
-        prof = support_profile(EXAMPLE, delta)
-        want = math.ceil(2.0 * math.pi * prof.lipschitz_L / delta) + 8
-        assert prof.thetas.shape[0] == want
-        assert prof.lipschitz_L == pytest.approx(
-            math.sqrt(28.0) + math.sqrt(12.0)
-        )
-
     def test_rejects_bad_delta(self):
         with pytest.raises(ValueError):
-            support_profile(EXAMPLE, 0.0)
+            support_search(EXAMPLE, 0.0)
 
-    def test_lipschitz_between_adjacent_nodes(self):
-        prof = support_profile(EXAMPLE, 1e-2)
-        step = 2.0 * math.pi / prof.thetas.shape[0]
-        diffs = np.abs(np.diff(prof.gmin))
-        assert diffs.max() <= prof.lipschitz_L * step * (1.0 + 1e-9)
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_certificate_random(self, n):
+        rng = np.random.default_rng(500 + n)
+        cases = [ComplexMatrix.zeros(n)]
+        for _ in range(2):
+            c = random_gaussian_integer(rng, n, -3, 3)
+            if not c.is_zero():
+                # chi >= 1 about the centre ceil(||C||_F) + 1
+                cases += [c, c.translate(gr(frobenius_ceiling(c) + 1))]
+        for c in cases:
+            ref = sampled_gmax(c)
+            a_f, b_f = float_parts(c)
+            for delta in (1e-3, 1e-6):
+                s = support_search(c, delta)
+                assert s.chi == max(0.0, s.gmax) >= 0.0
+                # gmax itself may stay below ref after the chi = 0 exit
+                assert s.chi >= ref - delta
+                h = math.cos(s.theta) * a_f + math.sin(s.theta) * b_f
+                assert s.gmax == pytest.approx(np.linalg.eigvalsh(h)[0], abs=1e-12)
+                if s.chi == 0.0:
+                    # exact zero: every Lipschitz bound was <= 0
+                    assert ref <= 1e-12
+
+    def test_small_positive_chi(self):
+        # W(EXAMPLE_TILDE) is the ellipse with foci +-(2 - 2i) and semi-axes
+        # 3 and 1; the centre lies on its major axis, 9/4 sqrt 2 from 0, so
+        # the nearest point is the vertex 3(1 - i)/sqrt 2 off the quarter turns
+        c = EXAMPLE_TILDE.translate(gr(Fraction(9, 4), Fraction(-9, 4)))
+        want = 9.0 * math.sqrt(2.0) / 4.0 - 3.0
+        for delta in (1e-4, 1e-6):
+            assert chi_oracle(c, delta) == pytest.approx(want, abs=delta)
+
+    def test_early_exit_inside(self):
+        # 0 is a segment point of W(DIAG_PM) and the centre of the ellipse
+        # W(EXAMPLE_TILDE), at depth 1
+        for c in (DIAG_PM, EXAMPLE_TILDE):
+            s = support_search(c, 1e-6)
+            assert s.chi == 0.0
+            assert s.grid_size < 200
 
     def test_search_angle_matches_reference(self):
-        # golden refinement converges far below the grid delta
+        # the best evaluation sits near the top of a smooth maximum, so its
+        # error is second order in the final arc width, far below delta
         s = support_search(EXAMPLE, 1e-4)
         assert s.chi == pytest.approx(CHI_EXAMPLE, abs=1e-6)
         assert s.theta == pytest.approx(0.6478507, abs=1e-4)
@@ -98,8 +137,7 @@ class TestSampleBoundary:
             c = random_gaussian_integer(rng, 3, -2, 2)
             m = 400
             pts = sample_boundary(c, m)
-            prof = support_profile(c, 1e-2)
-            gap = 2.0 * math.pi * prof.lipschitz_L / m
+            gap = 2.0 * math.pi * math.sqrt(float(c.frobenius_sq())) / m
             chi = chi_oracle(c, 1e-2)
             assert min(abs(z) for z in pts) >= chi - gap - 1e-2
 
@@ -158,26 +196,27 @@ class TestMinimizingWitness:
             a_f, b_f = float_parts(c)
             x = minimizing_witness(a_f, b_f, s.theta)
             z = complex(x.conj() @ c.to_complex() @ x)
-            # golden refinement drives the theta error well below the
-            # grid delta, so the witness modulus is much tighter than 1e-3
+            # the witness modulus error is second order in the theta error,
+            # so it is much tighter than delta
             assert abs(abs(z) - s.chi) <= 1e-4
 
 
 class TestWriters:
     def test_csv_layout(self, tmp_path):
         path = tmp_path / "boundary.csv"
-        pts = write_boundary_csv(EXAMPLE, 720, path)
+        pts = sample_boundary(EXAMPLE, 720)
+        write_boundary_csv(pts, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "theta,re,im"
         assert len(lines) == 721
-        assert len(pts) == 720
         first = lines[1].split(",")
         assert float(first[0]) == 0.0
         assert complex(float(first[1]), float(first[2])) == pytest.approx(pts[0])
 
     def test_csv_io_error(self, tmp_path):
         with pytest.raises(OSError, match="boundary.csv"):
-            write_boundary_csv(EXAMPLE, 8, tmp_path / "nope" / "boundary.csv")
+            pts = sample_boundary(EXAMPLE, 8)
+            write_boundary_csv(pts, tmp_path / "nope" / "boundary.csv")
 
     def test_svg_layout(self, tmp_path):
         path = tmp_path / "range.svg"
