@@ -108,9 +108,11 @@ def crawford(query: CrawfordQuery) -> CrawfordResult:
         witness = _witness_from_solution(res.Z.y)
         stats.update(
             iterations=res.iterations,
+            iteration_cap=res.cap,
             cuts_feasibility=res.cuts_feasibility,
             cuts_objective=res.cuts_objective,
             lower_bound=res.lower_bound / scale,
+            certified_gap=res.certified_gap / scale,
             max_feasible_distance=res.max_feasible_distance,
             outer_R=float(ball.outer_R),
             epsilon_solver=eps * scale,

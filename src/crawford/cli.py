@@ -159,6 +159,9 @@ def cmd_chi(matrix_path, config: RunConfig) -> int:
             "method": result.method_used.value,
             "epsilon": config.epsilon,
         }
+        if "certified_gap" in stats:
+            doc["lower_bound"] = stats["lower_bound"]
+            doc["certified_gap"] = stats["certified_gap"]
         print(json.dumps(doc))
         return 0
     print(f"chi = {result.chi:.10g}")

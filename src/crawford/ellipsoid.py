@@ -1,4 +1,4 @@
-"""Central-cut ellipsoid method for the block-diagonal SDP, run in an
+"""Deep-cut ellipsoid method for the block-diagonal SDP, run in an
 orthonormal chart of the affine constraint subspace and seeded by the
 explicit strictly-feasible ball data (G, r, R).
 
@@ -12,6 +12,21 @@ The solver keeps three quantities per run:
              min(best, obj(center_k) - sqrt(g' P_k g)), valid because the
              cut rules never discard a feasible point with objective
              below the current best.
+
+Each step keeps the part of the ellipsoid E on the far side of a deep
+cut {x : g.(x - z) <= -depth} (Bland, Goldfarb & Todd, Oper. Res. 29(6),
+1981, section 3):
+
+  feasibility  the eigenvector cut at the violated block, backed off by
+               the PSD tolerance, depth = -lambda_min - tol,
+  objective    the level set obj <= best, depth = obj(z) - best
+               (0 on an improving step, a central cut).
+
+Neither discards a feasible point with objective below best.  When a cut
+leaves nothing of E (alpha = depth / sqrt(g' P g) >= 1), no feasible
+point has objective below best, so best is a certified lower bound: lb
+becomes best, and the run ends, with a value if the gap is closed and
+with EllipsoidCapExceeded if not.
 
 Termination: best_cert - lb <= eps, so the reported value is within eps
 of the true optimum in both directions (up to float evaluation noise).
@@ -81,10 +96,14 @@ class AffineChart:
 
 @dataclass(frozen=True)
 class Cut:
+    """The halfspace {x : normal.(x - z) <= -depth} that keeps every
+    feasible chart point with objective below the current best."""
+
     kind: str                           # feasible_improving | feasibility | objective
     normal: np.ndarray                  # chart coordinates
     min_eig: float
     objective: float
+    depth: float                        # >= 0; 0 is a cut through z
 
 
 @dataclass(frozen=True)
@@ -92,6 +111,7 @@ class SolveResult:
     value: float
     Z: BlockDiagSymmetric
     iterations: int
+    cap: int                            # iteration cap of the volume bound
     cuts_feasibility: int
     cuts_objective: int
     certified_gap: float
@@ -187,18 +207,14 @@ def build_chart(inst: SdpInstance) -> AffineChart:
 
 
 def _min_eig_2x2(t: np.ndarray):
-    a, b, c = t[0, 0], t[0, 1], t[1, 1]
-    mean = 0.5 * (a + c)
-    disc = math.hypot(0.5 * (a - c), b)
-    lam = mean - disc
+    (a, b), (_, c) = t.tolist()
+    lam = 0.5 * (a + c) - math.hypot(0.5 * (a - c), b)
     if b == 0.0:
-        v = np.array([1.0, 0.0]) if a <= c else np.array([0.0, 1.0])
-    else:
-        # take the row of T - lam I whose difference does not cancel:
-        # lam - c is pure round-off when a > c and |b| is tiny
-        v = np.array([b, lam - a]) if a > c else np.array([lam - c, b])
-        v /= np.linalg.norm(v)
-    return lam, v
+        return lam, np.array([1.0, 0.0]) if a <= c else np.array([0.0, 1.0])
+    # take the row of T - lam I whose difference does not cancel:
+    # lam - c is pure round-off when a > c and |b| is tiny
+    p, q = (b, lam - a) if a > c else (lam - c, b)
+    return lam, np.array([p, q]) / math.hypot(p, q)
 
 
 def separation_oracle(
@@ -208,45 +224,46 @@ def separation_oracle(
     obj_normal: Optional[np.ndarray] = None,
 ) -> Cut:
     """Classify a chart point: PSD and improving, PSD but not improving
-    (objective cut along F_0), or not PSD (eigenvector cut -vv' on the
-    violated block).  PSD tolerance is -1e-9 (1 + ||Z||_F)."""
-    n = chart.n
-    flat = np.concatenate([z_point.y.ravel(), z_point.uv.ravel(), [z_point.t]])
-    tol = 1e-9 * (1.0 + np.linalg.norm(flat))
-    wy, qy = np.linalg.eigh(0.5 * (z_point.y + z_point.y.T))
-    lam_t, v_t = _min_eig_2x2(z_point.uv)
-    lams = (wy[0], lam_t, float(z_point.t))
-    block = int(np.argmin(lams)) + 1
-    worst = lams[block - 1]
-    objective = 0.5 * (z_point.uv[0, 0] + z_point.uv[1, 1])
+    (objective cut along F_0 at depth obj - best_value), or not PSD
+    (eigenvector cut -vv' on the violated block at depth -lambda_min - tol).
+    PSD tolerance is tol = 1e-9 (1 + ||Z||_F)."""
+    kk = 4 * chart.n * chart.n
+    y, uv, t = z_point.y, z_point.uv, float(z_point.t)
+    # the chart keeps Y symmetric to rounding; eigh reads one triangle
+    wy, qy = np.linalg.eigh(y)
+    lam_t, v_t = _min_eig_2x2(uv)
+    # ||Y||_F^2 is the sum of the squared eigenvalues of Y
+    tol = 1e-9 * (1.0 + math.sqrt(float(wy @ wy) + float(np.vdot(uv, uv)) + t * t))
+    lam_y = float(wy[0])
+    worst = min(lam_y, lam_t, t)
+    objective = 0.5 * float(uv[0, 0] + uv[1, 1])
 
     if worst >= -tol:
         if obj_normal is None:
-            f0_flat = np.zeros(chart.basis.shape[1])
-            f0_flat[4 * n * n] = 0.5
-            f0_flat[4 * n * n + 3] = 0.5
-            obj_normal = chart.basis @ f0_flat
-        kind = "feasible_improving" if objective < best_value else "objective"
+            obj_normal = 0.5 * (chart.basis[:, kk] + chart.basis[:, kk + 3])
+        improving = objective < best_value
         return Cut(
-            kind=kind,
+            kind="feasible_improving" if improving else "objective",
             normal=obj_normal,
             min_eig=worst,
             objective=objective,
+            depth=0.0 if improving else objective - best_value,
         )
 
-    emb = np.zeros(chart.basis.shape[1])
-    if block == 1:
+    # only the violated block's columns of the basis meet vv'
+    if worst == lam_y:
         v = qy[:, 0]
-        emb[: 4 * n * n] = np.outer(v, v).ravel()
-    elif block == 2:
-        emb[4 * n * n : 4 * n * n + 4] = np.outer(v_t, v_t).ravel()
+        normal = -(chart.basis[:, :kk] @ np.outer(v, v).ravel())
+    elif worst == lam_t:
+        normal = -(chart.basis[:, kk : kk + 4] @ np.outer(v_t, v_t).ravel())
     else:
-        emb[-1] = 1.0
+        normal = -chart.basis[:, -1]
     return Cut(
         kind="feasibility",
-        normal=-(chart.basis @ emb),
+        normal=normal,
         min_eig=worst,
         objective=objective,
+        depth=max(0.0, -worst - tol),
     )
 
 
@@ -268,14 +285,29 @@ def repair_point(
     if tr <= 1e-6:
         raise ChartError("repair collapsed the trace; point was garbage")
     yh *= 2.0 / tr
-    ahat_f = inst.ahat.astype(float)
-    bhat_f = inst.bhat.astype(float)
-    xs = 0.5 * float((ahat_f * yh).sum())
-    vs = 0.5 * float((bhat_f * yh).sum())
+    xs, vs = (0.5 * np.tensordot(inst.hats_float, yh)).tolist()
     rr = math.hypot(xs, vs)
     uv = np.array([[rr + xs, vs], [vs, rr - xs]])
     t = max(inst.frob_ceiling + 2.0 - rr, 0.0)
     return rr, BlockDiagSymmetric(y=yh, uv=uv, t=t)
+
+
+def _shrink(z: np.ndarray, p_mat: np.ndarray, b: np.ndarray, alpha: float) -> None:
+    """Replace E = {x : (x - z)' P^-1 (x - z) <= 1}, in place, by the
+    smallest ellipsoid holding the part of E where
+    g.(x - z) <= -alpha sqrt(g'Pg), with b = P g / sqrt(g'Pg) and
+    0 <= alpha < 1."""
+    d = z.shape[0]
+    if d == 1:
+        # E is an interval; the generic update is singular at d = 1
+        z -= 0.5 * (1.0 + alpha) * b
+        p_mat *= 0.25 * (1.0 - alpha) ** 2
+        return
+    tau = (1.0 + d * alpha) / (d + 1.0)
+    sigma = 2.0 * tau / (1.0 + alpha)
+    z -= tau * b
+    p_mat -= (sigma * b)[:, None] * b
+    p_mat *= d * d * (1.0 - alpha * alpha) / (d * d - 1.0)
 
 
 def solve(
@@ -292,7 +324,7 @@ def solve(
     if eps <= 0.0:
         raise ValueError("eps must be positive")
     chart = build_chart(inst)
-    n, d = inst.n, chart.dim
+    d = chart.dim
     big_r = float(ball.outer_R)
     small_r = float(ball.inner_r)
 
@@ -314,15 +346,26 @@ def solve(
     n_feas = n_obj = 0
     max_dist = 0.0
 
+    def result(it):
+        return SolveResult(
+            value=best_cert,
+            Z=best_z,
+            iterations=it,
+            cap=cap,
+            cuts_feasibility=n_feas,
+            cuts_objective=n_obj,
+            certified_gap=best_cert - lb,
+            lower_bound=lb,
+            max_feasible_distance=max_dist,
+        )
+
     for it in range(1, cap + 1):
         zb = chart.point(z)
         cut = separation_oracle(chart, zb, best, obj_normal=g_obj)
         obj_center = cut.objective
 
         if cut.kind != "feasibility":
-            dist = float(np.linalg.norm(z))
-            if dist > max_dist:
-                max_dist = dist
+            max_dist = max(max_dist, math.sqrt(z @ z))
             if obj_center < best:
                 best = obj_center
                 if record is not None:
@@ -332,47 +375,40 @@ def solve(
                     best_cert = val
                     best_z = zrep
 
-        width = g_obj @ p_mat @ g_obj
-        width = math.sqrt(width) if width > 0.0 else 0.0
-        cand = min(best, obj_center - width)
-        if cand > lb:
-            lb = cand
+        p_obj = p_mat @ g_obj
+        width = math.sqrt(max(float(g_obj @ p_obj), 0.0))
+        lb = max(lb, min(best, obj_center - width))
         if best_cert - lb <= eps:
-            return SolveResult(
-                value=best_cert,
-                Z=best_z,
-                iterations=it,
-                cuts_feasibility=n_feas,
-                cuts_objective=n_obj,
-                certified_gap=best_cert - lb,
-                lower_bound=lb,
-                max_feasible_distance=max_dist,
-            )
+            return result(it)
 
         if cut.kind == "feasibility":
-            g = cut.normal
+            pg = p_mat @ cut.normal
             n_feas += 1
         else:
-            g = g_obj
+            pg = p_obj
             n_obj += 1
-        pg = p_mat @ g
-        gpg = float(g @ pg)
+        gpg = float(cut.normal @ pg)
         if not math.isfinite(gpg) or gpg <= 0.0:
             raise EllipsoidCapExceeded(
                 "ellipsoid degenerated (numerical breakdown); "
                 f"best {best_cert:.6g}, lower bound {lb:.6g}",
                 best_cert, lb, it,
             )
-        b = pg / math.sqrt(gpg)
-        if d == 1:
-            # interval bisection; the generic update is singular at d = 1
-            z = z - 0.5 * b
-            p_mat = 0.25 * p_mat
-        else:
-            z = z - b / (d + 1.0)
-            p_mat = (d * d / (d * d - 1.0)) * (
-                p_mat - (2.0 / (d + 1.0)) * np.outer(b, b)
+        root = math.sqrt(gpg)
+        alpha = cut.depth / root
+        if alpha >= 1.0:
+            # the cut leaves nothing of E: no feasible point has
+            # objective below best, so best bounds the optimum from below
+            if best < math.inf:
+                lb = max(lb, best)
+                if best_cert - lb <= eps:
+                    return result(it)
+            raise EllipsoidCapExceeded(
+                f"deep cut emptied the ellipsoid at iteration {it} before the "
+                f"gap closed; best {best_cert:.9g}, certified lower bound {lb:.9g}",
+                best_cert, lb, it,
             )
+        _shrink(z, p_mat, pg / root, alpha)
         if it % 50 == 0:
             p_mat = 0.5 * (p_mat + p_mat.T)
 

@@ -56,7 +56,10 @@ def support_search(c: ComplexMatrix, delta: float) -> OracleSearch:
 
     def push(lo, g_lo, hi, g_hi):
         peak = 0.5 * (g_lo + g_hi) + 0.5 * lip * (hi - lo)
-        heapq.heappush(heap, (-peak, lo, g_lo, hi, g_hi))
+        # the stop threshold never decreases, so an arc already below it
+        # would never be popped; the heap keeps only arcs still to split
+        if peak > max(0.0, best + delta):
+            heapq.heappush(heap, (-peak, lo, g_lo, hi, g_hi))
 
     for k in range(4):
         push(nodes[k], vals[k], nodes[k] + 0.5 * math.pi, vals[(k + 1) % 4])

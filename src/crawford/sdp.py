@@ -20,6 +20,7 @@ and in the solver-facing views.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
@@ -175,6 +176,11 @@ class SdpInstance:
     frob_ceiling: int
     ahat: np.ndarray
     bhat: np.ndarray
+
+    @cached_property
+    def hats_float(self) -> np.ndarray:
+        """(Ahat, Bhat) as one float (2, 2n, 2n) array, converted once."""
+        return np.array([self.ahat, self.bhat], dtype=float)
 
     @property
     def N(self) -> int:

@@ -171,7 +171,11 @@ class TestStatsAndValidation:
         stats = res.solver_stats
         for key in ("iterations", "lower_bound", "epsilon_solver"):
             assert key in stats
-        assert stats["iterations"] > 0
+        assert 0 < stats["iterations"] <= stats["iteration_cap"]
+        assert stats["certified_gap"] == pytest.approx(
+            res.chi - stats["lower_bound"], abs=1e-15
+        )
+        assert 0.0 <= stats["certified_gap"] <= EPS
 
     def test_oracle_stats_fields(self):
         res = run(EXAMPLE, method=Method.ORACLE_SWEEP)

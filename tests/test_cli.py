@@ -123,8 +123,15 @@ class TestCmdChi:
             "iterations",
             "method",
             "epsilon",
+            "lower_bound",
+            "certified_gap",
         ]
         assert payload["method"] == "sdp"
+        assert payload["lower_bound"] <= CHI_EXAMPLE <= payload["chi"]
+        assert payload["certified_gap"] == pytest.approx(
+            payload["chi"] - payload["lower_bound"], abs=1e-15
+        )
+        assert 0.0 <= payload["certified_gap"] <= 1e-4
         assert payload["epsilon"] == 1e-4
         assert abs(payload["chi"] - CHI_EXAMPLE) < 1e-4
         z = complex(payload["z"][0], payload["z"][1])
@@ -153,6 +160,7 @@ class TestCmdChi:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["method"] == "oracle"
+        assert list(payload) == ["chi", "z", "iterations", "method", "epsilon"]
         assert abs(payload["chi"] - CHI_EXAMPLE) < 1e-4
 
     def test_oracle_method_default_eps(self, tmp_path, capsys):

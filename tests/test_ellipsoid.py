@@ -1,13 +1,16 @@
+import dataclasses
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from crawford import ellipsoid
 from crawford.ellipsoid import (
     BlockDiagSymmetric,
     EllipsoidCapExceeded,
     _min_eig_2x2,
+    _shrink,
     build_chart,
     certified_ball,
     repair_point,
@@ -15,6 +18,7 @@ from crawford.ellipsoid import (
     solve,
 )
 from crawford.linalg import ComplexMatrix, frobenius_ceiling, hermitian_split
+from crawford.oracle import support_search
 from crawford.sdp import assemble_feasible_point, build_instance
 from helpers import (
     CHI_EXAMPLE,
@@ -23,8 +27,10 @@ from helpers import (
     IDENTITY2,
     dense_constraints,
     embed,
+    gr,
     identity,
     random_density,
+    random_gaussian_integer,
 )
 
 
@@ -151,9 +157,11 @@ class TestSeparationOracle:
 
 def assert_cut_separates(inst, chart, zc, cut, rng):
     """Every PSD chart point x keeps normal . (x - zc) <= min_eig: the
-    feasibility cut is deep and discards no feasible point.  The points
-    run from the PSD boundary r = |z| of the 2x2 block to that of the
-    scalar block, t = 0."""
+    feasibility cut is deep and discards no feasible point, nor does the
+    halfspace the solver keeps, which is backed off from it by the PSD
+    tolerance.  The points run from the PSD boundary r = |z| of the 2x2
+    block to that of the scalar block, t = 0."""
+    assert 0.0 < cut.depth < -cut.min_eig
     top = inst.frob_ceiling + 2.0
     for _ in range(30):
         dens = random_density(rng, inst.n)
@@ -164,6 +172,7 @@ def assert_cut_separates(inst, chart, zc, cut, rng):
             x = chart.basis @ (z.flat() - chart.origin_flat)
             assert np.allclose(chart.point(x).flat(), z.flat(), atol=1e-9)
             assert cut.normal @ (x - zc) <= cut.min_eig + 1e-9
+            assert cut.normal @ (x - zc) <= -cut.depth
 
 
 class TestMinEig2x2:
@@ -185,6 +194,80 @@ class TestMinEig2x2:
             lam, v = _min_eig_2x2(t)
             assert lam == pytest.approx(np.linalg.eigvalsh(t)[0], abs=1e-12)
             assert v @ t @ v == pytest.approx(lam, abs=1e-12)
+
+
+class TestDeepCutUpdate:
+    @pytest.mark.parametrize("d", [1, 9])
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, 0.9])
+    def test_new_ellipsoid_holds_the_kept_cap(self, d, alpha):
+        rng = np.random.default_rng(int(100 * d + 10 * alpha))
+        m = rng.standard_normal((d, d))
+        p_mat = m @ m.T + 0.5 * np.eye(d)
+        z = rng.standard_normal(d)
+        g = rng.standard_normal(d)
+        root = math.sqrt(g @ p_mat @ g)
+        # x = z + L u with L L' = P maps the unit ball onto E, and the
+        # kept halfspace g.(x - z) <= -alpha root onto h.u <= -alpha
+        chol = np.linalg.cholesky(p_mat)
+        h = chol.T @ g / root
+        # the far pole and the rim of the cap touch the smallest ellipsoid
+        # that holds the cap; the rest of the cap lies inside it
+        touching, inside = [-h], []
+        for _ in range(300):
+            e = np.zeros(d)
+            if d > 1:
+                e = rng.standard_normal(d)
+                e -= (e @ h) * h
+                e /= np.linalg.norm(e)
+            s = -1.0 + (1.0 - alpha) * rng.random()
+            r = math.sqrt(1.0 - s * s)
+            inside += [s * h + r * e, s * h + rng.random() * r * e]
+            touching.append(-alpha * h + math.sqrt(1.0 - alpha * alpha) * e)
+        z_new, p_new = z.copy(), p_mat.copy()
+        _shrink(z_new, p_new, p_mat @ g / root, alpha)
+        inv = np.linalg.inv(p_new)
+
+        def q(u):
+            x = z + chol @ u
+            assert g @ (x - z) <= -alpha * root + 1e-9
+            return (x - z_new) @ inv @ (x - z_new)
+
+        assert all(q(u) <= 1.0 + 1e-9 for u in inside + touching)
+        assert all(q(u) >= 1.0 - 1e-9 for u in touching)
+
+    def test_emptying_cut_sets_lower_bound_to_best(self, monkeypatch):
+        # a cut with alpha >= 1 leaves no feasible point below best, so a
+        # solve with a finite best takes best as its lower bound and stops;
+        # the patched cut is not a true one, so only that rule is checked
+        inst, ball = make(EXAMPLE)
+        oracle = ellipsoid.separation_oracle
+
+        def deep_after_first_feasible(chart, z_point, best_value, obj_normal=None):
+            cut = oracle(chart, z_point, best_value, obj_normal)
+            if best_value < math.inf:
+                cut = dataclasses.replace(cut, kind="feasibility", depth=1e6)
+            return cut
+
+        monkeypatch.setattr(ellipsoid, "separation_oracle", deep_after_first_feasible)
+        rec = []
+        res = solve(inst, ball, 1e-4, record=rec)
+        assert res.iterations == 2
+        assert len(rec) == 1
+        assert res.lower_bound == rec[0]
+
+    def test_emptying_cut_without_best_raises(self, monkeypatch):
+        inst, ball = make(EXAMPLE)
+        oracle = ellipsoid.separation_oracle
+
+        def always_deep(chart, z_point, best_value, obj_normal=None):
+            cut = oracle(chart, z_point, best_value, obj_normal)
+            return dataclasses.replace(cut, kind="feasibility", depth=1e6)
+
+        monkeypatch.setattr(ellipsoid, "separation_oracle", always_deep)
+        with pytest.raises(EllipsoidCapExceeded) as info:
+            solve(inst, ball, 1e-4)
+        assert info.value.iterations == 1
+        assert info.value.lower_bound == 0.0
 
 
 class TestPsdTraceBound:
@@ -251,6 +334,22 @@ class TestSolve:
         inst, ball = make(EXAMPLE)
         res = solve(inst, ball, 1e-4)
         assert res.lower_bound <= CHI_EXAMPLE + 1e-12
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_bracket_holds_against_oracle(self, n):
+        rng = np.random.default_rng(700 + n)
+        for _ in range(2):
+            c = random_gaussian_integer(rng, n, -3, 3)
+            # chi >= 1 about the centre ceil(||C||_F) + 1
+            mat = c.translate(gr(frobenius_ceiling(c) + 1))
+            inst, ball = make(mat)
+            res = solve(inst, ball, 1e-4)
+            # the oracle's best evaluation sits near the top of a smooth
+            # maximum: its error is second order in the final arc width
+            chi = support_search(mat, 1e-6).chi
+            assert chi >= 1.0
+            assert res.lower_bound <= chi + 1e-9 <= res.value + 1e-9
+            assert res.value - res.lower_bound <= 1e-4
 
     def test_inner_ball_inclusion(self):
         inst, ball = make(EXAMPLE)

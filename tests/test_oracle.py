@@ -102,6 +102,12 @@ class TestChiOracle:
             assert s.chi == 0.0
             assert s.grid_size < 200
 
+    def test_worked_example_evaluation_counts(self):
+        # arcs already below the stop threshold are never pushed; the
+        # search must still take exactly the same evaluations
+        assert support_search(EXAMPLE, 1e-4).grid_size == 688
+        assert support_search(EXAMPLE, 1e-6).grid_size == 6798
+
     def test_search_angle_matches_reference(self):
         # the best evaluation sits near the top of a smooth maximum, so its
         # error is second order in the final arc width, far below delta
