@@ -46,7 +46,6 @@ from .sdp import (
     annihilators,
     build_instance,
     export_sdpa,
-    modulus_psd_block,
     read_sdpa,
 )
 
@@ -77,7 +76,6 @@ __all__ = [
     "frobenius_ceiling",
     "hat_embed",
     "hermitian_split",
-    "modulus_psd_block",
     "numerical_radius_upper",
     "read_sdpa",
     "sample_boundary",

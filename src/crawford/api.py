@@ -56,15 +56,6 @@ def numerical_radius_upper(c: ComplexMatrix) -> float:
     return math.sqrt(float(c.frobenius_sq()))
 
 
-def _witness_from_solution(y_block: np.ndarray) -> np.ndarray:
-    """Invert the real embedding: X = P + iK with P the mean of the two
-    diagonal quadrants and K the antisymmetric part of the off-diagonal."""
-    n = y_block.shape[0] // 2
-    p = 0.5 * (y_block[:n, :n] + y_block[n:, n:])
-    k = 0.5 * (y_block[n:, :n] - y_block[:n, n:])
-    return p + 1j * k
-
-
 def crawford(query: CrawfordQuery) -> CrawfordResult:
     """Compute chi(center, C) to within epsilon.
 
@@ -105,7 +96,7 @@ def crawford(query: CrawfordQuery) -> CrawfordResult:
         chi_val = res.value / scale
         u, w, v = res.Z.uv[0, 0], res.Z.uv[1, 1], res.Z.uv[0, 1]
         nearest = complex(0.5 * (u - w), v) / scale
-        witness = _witness_from_solution(res.Z.y)
+        witness = res.X
         stats.update(
             iterations=res.iterations,
             iteration_cap=res.cap,

@@ -262,10 +262,9 @@ def cmd_verify(matrix_path, config: RunConfig) -> int:
         for _ in range(20):
             w = rng.standard_normal(chart.dim)
             w /= np.linalg.norm(w)
-            flat = chart.origin_flat + (r_in * w) @ chart.basis
-            zb = sdp.BlockDiagSymmetric.from_flat(inst.n, flat)
+            zb = chart.point(r_in * w)
             lam = min(
-                float(np.linalg.eigvalsh(0.5 * (zb.y + zb.y.T))[0]),
+                float(np.linalg.eigvalsh(zb.y)[0]),
                 float(np.linalg.eigvalsh(zb.uv)[0]),
                 float(zb.t),
             )
@@ -276,15 +275,14 @@ def cmd_verify(matrix_path, config: RunConfig) -> int:
             big_r = stats["outer_R"]
             check("outer_ball", d <= big_r + 1e-6, f"max distance {d:.6g} vs R {big_r:g}")
 
-        shift = GaussianRational(1, 0)
-        r_shift = crawford(
-            CrawfordQuery(matrix=c, center=center + shift, epsilon=eps)
+        # chi(i c, i C) = chi(c, C) through a different SDP instance:
+        # (Ahat, Bhat) becomes (-Bhat, Ahat)
+        i = GaussianRational(0, 1)
+        r_rot = crawford(
+            CrawfordQuery(matrix=c.scale(i), center=i * center, epsilon=eps)
         )
-        r_pre = crawford(
-            CrawfordQuery(matrix=c.translate(shift), center=center, epsilon=eps)
-        )
-        d_tr = abs(r_shift.chi - r_pre.chi)
-        check("translation_identity", d_tr <= 2 * eps + 1e-9, f"|diff| = {d_tr:.3g}")
+        d_rot = abs(r_rot.chi - result.chi)
+        check("rotation_identity", d_rot <= 2 * eps + 1e-9, f"|diff| = {d_rot:.3g}")
 
         r_scaled = crawford(CrawfordQuery(matrix=t.scale(2), epsilon=eps))
         d_sc = abs(r_scaled.chi - 2 * result.chi)

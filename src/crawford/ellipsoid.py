@@ -2,6 +2,25 @@
 orthonormal chart of the affine constraint subspace and seeded by the
 explicit strictly-feasible ball data (G, r, R).
 
+The chart is closed-form.  Every equality-feasible point is
+Z(X, r) = diag(hat X, [[r + <A,X>, <B,X>], [<B,X>, r - <A,X>]], c + 2 - r)
+with X Hermitian of trace 1 (`sdp.assemble_feasible_point`), so the
+subspace has dimension d = n^2.  Write X = I/n + sum_k xi_k H_k over a
+Frobenius-orthonormal basis H_k of the traceless Hermitian matrices, and
+r = c + 1 + rho; xi = 0, rho = 0 is the ball center G.  A step
+(dX, dr) moves Z by
+
+  ||dZ||_F^2 = 2 ||dX||_F^2 + 2 <A,dX>^2 + 2 <B,dX>^2 + 3 dr^2,
+
+with no cross term, so u = (L' xi, sqrt(3) rho), where L L' =
+2 (I + a a' + b b') is the Cholesky factor of the xi part
+(a_k = <A, H_k>, b_k = <B, H_k>), has ||u|| = ||dZ||_F.  The chart is an
+isometry of R^d onto the affine subspace with 0 -> G, so E_0 is the
+R-ball and the inner ball the 1/n-ball in u, as in any orthonormal
+chart; the ellipsoid method is affine-invariant (Groetschel, Lovasz &
+Schrijver 1988) and nothing else depends on the coordinates.  The
+objective r = c + 1 + u_d / sqrt(3) depends on u_d alone.
+
 The solver keeps three quantities per run:
 
   best       lowest objective value among visited PSD-feasible centers,
@@ -36,17 +55,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
 from .linalg import ComplexMatrix
-from .sdp import BlockDiagSymmetric, SdpInstance, annihilators, hat_projection
+from .sdp import BlockDiagSymmetric, SdpInstance, assemble_feasible_point
+
+# r = c + 1 + u_d / sqrt(3): the objective's gradient in the chart
+_RHO = 1.0 / math.sqrt(3.0)
 
 
 class ChartError(RuntimeError):
-    """Rank defect while building the affine chart; construction bug."""
+    """Certificate repair met a point far off the chart; construction bug."""
 
 
 class EllipsoidCapExceeded(RuntimeError):
@@ -78,20 +101,40 @@ class CertifiedBall:
 
 @dataclass(frozen=True)
 class AffineChart:
-    """Orthonormal basis (rows, flat block coordinates) of the homogeneous
-    solution space of all equality constraints, with origin G."""
+    """Orthonormal chart u -> Z(X, r) of the equality-feasible affine
+    subspace, u = 0 at G (see the module docstring).  Complex n x n
+    matrices are laid out as 2n^2 floats, as in `SdpInstance.pencil_flat`,
+    so <W, X> = Re tr(W* X) is a dot product."""
 
-    n: int
-    basis: np.ndarray                   # (d, D) float, d = n^2
-    origin: BlockDiagSymmetric          # float G
-    origin_flat: np.ndarray
+    inst: SdpInstance
+    x_origin: np.ndarray                # (2n^2,): I/n
+    x_map: np.ndarray                   # (d, 2n^2): u -> X - I/n; last row 0
+    pencil_grad: np.ndarray             # (d, 2): gradients of <A,X>, <B,X>
+
+    @property
+    def n(self) -> int:
+        return self.inst.n
 
     @property
     def dim(self) -> int:
-        return self.basis.shape[0]
+        return self.x_map.shape[0]
 
-    def point(self, z: np.ndarray) -> BlockDiagSymmetric:
-        return BlockDiagSymmetric.from_flat(self.n, self.origin_flat + z @ self.basis)
+    @cached_property
+    def objective_grad(self) -> np.ndarray:
+        """Gradient of r, the objective, in u."""
+        e = np.zeros(self.dim)
+        e[-1] = _RHO
+        return e
+
+    def density(self, u: np.ndarray) -> np.ndarray:
+        n = self.n
+        return (self.x_origin + u @ self.x_map).view(complex).reshape(n, n)
+
+    def modulus(self, u: np.ndarray) -> float:
+        return self.inst.frob_ceiling + 1.0 + _RHO * float(u[-1])
+
+    def point(self, u: np.ndarray) -> BlockDiagSymmetric:
+        return assemble_feasible_point(self.inst, self.density(u), self.modulus(u))
 
 
 @dataclass(frozen=True)
@@ -109,7 +152,8 @@ class Cut:
 @dataclass(frozen=True)
 class SolveResult:
     value: float
-    Z: BlockDiagSymmetric
+    X: np.ndarray                       # repaired density matrix, the witness
+    Z: BlockDiagSymmetric               # Z(X, value)
     iterations: int
     cap: int                            # iteration cap of the volume bound
     cuts_feasibility: int
@@ -163,47 +207,41 @@ def certified_ball(inst: SdpInstance, c_matrix: ComplexMatrix) -> CertifiedBall:
     )
 
 
-def _equality_rows(inst: SdpInstance) -> np.ndarray:
-    """Every homogeneous equality constraint as a row in flat block
-    coordinates: the block-internal annihilator entries, the four tails
-    (row-normalized), and the symmetry of the stored y and uv blocks."""
-    n = inst.n
-    index = BlockDiagSymmetric.flat_index
-    d_flat = 4 * n * n + 5
-    rows = []
-    for ann in annihilators(n):
-        row = np.zeros(d_flat)
-        for i, j, v in ann:
-            if index(n, i, j) is not None:
-                row[index(n, i, j)] = row[index(n, j, i)] = v
-        if row.any():
-            rows.append(row)
-    tails = np.array([f.flat() for f, _ in inst.tails])
-    # normalize rows so the rank test is meaningful when ||Ahat|| is huge
-    rows.extend(tails / np.linalg.norm(tails, axis=1, keepdims=True))
-    m = inst.ambient_dim
-    for i in range(m):
-        for j in range(i + 1, m):
-            if index(n, i, j) is not None:
-                row = np.zeros(d_flat)
-                row[index(n, i, j)], row[index(n, j, i)] = 1.0, -1.0
-                rows.append(row)
-    return np.array(rows)
+def _traceless_basis(n: int) -> np.ndarray:
+    """Frobenius-orthonormal basis of the traceless Hermitian n x n
+    matrices, (n^2 - 1, n, n) complex: the Helmert diagonals, then for
+    each i < j the symmetric and the antisymmetric unit pair."""
+    out = np.zeros((n * n - 1, n, n), dtype=complex)
+    for k in range(1, n):
+        out[k - 1, range(k), range(k)] = 1.0
+        out[k - 1, k, k] = -k
+        out[k - 1] /= math.sqrt(k * (k + 1))
+    h = math.sqrt(0.5)
+    k = n - 1
+    for i in range(n):
+        for j in range(i + 1, n):
+            out[k, i, j] = out[k, j, i] = h
+            out[k + 1, i, j], out[k + 1, j, i] = -1j * h, 1j * h
+            k += 2
+    return out
 
 
 def build_chart(inst: SdpInstance) -> AffineChart:
-    """Orthonormal chart of the d = n^2 dimensional homogeneous equality
-    space: the SVD null space of every equality constraint."""
+    """The closed-form orthonormal chart of the d = n^2 dimensional
+    equality-feasible subspace, whitened once by a Cholesky factor."""
     n = inst.n
-    rows = _equality_rows(inst)
-    _, sv, vt = np.linalg.svd(rows, full_matrices=True)
-    if sv[-1] <= 1e-8 * sv[0]:
-        raise ChartError("equality constraints are rank-deficient")
-    basis = vt[rows.shape[0] :]
-    if basis.shape[0] != n * n:
-        raise ChartError(f"chart dimension {basis.shape[0]}, expected {n * n}")
-    g = _ball_center(inst).to_float()
-    return AffineChart(n=n, basis=basis, origin=g, origin_flat=g.flat())
+    m = n * n - 1
+    basis = _traceless_basis(n).reshape(m, n * n).view(float)
+    ab = inst.pencil_flat @ basis.T
+    chol = np.linalg.cholesky(2.0 * (np.eye(m) + ab.T @ ab))
+    x_map = np.zeros((m + 1, 2 * n * n))
+    x_map[:m] = np.linalg.solve(chol, basis)
+    return AffineChart(
+        inst=inst,
+        x_origin=np.eye(n, dtype=complex).ravel().view(float) / n,
+        x_map=x_map,
+        pencil_grad=x_map @ inst.pencil_flat.T,
+    )
 
 
 def _min_eig_2x2(t: np.ndarray):
@@ -217,79 +255,70 @@ def _min_eig_2x2(t: np.ndarray):
     return lam, np.array([p, q]) / math.hypot(p, q)
 
 
-def separation_oracle(
-    chart: AffineChart,
-    z_point: BlockDiagSymmetric,
-    best_value: float,
-    obj_normal: Optional[np.ndarray] = None,
-) -> Cut:
-    """Classify a chart point: PSD and improving, PSD but not improving
-    (objective cut along F_0 at depth obj - best_value), or not PSD
-    (eigenvector cut -vv' on the violated block at depth -lambda_min - tol).
-    PSD tolerance is tol = 1e-9 (1 + ||Z||_F)."""
-    kk = 4 * chart.n * chart.n
-    y, uv, t = z_point.y, z_point.uv, float(z_point.t)
-    # the chart keeps Y symmetric to rounding; eigh reads one triangle
-    wy, qy = np.linalg.eigh(y)
-    lam_t, v_t = _min_eig_2x2(uv)
-    # ||Y||_F^2 is the sum of the squared eigenvalues of Y
-    tol = 1e-9 * (1.0 + math.sqrt(float(wy @ wy) + float(np.vdot(uv, uv)) + t * t))
-    lam_y = float(wy[0])
-    worst = min(lam_y, lam_t, t)
-    objective = 0.5 * float(uv[0, 0] + uv[1, 1])
+def separation_oracle(chart: AffineChart, u: np.ndarray, best_value: float) -> Cut:
+    """Classify the chart point u, Z = Z(X, r): PSD and improving, PSD but
+    not improving (objective cut along the gradient of r at depth
+    r - best_value), or not PSD (cut along the gradient of the violated
+    block's v'Zv at depth -lambda_min - tol).  lambda(hat X) = lambda(X),
+    each twice, and v'(hat X)v = w*Xw for the matching complex w, so the
+    big block needs only X.  PSD tolerance is tol = 1e-9 (1 + ||Z||_F)."""
+    x = chart.density(u)
+    wx, qx = np.linalg.eigh(x)
+    a, b = chart.inst.pencil_values(x)
+    r = chart.modulus(u)
+    t = chart.inst.frob_ceiling + 2.0 - r
+    m = math.hypot(a, b)
+    lam_t = r - m
+    # ||Z||_F^2 = 2 ||X||_F^2 + ||[[r+a, b], [b, r-a]]||_F^2 + t^2
+    tol = 1e-9 * (1.0 + math.sqrt(2.0 * float(wx @ wx + r * r + m * m) + t * t))
+    lam_x = float(wx[0])
+    worst = min(lam_x, lam_t, t)
 
     if worst >= -tol:
-        if obj_normal is None:
-            obj_normal = 0.5 * (chart.basis[:, kk] + chart.basis[:, kk + 3])
-        improving = objective < best_value
+        improving = r < best_value
         return Cut(
             kind="feasible_improving" if improving else "objective",
-            normal=obj_normal,
+            normal=chart.objective_grad,
             min_eig=worst,
-            objective=objective,
-            depth=0.0 if improving else objective - best_value,
+            objective=r,
+            depth=0.0 if improving else r - best_value,
         )
 
-    # only the violated block's columns of the basis meet vv'
-    if worst == lam_y:
-        v = qy[:, 0]
-        normal = -(chart.basis[:, :kk] @ np.outer(v, v).ravel())
+    if worst == lam_x:
+        w = qx[:, 0]
+        normal = -(chart.x_map @ np.outer(w, w.conj()).ravel().view(float))
     elif worst == lam_t:
-        normal = -(chart.basis[:, kk : kk + 4] @ np.outer(v_t, v_t).ravel())
+        # v'[[r+a, b], [b, r-a]]v = r + (p^2 - q^2) a + 2pq b for unit v
+        _, (p, q) = _min_eig_2x2(np.array([[r + a, b], [b, r - a]]))
+        normal = -(chart.pencil_grad @ (p * p - q * q, 2.0 * p * q))
+        normal -= chart.objective_grad
     else:
-        normal = -chart.basis[:, -1]
+        # t = c + 2 - r
+        normal = chart.objective_grad
     return Cut(
         kind="feasibility",
         normal=normal,
         min_eig=worst,
-        objective=objective,
+        objective=r,
         depth=max(0.0, -worst - tol),
     )
 
 
-def repair_point(
-    inst: SdpInstance, y_block: np.ndarray
-):
-    """Round a nearly-feasible big block into an exactly structured
-    certificate.
+def repair_point(inst: SdpInstance, dens: np.ndarray):
+    """Round a nearly-feasible X into an exactly structured certificate.
 
-    Clip Y to the PSD cone, project it onto the hat subspace (an average
-    of two congruent copies, so still PSD), rescale to trace 2, then
-    rebuild the 2x2 and scalar blocks from the encoded point z = x + iy.
-    The returned objective r = |z| is a true numerical-range modulus,
-    hence an upper bound on the optimum regardless of how rough Y was.
+    Clip X to the PSD cone, rescale it to trace 1 and take
+    r = |<A,X> + i<B,X>|: Z(X, r) is feasible, and its objective r is a
+    true numerical-range modulus, hence an upper bound on the optimum
+    however rough X was.  Returns r and the repaired X.
     """
-    w, q = np.linalg.eigh(0.5 * (y_block + y_block.T))
-    yh = hat_projection((q * np.clip(w, 0.0, None)) @ q.T)
-    tr = float(np.trace(yh))
+    w, q = np.linalg.eigh(dens)
+    w = np.clip(w, 0.0, None)
+    tr = float(w.sum())
     if tr <= 1e-6:
         raise ChartError("repair collapsed the trace; point was garbage")
-    yh *= 2.0 / tr
-    xs, vs = (0.5 * np.tensordot(inst.hats_float, yh)).tolist()
-    rr = math.hypot(xs, vs)
-    uv = np.array([[rr + xs, vs], [vs, rr - xs]])
-    t = max(inst.frob_ceiling + 2.0 - rr, 0.0)
-    return rr, BlockDiagSymmetric(y=yh, uv=uv, t=t)
+    x = (q * (w / tr)) @ q.conj().T
+    return math.hypot(*inst.pencil_values(x)), x
 
 
 def _shrink(z: np.ndarray, p_mat: np.ndarray, b: np.ndarray, alpha: float) -> None:
@@ -328,18 +357,14 @@ def solve(
     big_r = float(ball.outer_R)
     small_r = float(ball.inner_r)
 
-    f0_flat = inst.f0.flat()
-    g_obj = chart.basis @ f0_flat
-    if np.linalg.norm(g_obj) < 1e-12:
-        raise ChartError("objective is constant on the chart; construction bug")
-    f0n = max(1.0, float(np.linalg.norm(f0_flat)))
+    f0n = max(1.0, math.sqrt(inst.f0.inner(inst.f0)))
     cap = math.ceil(2 * d * (d + 1) * math.log(3.0 * big_r * f0n / (small_r * eps))) + 64
 
     z = np.zeros(d)
     p_mat = np.eye(d) * big_r * big_r
     best = math.inf
     best_cert = math.inf
-    best_z: Optional[BlockDiagSymmetric] = None
+    best_x: Optional[np.ndarray] = None
     # diagonal entries of a PSD matrix are nonnegative, so (u+w)/2 >= 0
     # on the whole cone; 0 is a certified lower bound from the start
     lb = 0.0
@@ -349,7 +374,8 @@ def solve(
     def result(it):
         return SolveResult(
             value=best_cert,
-            Z=best_z,
+            X=best_x,
+            Z=assemble_feasible_point(inst, best_x, best_cert),
             iterations=it,
             cap=cap,
             cuts_feasibility=n_feas,
@@ -360,8 +386,7 @@ def solve(
         )
 
     for it in range(1, cap + 1):
-        zb = chart.point(z)
-        cut = separation_oracle(chart, zb, best, obj_normal=g_obj)
+        cut = separation_oracle(chart, z, best)
         obj_center = cut.objective
 
         if cut.kind != "feasibility":
@@ -370,13 +395,14 @@ def solve(
                 best = obj_center
                 if record is not None:
                     record.append(best)
-                val, zrep = repair_point(inst, zb.y)
+                val, xrep = repair_point(inst, chart.density(z))
                 if val < best_cert:
                     best_cert = val
-                    best_z = zrep
+                    best_x = xrep
 
-        p_obj = p_mat @ g_obj
-        width = math.sqrt(max(float(g_obj @ p_obj), 0.0))
+        # the objective's gradient is e_d / sqrt(3): P g is P's last column
+        p_obj = p_mat[:, -1] * _RHO
+        width = math.sqrt(max(float(p_obj[-1]) * _RHO, 0.0))
         lb = max(lb, min(best, obj_center - width))
         if best_cert - lb <= eps:
             return result(it)

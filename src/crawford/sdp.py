@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -74,39 +74,6 @@ class BlockDiagSymmetric:
             y=self.y.astype(float), uv=self.uv.astype(float), t=float(self.t)
         )
 
-    def flat(self) -> np.ndarray:
-        """Float coordinates (y entries, uv entries, t) as one vector."""
-        return np.concatenate(
-            [
-                self.y.astype(float).ravel(),
-                self.uv.astype(float).ravel(),
-                [float(self.t)],
-            ]
-        )
-
-    @staticmethod
-    def flat_index(n: int, i: int, j: int) -> Optional[int]:
-        """Position of ambient entry (i, j) in `flat` coordinates, or None
-        when (i, j) couples two different blocks."""
-        (bi, li), (bj, lj) = _block_position(n, i), _block_position(n, j)
-        if bi != bj:
-            return None
-        k = 2 * n
-        offset, width = ((0, k), (k * k, 2), (k * k + 4, 1))[bi - 1]
-        return offset + li * width + lj
-
-    @staticmethod
-    def from_flat(n: int, vec: np.ndarray) -> "BlockDiagSymmetric":
-        k = 2 * n
-        y = np.asarray(vec[: k * k], dtype=float).reshape(k, k)
-        uv = np.asarray(vec[k * k : k * k + 4], dtype=float).reshape(2, 2)
-        return BlockDiagSymmetric(y=y, uv=uv, t=float(vec[-1]))
-
-
-def modulus_psd_block(x: float, y: float, r: float) -> np.ndarray:
-    """[[r+x, y], [y, r-x]]; PSD exactly when r >= sqrt(x^2 + y^2)."""
-    return np.array([[r + x, y], [y, r - x]], dtype=float)
-
 
 # One annihilator: upper-triangle entries (i, j, s), i <= j, of a
 # symmetric (2n+3) x (2n+3) matrix with s at (i, j) and (j, i).
@@ -117,7 +84,8 @@ def annihilators(n: int) -> List[Annihilator]:
     """The N = n^2 + 7n + 2 independent annihilators of the block-diagonal
     hat-structured subspace, each a short tuple of (i, j, +-1) entries.
     This list is the single description of the structure: the SDPA
-    export and the ellipsoid chart are both derived from it.
+    export is written from it, and the tests check the ellipsoid chart's
+    closed form against it.
 
     Ordering (0-based indices, ambient size m = 2n+3):
       1. E_ij for i < 2n, j in {2n, 2n+1, 2n+2}: kill coupling of the big
@@ -149,25 +117,12 @@ def annihilators(n: int) -> List[Annihilator]:
     return out
 
 
-def hat_projection(y: np.ndarray) -> np.ndarray:
-    """Orthogonal projection of a real 2n x 2n matrix onto the subspace
-    the annihilators leave to the big block: [[P, -K], [K, P]] with P
-    symmetric and K antisymmetric."""
-    n = y.shape[0] // 2
-    p = 0.5 * (y[:n, :n] + y[n:, n:])
-    p = 0.5 * (p + p.T)
-    k = 0.5 * (y[n:, :n] - y[:n, n:])
-    k = 0.5 * (k - k.T)
-    return np.block([[p, -k], [k, p]])
-
-
 @dataclass(frozen=True)
 class SdpInstance:
     """Exact instance data.  The constraints are F_1 .. F_N, the
     annihilators (all with b = 0, see `annihilators`), followed by the
     four block-diagonal tail constraints (F, b) in `tails`.  `ahat` /
-    `bhat` keep the hat matrices handy for the solver and for
-    certificate repair.
+    `bhat` keep the hat matrices of the Hermitian split C = A + iB.
     """
 
     n: int
@@ -178,9 +133,20 @@ class SdpInstance:
     bhat: np.ndarray
 
     @cached_property
-    def hats_float(self) -> np.ndarray:
-        """(Ahat, Bhat) as one float (2, 2n, 2n) array, converted once."""
-        return np.array([self.ahat, self.bhat], dtype=float)
+    def pencil_flat(self) -> np.ndarray:
+        """(A, B) as one float (2, 2n^2) array, read once off the hat
+        matrices [[Re H, -Im H], [Im H, Re H]]: row-major entries with
+        real and imaginary parts interleaved, the memory layout of a
+        complex array, so <H, X> = Re tr(H* X) is a dot product."""
+        n = self.n
+        hats = np.array([self.ahat, self.bhat], dtype=float)
+        return (hats[:, :n, :n] + 1j * hats[:, n:, :n]).reshape(2, -1).view(float)
+
+    def pencil_values(self, dens: np.ndarray) -> Tuple[float, float]:
+        """(<A, X>, <B, X>) for a Hermitian n x n X; <C, X> is their
+        complex combination x + iy."""
+        flat = np.ascontiguousarray(dens, dtype=complex).ravel().view(float)
+        return (self.pencil_flat @ flat).tolist()
 
     @property
     def N(self) -> int:
@@ -337,17 +303,17 @@ def read_sdpa(path) -> SdpaData:
 def assemble_feasible_point(
     inst: SdpInstance, dens: np.ndarray, r: float
 ) -> BlockDiagSymmetric:
-    """Z = diag(hat X, [[r+x, y], [y, r-x]], c+2-r) for a density matrix X
-    (complex PSD trace 1) and a modulus guess r.  Satisfies every equality
-    constraint; PSD exactly when r >= |<A,X> + i<B,X>|."""
+    """Z(X, r) = diag(hat X, [[r + x, y], [y, r - x]], c + 2 - r) with
+    x + iy = <A, X> + i<B, X> and c = frob_ceiling.
+
+    For a Hermitian X of trace 1 this satisfies every equality constraint,
+    and every equality-feasible point is of this form.  It is PSD exactly
+    when X is PSD and |x + iy| <= r <= c + 2; the objective reads r.
+    """
     dens = np.asarray(dens, dtype=complex)
-    ahat = inst.ahat.astype(float)
-    bhat = inst.bhat.astype(float)
-    yh = np.block([[dens.real, -dens.imag], [dens.imag, dens.real]])
-    xx = 0.5 * float((ahat * yh).sum())
-    yy = 0.5 * float((bhat * yh).sum())
+    x, y = inst.pencil_values(dens)
     return BlockDiagSymmetric(
-        y=yh,
-        uv=modulus_psd_block(xx, yy, r),
+        y=np.block([[dens.real, -dens.imag], [dens.imag, dens.real]]),
+        uv=np.array([[r + x, y], [y, r - x]]),
         t=inst.frob_ceiling + 2.0 - r,
     )

@@ -90,3 +90,20 @@ def dense_constraints(inst):
     out = [(densify(a, m), 0.0) for a in annihilators(inst.n)]
     out += [(embed(f), float(b)) for f, b in inst.tails]
     return out
+
+
+def chart_jacobian(chart):
+    """(d, (2n+3)^2) matrix whose row k is embed(point(e_k)) minus
+    embed(point(0)), raveled: the chart's linear part in full
+    coordinates, where the dot product is the Frobenius one."""
+    origin = embed(chart.point(np.zeros(chart.dim)))
+    return np.array(
+        [(embed(chart.point(e)) - origin).ravel() for e in np.eye(chart.dim)]
+    )
+
+
+def chart_coordinates(chart, z):
+    """Chart coordinates of an equality-feasible z, through the
+    orthonormal Jacobian."""
+    origin = embed(chart.point(np.zeros(chart.dim)))
+    return chart_jacobian(chart) @ (embed(z) - origin).ravel()

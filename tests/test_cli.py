@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -277,7 +278,35 @@ class TestCmdVerify:
         out = capsys.readouterr().out
         assert code == 0
         assert "sdp_vs_oracle: PASS" in out
+        assert "rotation_identity: PASS" in out
         assert "FAIL" not in out
+
+    def test_rotation_identity_catches_a_wrong_value(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # verify solves chi(i c, i C), a different SDP instance with the
+        # same value; one that is off by 10 eps must fail it with exit 5
+        from crawford import cli
+
+        eps = 1e-4
+        rotated = gr(1, -3)  # i * (-3 - i)
+        solve = cli.crawford
+        seen = []
+
+        def off_when_rotated(query):
+            res = solve(query)
+            if query.center == rotated:
+                seen.append(query)
+                res = dataclasses.replace(res, chi=res.chi + 10 * eps)
+            return res
+
+        monkeypatch.setattr(cli, "crawford", off_when_rotated)
+        p = write_matrix(tmp_path / "c.json", EXAMPLE_TILDE)
+        code = main(["verify", p, "--center=-3-i", "--eps", str(eps)])
+        out = capsys.readouterr().out
+        assert len(seen) == 1
+        assert code == 5
+        assert "rotation_identity: FAIL" in out
 
     def test_seeded_random_passes(self, tmp_path, capsys):
         import numpy as np

@@ -25,6 +25,8 @@ from helpers import (
     DIAG_PM,
     EXAMPLE,
     IDENTITY2,
+    chart_coordinates,
+    chart_jacobian,
     dense_constraints,
     embed,
     gr,
@@ -89,15 +91,16 @@ class TestChart:
     def test_orthonormal_rows(self):
         for mat in (EXAMPLE, identity(3)):
             inst, _ = make(mat)
-            b = build_chart(inst).basis
+            b = chart_jacobian(build_chart(inst))
             gram = b @ b.T
             assert np.abs(gram - np.eye(b.shape[0])).max() < 1e-12
 
     def test_basis_annihilates_all_constraints(self):
         inst, _ = make(EXAMPLE)
         chart = build_chart(inst)
-        for row in chart.basis:
-            direction = embed(BlockDiagSymmetric.from_flat(inst.n, row))
+        m = inst.ambient_dim
+        for row in chart_jacobian(chart):
+            direction = row.reshape(m, m)
             assert np.abs(direction - direction.T).max() < 1e-12
             for f, _ in dense_constraints(inst):
                 assert abs((f * direction).sum()) < 1e-12
@@ -113,18 +116,52 @@ class TestChart:
                 assert abs((f * full).sum() - b) < 1e-10
 
 
+class TestChartGates:
+    """The closed-form chart against the annihilator list, the single
+    source of truth for the structure: orthonormal, tangent to every
+    equality constraint, centred at the ball's G."""
+
+    @pytest.fixture(scope="class", params=[1, 2, 3, 4, 5, 6, 16])
+    def charted(self, request):
+        n = request.param
+        c = random_gaussian_integer(np.random.default_rng(800 + n), n, -5, 5)
+        out = []
+        # the shifted matrix has a large ||Ahat||, the ill-conditioned case
+        for mat in (c, c.translate(gr(frobenius_ceiling(c) + 1))):
+            inst, ball = make(mat)
+            chart = build_chart(inst)
+            out.append((inst, ball, chart, chart_jacobian(chart)))
+        return out
+
+    def test_jacobian_orthonormal(self, charted):
+        for inst, _, chart, jac in charted:
+            assert chart.dim == inst.n**2
+            assert np.abs(jac @ jac.T - np.eye(chart.dim)).max() < 1e-12
+
+    def test_jacobian_annihilated_by_every_constraint(self, charted):
+        for inst, _, _, jac in charted:
+            rows = np.array([f.ravel() for f, _ in dense_constraints(inst)])
+            assert rows.shape[0] == inst.N + 4
+            assert np.abs(rows @ jac.T).max() < 1e-12
+
+    def test_origin_is_ball_center(self, charted):
+        for _, ball, chart, _ in charted:
+            g = embed(ball.center.to_float())
+            assert np.abs(embed(chart.point(np.zeros(chart.dim))) - g).max() < 1e-12
+
+
 class TestSeparationOracle:
     def test_center_is_feasible_improving(self):
         inst, ball = make(EXAMPLE)
         chart = build_chart(inst)
-        cut = separation_oracle(chart, ball.center.to_float(), math.inf)
+        cut = separation_oracle(chart, np.zeros(chart.dim), math.inf)
         assert cut.kind == "feasible_improving"
         assert cut.min_eig >= 0.0
 
     def test_center_not_improving_gives_objective_cut(self):
         inst, ball = make(EXAMPLE)
         chart = build_chart(inst)
-        cut = separation_oracle(chart, ball.center.to_float(), 0.0)
+        cut = separation_oracle(chart, np.zeros(chart.dim), 0.0)
         assert cut.kind == "objective"
 
     def test_indefinite_uv_block_cut(self):
@@ -132,14 +169,14 @@ class TestSeparationOracle:
         # [[x, y], [y, -x]] with (x, y) = tr C / n, eigenvalues +-|tr C| / n
         inst, ball = make(EXAMPLE)
         chart = build_chart(inst)
-        g = chart.origin
+        g = ball.center.to_float()
         x, y = (float(v) for v in ball.trace_center)
         zp = BlockDiagSymmetric(
             y=g.y, uv=np.array([[x, y], [y, -x]]), t=inst.frob_ceiling + 2.0
         )
-        zc = chart.basis @ (zp.flat() - chart.origin_flat)
-        assert np.allclose(chart.point(zc).flat(), zp.flat(), atol=1e-12)
-        cut = separation_oracle(chart, chart.point(zc), math.inf)
+        zc = chart_coordinates(chart, zp)
+        assert np.allclose(embed(chart.point(zc)), embed(zp), atol=1e-12)
+        cut = separation_oracle(chart, zc, math.inf)
         assert cut.kind == "feasibility"
         assert cut.min_eig == pytest.approx(-math.hypot(x, y))
         assert_cut_separates(inst, chart, zc, cut, np.random.default_rng(19))
@@ -149,7 +186,7 @@ class TestSeparationOracle:
         chart = build_chart(inst)
         rng = np.random.default_rng(17)
         zc = rng.standard_normal(chart.dim) * 50.0
-        cut = separation_oracle(chart, chart.point(zc), math.inf)
+        cut = separation_oracle(chart, zc, math.inf)
         assert cut.kind == "feasibility"
         assert cut.min_eig < 0.0
         assert_cut_separates(inst, chart, zc, cut, rng)
@@ -169,8 +206,8 @@ def assert_cut_separates(inst, chart, zc, cut, rng):
         modulus = math.hypot(uv[0, 0], uv[0, 1])
         for r in (modulus, modulus + (top - modulus) * rng.random(), top):
             z = assemble_feasible_point(inst, dens, r)
-            x = chart.basis @ (z.flat() - chart.origin_flat)
-            assert np.allclose(chart.point(x).flat(), z.flat(), atol=1e-9)
+            x = chart_coordinates(chart, z)
+            assert np.allclose(embed(chart.point(x)), embed(z), atol=1e-9)
             assert cut.normal @ (x - zc) <= cut.min_eig + 1e-9
             assert cut.normal @ (x - zc) <= -cut.depth
 
@@ -242,8 +279,8 @@ class TestDeepCutUpdate:
         inst, ball = make(EXAMPLE)
         oracle = ellipsoid.separation_oracle
 
-        def deep_after_first_feasible(chart, z_point, best_value, obj_normal=None):
-            cut = oracle(chart, z_point, best_value, obj_normal)
+        def deep_after_first_feasible(chart, u, best_value):
+            cut = oracle(chart, u, best_value)
             if best_value < math.inf:
                 cut = dataclasses.replace(cut, kind="feasibility", depth=1e6)
             return cut
@@ -259,8 +296,8 @@ class TestDeepCutUpdate:
         inst, ball = make(EXAMPLE)
         oracle = ellipsoid.separation_oracle
 
-        def always_deep(chart, z_point, best_value, obj_normal=None):
-            cut = oracle(chart, z_point, best_value, obj_normal)
+        def always_deep(chart, u, best_value):
+            cut = oracle(chart, u, best_value)
             return dataclasses.replace(cut, kind="feasibility", depth=1e6)
 
         monkeypatch.setattr(ellipsoid, "separation_oracle", always_deep)
@@ -321,6 +358,7 @@ class TestSolve:
         assert np.linalg.eigvalsh(z.uv)[0] >= -tol
         assert z.t >= -tol
         assert res.value == pytest.approx(inst.f0.to_float().inner(z), abs=1e-12)
+        assert np.array_equal(z.y, assemble_feasible_point(inst, res.X, res.value).y)
         full = embed(z)
         for f, b in dense_constraints(inst):
             assert abs((f * full).sum() - b) <= 1e-9
@@ -354,16 +392,18 @@ class TestSolve:
     def test_inner_ball_inclusion(self):
         inst, ball = make(EXAMPLE)
         chart = build_chart(inst)
-        g = ball.center.to_float()
+        g = embed(ball.center.to_float())
         rng = np.random.default_rng(29)
         r_in = float(ball.inner_r)
         for _ in range(200):
             w = rng.standard_normal(chart.dim)
             w /= np.linalg.norm(w)
-            step = BlockDiagSymmetric.from_flat(inst.n, r_in * (w @ chart.basis))
-            assert np.linalg.eigvalsh(g.y + step.y)[0] >= -1e-9
-            assert np.linalg.eigvalsh(g.uv + step.uv)[0] >= -1e-9
-            assert g.t + step.t >= -1e-9
+            z = chart.point(r_in * w)
+            # the step from G has Frobenius length r_in
+            assert np.linalg.norm(embed(z) - g) == pytest.approx(r_in, abs=1e-12)
+            assert np.linalg.eigvalsh(z.y)[0] >= -1e-9
+            assert np.linalg.eigvalsh(z.uv)[0] >= -1e-9
+            assert z.t >= -1e-9
 
     def test_outer_ball_bound(self):
         inst, ball = make(EXAMPLE)
@@ -390,9 +430,24 @@ class TestRepair:
         rng = np.random.default_rng(31)
         for _ in range(10):
             zc = rng.standard_normal(chart.dim) * 0.3
-            val, z = repair_point(inst, chart.point(zc).y)
+            val, x = repair_point(inst, chart.density(zc))
+            z = assemble_feasible_point(inst, x, val)
+            assert abs(np.trace(x) - 1.0) < 1e-9
             assert val >= CHI_EXAMPLE - 1e-9
             assert np.linalg.eigvalsh(z.y)[0] >= -1e-9
             assert np.linalg.eigvalsh(z.uv)[0] >= -1e-9
             assert z.t >= -1e-9
             assert abs(np.trace(z.y) - 2.0) < 1e-9
+
+    def test_indefinite_density_clipped_to_trace_one(self):
+        inst, _ = make(EXAMPLE)
+        chart = build_chart(inst)
+        rng = np.random.default_rng(37)
+        for _ in range(10):
+            dens = chart.density(rng.standard_normal(chart.dim) * 50.0)
+            assert np.linalg.eigvalsh(dens)[0] < -0.1
+            val, x = repair_point(inst, dens)
+            assert abs(np.trace(x) - 1.0) < 1e-9
+            assert np.linalg.eigvalsh(x)[0] >= -1e-12
+            assert val == math.hypot(*inst.pencil_values(x))
+            assert val >= CHI_EXAMPLE - 1e-9

@@ -1,0 +1,50 @@
+"""Smoke tests of the scripts under scripts/: each runs in a fresh
+interpreter, as a user would run it, and must exit 0 with its result
+lines."""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+from helpers import CHI_EXAMPLE
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    return proc.stdout
+
+
+def test_reproduce_worked_example(tmp_path):
+    out = run_script("reproduce_worked_example.py", "--out-dir", str(tmp_path))
+    chis = dict(re.findall(r"^\s*(sdp|oracle): chi = ([0-9.]+)", out, re.M))
+    assert set(chis) == {"sdp", "oracle"}
+    for value in chis.values():
+        assert abs(float(value) - CHI_EXAMPLE) <= 1e-4
+    assert "certified lower bound" in out
+    assert re.search(r"^boundary: 720 samples", out, re.M)
+    for name in ("boundary.csv", "boundary.svg"):
+        assert (tmp_path / name).stat().st_size > 0
+
+
+def test_scaling_study_small(tmp_path):
+    out = run_script("scaling_study.py", "--n-max", "3", "--trials", "1")
+    rows = re.findall(r"^\s+(\d+)\s+(\d+)\s+(\d+)\s+\S+\s+\S+\s+(\S+)$", out, re.M)
+    assert [(n, d) for n, d, _, _ in rows] == [("2", "4"), ("3", "9")]
+    for _, _, iterations, gap in rows:
+        assert int(iterations) > 0
+        assert float(gap) <= 2e-3

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from crawford.linalg import frobenius_ceiling, hermitian_split
+from crawford.linalg import ComplexMatrix, frobenius_ceiling, hermitian_split
 from crawford.sdp import (
     BlockDiagSymmetric,
     SdpInstance,
@@ -11,14 +11,15 @@ from crawford.sdp import (
     assemble_feasible_point,
     build_instance,
     export_sdpa,
-    modulus_psd_block,
     read_sdpa,
 )
 from helpers import (
     EXAMPLE,
+    DIAG_PM,
     dense_constraints,
     densify,
     embed,
+    gr,
     random_density,
     random_hermitian_gaussian_integer,
 )
@@ -36,19 +37,30 @@ def sym_unit(m, i, j):
     return out
 
 
+def modulus_block(x, y, r):
+    """The 2x2 block of Z(X, r) for a 1x1 C = x + iy, where X = [[1]]
+    gives <A, X> = x and <B, X> = y."""
+    mat = ComplexMatrix([[gr(x, y)]])
+    inst = build_instance(hermitian_split(mat), frobenius_ceiling(mat))
+    return assemble_feasible_point(inst, np.eye(1), r).uv
+
+
 class TestModulusBlock:
     def test_three_four_five(self):
-        m = modulus_psd_block(3.0, 4.0, 5.0)
+        m = modulus_block(3, 4, 5.0)
         assert np.array_equal(m, [[8.0, 4.0], [4.0, 2.0]])
         assert abs(np.linalg.det(m)) < 1e-12
         assert np.linalg.eigvalsh(m)[0] >= 0.0
 
     def test_origin(self):
-        assert np.array_equal(modulus_psd_block(0.0, 0.0, 0.0), np.zeros((2, 2)))
+        # C = diag(1, -1) and X = I/2 give <A, X> = <B, X> = 0
+        inst = build_instance(hermitian_split(DIAG_PM), frobenius_ceiling(DIAG_PM))
+        m = assemble_feasible_point(inst, 0.5 * np.eye(2), 0.0).uv
+        assert np.array_equal(m, np.zeros((2, 2)))
 
     def test_boundary_irrational(self):
         r = math.sqrt(10.0)
-        m = modulus_psd_block(3.0, 1.0, r)
+        m = modulus_block(3, 1, r)
         assert np.allclose(m, [[r + 3, 1.0], [1.0, r - 3]])
         assert abs(np.linalg.det(m)) < 1e-12
 
@@ -151,7 +163,9 @@ class TestBuildInstance:
         rng = np.random.default_rng(5)
         for _ in range(20):
             vec = rng.standard_normal(inst.ambient_dim**2 + 1)
-            z = BlockDiagSymmetric.from_flat(inst.n, vec[: 16 + 4 + 1])
+            z = BlockDiagSymmetric(
+                y=vec[:16].reshape(4, 4), uv=vec[16:20].reshape(2, 2), t=vec[20]
+            )
             u, w = z.uv[0, 0], z.uv[1, 1]
             assert abs(inst.f0.to_float().inner(z) - 0.5 * (u + w)) < 1e-12
 
@@ -186,8 +200,6 @@ class TestBuildInstance:
                 assert abs((f * full).sum()) < 1e-9
 
     def test_rejects_zero_pencil(self):
-        from crawford.linalg import ComplexMatrix
-
         pen = hermitian_split(ComplexMatrix.zeros(2))
         with pytest.raises(ValueError):
             build_instance(pen, 1)
