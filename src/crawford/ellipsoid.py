@@ -1,6 +1,7 @@
 """Deep-cut ellipsoid method for the block-diagonal SDP, run in an
-orthonormal chart of the affine constraint subspace and seeded by the
-explicit strictly-feasible ball data (G, r, R).
+orthonormal chart of the affine constraint subspace, centred at the
+explicit strictly feasible point G and started from the Loewner ellipsoid
+of a cylinder that provably holds the feasible set.
 
 The chart is closed-form.  Every equality-feasible point is
 Z(X, r) = diag(hat X, [[r + <A,X>, <B,X>], [<B,X>, r - <A,X>]], c + 2 - r)
@@ -15,11 +16,39 @@ r = c + 1 + rho; xi = 0, rho = 0 is the ball center G.  A step
 with no cross term, so u = (L' xi, sqrt(3) rho), where L L' =
 2 (I + a a' + b b') is the Cholesky factor of the xi part
 (a_k = <A, H_k>, b_k = <B, H_k>), has ||u|| = ||dZ||_F.  The chart is an
-isometry of R^d onto the affine subspace with 0 -> G, so E_0 is the
-R-ball and the inner ball the 1/n-ball in u, as in any orthonormal
-chart; the ellipsoid method is affine-invariant (Groetschel, Lovasz &
-Schrijver 1988) and nothing else depends on the coordinates.  The
+isometry of R^d onto the affine subspace with 0 -> G, so the inner ball
+is the 1/n-ball in u, as in any orthonormal chart; the ellipsoid method
+is affine-invariant (Groetschel, Lovasz & Schrijver 1988).  The
 objective r = c + 1 + u_d / sqrt(3) depends on u_d alone.
+
+E_0 holds every feasible point, and nothing larger is needed:
+
+  X   X is PSD with trace 1, so tr X^2 <= 1 and
+      ||xi||^2 = ||X - I/n||_F^2 = tr X^2 - 1/n <= 1 - 1/n;
+  r   the 2x2 block is PSD, so r >= |<A,X> + i<B,X>| >= 0, and
+      t = c + 2 - r >= 0, so 0 <= r <= c + 2 and |u_d| <= sqrt(3)(c + 1).
+
+With m = d - 1 and u_x = L' xi, that is the cylinder
+{u_x' (L'L)^-1 u_x <= 1 - 1/n} x {|u_d| <= sqrt(3)(c + 1)}, whose
+minimum-volume (Loewner) ellipsoid centred at G is
+
+  P_0 = blockdiag(((m + 1)/m)(1 - 1/n) L'L, (m + 1) 3 (c + 1)^2):
+
+for the unit cylinder, |x|^2/p + y^2/q <= 1 holds it iff 1/p + 1/q <= 1,
+and p^(m/2) q^(1/2) is least at p = (m + 1)/m, q = m + 1; an affine map
+carries that to P_0.  At n = 1 (m = 0) E_0 is the interval itself,
+P_0 = 3 (c + 1)^2.  The R-ball of `CertifiedBall.outer_R` holds the
+feasible set too, but with radius 12 + 4c in every direction.
+
+Iteration cap: each step shrinks the volume of E by at least
+exp(-1/(2(d + 1))), and while the gap is open E keeps a ball of radius
+r_in eps / (3 ||F_0||) of near-optimal feasible points (the inner ball
+shrunk toward an optimum), so the run ends within
+
+  cap = ceil(2 (d + 1) (1/2 ln det P_0 + d ln(3 ||F_0|| / (r_in eps)))) + 64,
+
+which is the R-ball's 2 d (d + 1) ln(3 R ||F_0|| / (r_in eps)) + 64 when
+P_0 = R^2 I (Bland, Goldfarb & Todd, Oper. Res. 29(6), 1981).
 
 The solver keeps three quantities per run:
 
@@ -110,6 +139,7 @@ class AffineChart:
     x_origin: np.ndarray                # (2n^2,): I/n
     x_map: np.ndarray                   # (d, 2n^2): u -> X - I/n; last row 0
     pencil_grad: np.ndarray             # (d, 2): gradients of <A,X>, <B,X>
+    chol: np.ndarray                    # (d-1, d-1): L, u_x = L' xi
 
     @property
     def n(self) -> int:
@@ -125,6 +155,18 @@ class AffineChart:
         e = np.zeros(self.dim)
         e[-1] = _RHO
         return e
+
+    @cached_property
+    def initial_shape(self) -> np.ndarray:
+        """P_0 of E_0 = {u : u' P_0^-1 u <= 1}, the Loewner ellipsoid of
+        the cylinder {||xi|| <= sqrt(1 - 1/n)} x {|u_d| <= sqrt(3)(c + 1)}
+        that holds every feasible point (see the module docstring)."""
+        m = self.dim - 1
+        p0 = np.zeros((m + 1, m + 1))
+        if m:
+            p0[:m, :m] = (m + 1) / m * (1.0 - 1.0 / self.n) * (self.chol.T @ self.chol)
+        p0[m, m] = (m + 1) * 3.0 * (self.inst.frob_ceiling + 1) ** 2
+        return p0
 
     def density(self, u: np.ndarray) -> np.ndarray:
         n = self.n
@@ -241,6 +283,7 @@ def build_chart(inst: SdpInstance) -> AffineChart:
         x_origin=np.eye(n, dtype=complex).ravel().view(float) / n,
         x_map=x_map,
         pencil_grad=x_map @ inst.pencil_flat.T,
+        chol=chol,
     )
 
 
@@ -354,14 +397,15 @@ def solve(
         raise ValueError("eps must be positive")
     chart = build_chart(inst)
     d = chart.dim
-    big_r = float(ball.outer_R)
-    small_r = float(ball.inner_r)
-
+    p_mat = chart.initial_shape.copy()
+    half_logdet = 0.5 * np.linalg.slogdet(p_mat)[1]
     f0n = max(1.0, math.sqrt(inst.f0.inner(inst.f0)))
-    cap = math.ceil(2 * d * (d + 1) * math.log(3.0 * big_r * f0n / (small_r * eps))) + 64
+    cap = math.ceil(
+        2 * (d + 1)
+        * (half_logdet + d * math.log(3.0 * f0n / (float(ball.inner_r) * eps)))
+    ) + 64
 
     z = np.zeros(d)
-    p_mat = np.eye(d) * big_r * big_r
     best = math.inf
     best_cert = math.inf
     best_x: Optional[np.ndarray] = None

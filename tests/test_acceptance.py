@@ -221,9 +221,12 @@ def test_criterion_06_translation_and_scaling(report):
             Fraction(int(rng.integers(-6, 7)), 2),
             Fraction(int(rng.integers(-6, 7)), 3),
         )
+        # dist(c, W(C)) is unchanged by a rotation, W(iC) = i W(C), and by
+        # the adjoint, W(C*) = conj W(C); both give a different SDP instance
         direct = sdp_chi(mat, center=c, eps=eps)
-        translated = sdp_chi(mat + identity(n).scale(-c), eps=eps)
-        worst_t = max(worst_t, abs(direct - translated))
+        rotated = sdp_chi(mat.scale(gr(0, 1)), center=gr(0, 1) * c, eps=eps)
+        adjoint = sdp_chi(mat.adjoint(), center=c.conjugate(), eps=eps)
+        worst_t = max(worst_t, abs(direct - rotated), abs(direct - adjoint))
         ell = ells[k % 3]
         base = sdp_chi(mat, eps=eps)
         scaled = sdp_chi(mat.scale(ell), eps=eps)
@@ -232,7 +235,7 @@ def test_criterion_06_translation_and_scaling(report):
     assert report(
         6,
         ok,
-        f"identities over 20 instances: translation max err {worst_t:.2e} <= 2e-4, "
+        f"identities over 20 instances: rotation/adjoint max err {worst_t:.2e} <= 2e-4, "
         f"scaling max err/(l+1) {worst_s:.2e} <= 1e-4",
     )
 

@@ -150,6 +150,75 @@ class TestChartGates:
             assert np.abs(embed(chart.point(np.zeros(chart.dim))) - g).max() < 1e-12
 
 
+class TestInitialEllipsoid:
+    """E_0 is the Loewner ellipsoid of the cylinder
+    {||X - I/n||_F <= sqrt(1 - 1/n)} x {|r - c - 1| <= c + 1}: it holds
+    every feasible point, and the cylinder's rim lies on its boundary.
+    Points are mapped into the chart through its Jacobian, not through L."""
+
+    @pytest.fixture(scope="class", params=[1, 2, 3, 4, 5, 6])
+    def charted(self, request):
+        n = request.param
+        c = random_gaussian_integer(np.random.default_rng(900 + n), n, -5, 5)
+        out = []
+        for mat in (c, c.translate(gr(frobenius_ceiling(c) + 1))):
+            inst, ball = make(mat)
+            chart = build_chart(inst)
+            out.append((inst, ball, chart, np.linalg.inv(chart.initial_shape)))
+        return out
+
+    def test_holds_feasible_points(self, charted):
+        rng = np.random.default_rng(47)
+        for inst, _, chart, inv in charted:
+            n = inst.n
+            for _ in range(10):
+                v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                v /= np.linalg.norm(v)
+                for dens in (np.outer(v, v.conj()), random_density(rng, n)):
+                    modulus = math.hypot(*inst.pencil_values(dens))
+                    for r in (modulus, inst.frob_ceiling + 2.0):
+                        z = assemble_feasible_point(inst, dens, r)
+                        u = chart_coordinates(chart, z)
+                        assert u @ inv @ u <= 1.0 + 1e-9
+
+    def test_rim_on_boundary(self, charted):
+        rng = np.random.default_rng(53)
+        for inst, _, chart, inv in charted:
+            n = inst.n
+            c = inst.frob_ceiling
+            for _ in range(10):
+                # a unit traceless Hermitian direction
+                h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                h = h + h.conj().T
+                h -= np.trace(h) / n * np.eye(n)
+                norm = np.linalg.norm(h)
+                h = h / norm if norm > 0.0 else h
+                dens = np.eye(n) / n + math.sqrt(1.0 - 1.0 / n) * h
+                for r in (0.0, 2.0 * c + 2.0):
+                    z = assemble_feasible_point(inst, dens, r)
+                    u = chart_coordinates(chart, z)
+                    assert u @ inv @ u == pytest.approx(1.0, abs=1e-9)
+
+    def test_cap_from_log_det(self, charted):
+        for inst, ball, chart, _ in charted:
+            res = solve(inst, ball, 1e-3)
+            d = chart.dim
+            f0n = max(1.0, math.sqrt(inst.f0.inner(inst.f0)))
+            r_in = float(ball.inner_r)
+            half_logdet = 0.5 * np.linalg.slogdet(chart.initial_shape)[1]
+            cap = math.ceil(
+                2 * (d + 1) * (half_logdet + d * math.log(3.0 * f0n / (r_in * 1e-3)))
+            ) + 64
+            assert res.cap == cap
+            # the R-ball's cap, which this E_0 replaces
+            big_r = float(ball.outer_R)
+            ball_cap = math.ceil(
+                2 * d * (d + 1) * math.log(3.0 * big_r * f0n / (r_in * 1e-3))
+            ) + 64
+            assert res.cap <= ball_cap
+            assert 0 < res.iterations <= res.cap
+
+
 class TestSeparationOracle:
     def test_center_is_feasible_improving(self):
         inst, ball = make(EXAMPLE)
