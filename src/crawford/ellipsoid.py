@@ -50,16 +50,29 @@ shrunk toward an optimum), so the run ends within
 which is the R-ball's 2 d (d + 1) ln(3 R ||F_0|| / (r_in eps)) + 64 when
 P_0 = R^2 I (Bland, Goldfarb & Todd, Oper. Res. 29(6), 1981).
 
-The solver keeps three quantities per run:
+The solver keeps two bounds per run:
 
-  best       lowest objective value among visited PSD-feasible centers,
-  best_cert  lowest *certified* value: each improving center is repaired
-             into an exactly-structured feasible point whose objective is
-             a genuine upper bound on the optimum,
+  best_cert  the lowest *certified* value: the objective r = |w(X)|,
+             w(X) = <A,X> + i<B,X>, of a repaired density X (clipped to
+             the PSD cone, trace rescaled to 1), so Z(X, r) is feasible
+             and r is a genuine upper bound on the optimum,
   lb         a certified lower bound, max over iterations of
-             min(best, obj(center_k) - sqrt(g' P_k g)), valid because the
-             cut rules never discard a feasible point with objective
-             below the current best.
+             min(best_cert, obj(center_k) - sqrt(g' P_k g)), valid because
+             the cut rules never discard a feasible point with objective
+             below the current best_cert.
+
+The candidates for best_cert come from the convex hull of the repaired
+centers.  Z(X, r) is feasible exactly when X is a density and
+|w(X)| <= r <= c + 2, and w is linear in X, so every convex combination
+of densities X_i is feasible at r = |sum lambda_i w(X_i)|.  Each
+PSD-feasible center is repaired (from the eigendecomposition the oracle
+took) and offered, with at most two kept densities, to the planar
+min-norm step `nearest_point_weights` (Wolfe, Math. Programming 11,
+1976): the weights of the point of the hull of their w values nearest 0.
+Points of weight 0 are dropped from the kept set; the combination is
+repaired, and its value is recomputed from the repaired X.  When 0 lies
+in the hull, as it does for chi = 0, best_cert falls below eps in a few
+dozen steps instead of waiting for a single center that close to 0.
 
 Each step keeps the part of the ellipsoid E on the far side of a deep
 cut {x : g.(x - z) <= -depth} (Bland, Goldfarb & Todd, Oper. Res. 29(6),
@@ -67,14 +80,15 @@ cut {x : g.(x - z) <= -depth} (Bland, Goldfarb & Todd, Oper. Res. 29(6),
 
   feasibility  the eigenvector cut at the violated block, backed off by
                the PSD tolerance, depth = -lambda_min - tol,
-  objective    the level set obj <= best, depth = obj(z) - best
+  objective    the level set obj <= best_cert, depth = obj(z) - best_cert
                (0 on an improving step, a central cut).
 
-Neither discards a feasible point with objective below best.  When a cut
-leaves nothing of E (alpha = depth / sqrt(g' P g) >= 1), no feasible
-point has objective below best, so best is a certified lower bound: lb
-becomes best, and the run ends, with a value if the gap is closed and
-with EllipsoidCapExceeded if not.
+Neither discards a feasible point with objective below best_cert, so
+every optimum stays in E.  When a cut leaves nothing of E
+(alpha = depth / sqrt(g' P g) >= 1), no feasible point has objective
+below best_cert, so best_cert is also a lower bound: lb becomes best_cert
+and the run returns.  Before any center was feasible there is no
+best_cert, and the run ends with EllipsoidCapExceeded.
 
 Termination: best_cert - lb <= eps, so the reported value is within eps
 of the true optimum in both directions (up to float evaluation noise).
@@ -102,10 +116,13 @@ class ChartError(RuntimeError):
 
 
 class EllipsoidCapExceeded(RuntimeError):
-    """Iteration cap hit before the certified gap closed.
+    """The run ended before the certified gap closed: the iteration cap
+    was hit, the ellipsoid degenerated, or a deep cut emptied it before
+    any center was feasible.
 
-    Carries the best value seen and the lower bound; usually means the
-    requested epsilon is below what float64 can certify here.
+    Carries best_cert, the best certified value (inf if none), the lower
+    bound and the iteration; usually means the requested epsilon is below
+    what float64 can certify here.
     """
 
     def __init__(self, message, best, lower_bound, iterations):
@@ -182,13 +199,14 @@ class AffineChart:
 @dataclass(frozen=True)
 class Cut:
     """The halfspace {x : normal.(x - z) <= -depth} that keeps every
-    feasible chart point with objective below the current best."""
+    feasible chart point with objective below the current best_cert."""
 
     kind: str                           # feasible_improving | feasibility | objective
     normal: np.ndarray                  # chart coordinates
     min_eig: float
     objective: float
     depth: float                        # >= 0; 0 is a cut through z
+    spectrum: Optional[tuple] = None    # eigh(X) of a PSD-feasible point
 
 
 @dataclass(frozen=True)
@@ -304,7 +322,8 @@ def separation_oracle(chart: AffineChart, u: np.ndarray, best_value: float) -> C
     r - best_value), or not PSD (cut along the gradient of the violated
     block's v'Zv at depth -lambda_min - tol).  lambda(hat X) = lambda(X),
     each twice, and v'(hat X)v = w*Xw for the matching complex w, so the
-    big block needs only X.  PSD tolerance is tol = 1e-9 (1 + ||Z||_F)."""
+    big block needs only X.  PSD tolerance is tol = 1e-9 (1 + ||Z||_F).
+    The cut of a PSD-feasible point carries eigh(X), for its repair."""
     x = chart.density(u)
     wx, qx = np.linalg.eigh(x)
     a, b = chart.inst.pencil_values(x)
@@ -325,6 +344,7 @@ def separation_oracle(chart: AffineChart, u: np.ndarray, best_value: float) -> C
             min_eig=worst,
             objective=r,
             depth=0.0 if improving else r - best_value,
+            spectrum=(wx, qx),
         )
 
     if worst == lam_x:
@@ -347,21 +367,49 @@ def separation_oracle(chart: AffineChart, u: np.ndarray, best_value: float) -> C
     )
 
 
-def repair_point(inst: SdpInstance, dens: np.ndarray):
+def repair_point(inst: SdpInstance, dens):
     """Round a nearly-feasible X into an exactly structured certificate.
 
     Clip X to the PSD cone, rescale it to trace 1 and take
     r = |<A,X> + i<B,X>|: Z(X, r) is feasible, and its objective r is a
     true numerical-range modulus, hence an upper bound on the optimum
-    however rough X was.  Returns r and the repaired X.
+    however rough X was.  `dens` is X, or its eigendecomposition
+    `np.linalg.eigh(X)` when that is already at hand.  Returns r and the
+    repaired X.
     """
-    w, q = np.linalg.eigh(dens)
-    w = np.clip(w, 0.0, None)
+    w, q = dens if isinstance(dens, tuple) else np.linalg.eigh(dens)
+    w = np.maximum(w, 0.0)
     tr = float(w.sum())
     if tr <= 1e-6:
         raise ChartError("repair collapsed the trace; point was garbage")
     x = (q * (w / tr)) @ q.conj().T
     return math.hypot(*inst.pencil_values(x)), x
+
+
+def nearest_point_weights(w) -> list:
+    """Convex weights of the point of conv{w_1, .., w_k} nearest 0, for
+    k <= 3 points of the complex plane: barycentric weights when 0 lies
+    in the triangle, else the nearest point of the nearest edge, a vertex
+    when the projection falls off the edge (Wolfe's min-norm point,
+    Math. Programming 11, 1976, in the plane)."""
+    k = len(w)
+    candidates = [[1.0] + [0.0] * (k - 1)]
+    if k == 3:
+        # twice the signed area of the triangle opposite each vertex
+        areas = [(w[i - 2].conjugate() * w[i - 1]).imag for i in range(3)]
+        total = sum(areas)
+        if total != 0.0 and all(a * total >= 0.0 for a in areas):
+            candidates.append([a / total for a in areas])
+    for i in range(k):
+        for j in range(i + 1, k):
+            step = w[j] - w[i]
+            norm2 = abs(step) ** 2
+            t = 0.0 if norm2 == 0.0 else -(w[i].conjugate() * step).real / norm2
+            t = min(max(t, 0.0), 1.0)
+            lam = [0.0] * k
+            lam[i], lam[j] = 1.0 - t, t
+            candidates.append(lam)
+    return min(candidates, key=lambda lam: abs(sum(l * p for l, p in zip(lam, w))))
 
 
 def _shrink(z: np.ndarray, p_mat: np.ndarray, b: np.ndarray, alpha: float) -> None:
@@ -390,8 +438,8 @@ def solve(
 ) -> SolveResult:
     """Minimize <F_0, Z> over the feasible region to certified accuracy eps.
 
-    Deterministic.  `record`, if given, collects the sequence of accepted
-    improving objective values (non-increasing by construction).
+    Deterministic.  `record`, if given, collects best_cert each time it
+    falls, so its values decrease.
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
@@ -399,21 +447,26 @@ def solve(
     d = chart.dim
     p_mat = chart.initial_shape.copy()
     half_logdet = 0.5 * np.linalg.slogdet(p_mat)[1]
-    f0n = max(1.0, math.sqrt(inst.f0.inner(inst.f0)))
+    # ||F_0||_F = 1: F_0 = diag(0, I_2 / 2, 0) for every instance
     cap = math.ceil(
         2 * (d + 1)
-        * (half_logdet + d * math.log(3.0 * f0n / (float(ball.inner_r) * eps)))
+        * (half_logdet + d * math.log(3.0 / (float(ball.inner_r) * eps)))
     ) + 64
 
     z = np.zeros(d)
-    best = math.inf
     best_cert = math.inf
     best_x: Optional[np.ndarray] = None
+    # at most two repaired densities, with their w = <A,X> + i<B,X>, whose
+    # hull with the next repaired center is searched for a point nearer 0
+    kept: list = []
     # diagonal entries of a PSD matrix are nonnegative, so (u+w)/2 >= 0
     # on the whole cone; 0 is a certified lower bound from the start
     lb = 0.0
     n_feas = n_obj = 0
     max_dist = 0.0
+
+    def with_w(x):
+        return complex(*inst.pencil_values(x)), x
 
     def result(it):
         return SolveResult(
@@ -430,24 +483,35 @@ def solve(
         )
 
     for it in range(1, cap + 1):
-        cut = separation_oracle(chart, z, best)
+        cut = separation_oracle(chart, z, best_cert)
         obj_center = cut.objective
 
         if cut.kind != "feasibility":
             max_dist = max(max_dist, math.sqrt(z @ z))
-            if obj_center < best:
-                best = obj_center
+            points = kept + [with_w(repair_point(inst, cut.spectrum)[1])]
+            lam = nearest_point_weights([w for w, _ in points])
+            kept = [p for l, p in zip(lam, points) if l > 0.0]
+            if len(kept) == 1:
+                w, x = kept[0]
+            else:
+                # w is linear in X, so the combination is feasible at
+                # r = |w(X)|; repair only rounds it, and the value is read
+                # off the repaired X, never off the planar arithmetic
+                comb = sum(l * x for l, (_, x) in zip(lam, points) if l > 0.0)
+                w, x = with_w(repair_point(inst, comb)[1])
+                if len(kept) == 3:
+                    # 0 lies in the triangle: keep the combination alone
+                    kept = [(w, x)]
+            if abs(w) < best_cert:
+                best_cert = abs(w)
+                best_x = x
                 if record is not None:
-                    record.append(best)
-                val, xrep = repair_point(inst, chart.density(z))
-                if val < best_cert:
-                    best_cert = val
-                    best_x = xrep
+                    record.append(best_cert)
 
         # the objective's gradient is e_d / sqrt(3): P g is P's last column
         p_obj = p_mat[:, -1] * _RHO
         width = math.sqrt(max(float(p_obj[-1]) * _RHO, 0.0))
-        lb = max(lb, min(best, obj_center - width))
+        lb = max(lb, min(best_cert, obj_center - width))
         if best_cert - lb <= eps:
             return result(it)
 
@@ -467,17 +531,16 @@ def solve(
         root = math.sqrt(gpg)
         alpha = cut.depth / root
         if alpha >= 1.0:
-            # the cut leaves nothing of E: no feasible point has
-            # objective below best, so best bounds the optimum from below
-            if best < math.inf:
-                lb = max(lb, best)
-                if best_cert - lb <= eps:
-                    return result(it)
-            raise EllipsoidCapExceeded(
-                f"deep cut emptied the ellipsoid at iteration {it} before the "
-                f"gap closed; best {best_cert:.9g}, certified lower bound {lb:.9g}",
-                best_cert, lb, it,
-            )
+            # the cut leaves nothing of E: no feasible point has objective
+            # below best_cert, so best_cert bounds the optimum from below
+            if best_cert == math.inf:
+                raise EllipsoidCapExceeded(
+                    f"deep cut emptied the ellipsoid at iteration {it} before "
+                    f"any center was feasible; certified lower bound {lb:.9g}",
+                    best_cert, lb, it,
+                )
+            lb = best_cert
+            return result(it)
         _shrink(z, p_mat, pg / root, alpha)
         if it % 50 == 0:
             p_mat = 0.5 * (p_mat + p_mat.T)

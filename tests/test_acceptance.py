@@ -349,6 +349,10 @@ def test_scaling_report_not_gated(capsys):
     rng = np.random.default_rng(123)
     eps = 1e-3
     rows = {"chi = 0": [], "chi >= 1": []}
+    verdict = {
+        "chi = 0": "ends on the hull certificate, not the volume bound; no fit claimed",
+        "chi >= 1": "bounded ratio indicates growth is compatible with O(n^4 log n)",
+    }
     for n in range(2, 9):
         mat = random_gaussian_integer(rng, n, -3, 3)
         cases = [("chi = 0", 0, mat)]
@@ -374,8 +378,7 @@ def test_scaling_report_not_gated(capsys):
         ratios = [r for _, _, _, r, _ in found]
         lines.append(
             f"[scaling report]   {family}: ratio spread "
-            f"{min(ratios):.2f}..{max(ratios):.2f}; bounded ratio indicates "
-            "growth is compatible with O(n^4 log n)"
+            f"{min(ratios):.2f}..{max(ratios):.2f}; {verdict[family]}"
         )
     with capsys.disabled():
         print("\n".join(lines), flush=True)

@@ -13,11 +13,17 @@ from crawford.ellipsoid import (
     _shrink,
     build_chart,
     certified_ball,
+    nearest_point_weights,
     repair_point,
     separation_oracle,
     solve,
 )
-from crawford.linalg import ComplexMatrix, frobenius_ceiling, hermitian_split
+from crawford.linalg import (
+    ComplexMatrix,
+    GaussianRational,
+    frobenius_ceiling,
+    hermitian_split,
+)
 from crawford.oracle import support_search
 from crawford.sdp import assemble_feasible_point, build_instance
 from helpers import (
@@ -520,3 +526,158 @@ class TestRepair:
             assert np.linalg.eigvalsh(x)[0] >= -1e-12
             assert val == math.hypot(*inst.pencil_values(x))
             assert val >= CHI_EXAMPLE - 1e-9
+
+
+def hull_samples(w, steps=400):
+    """Points of conv{w}, dense on its edges and over its inside."""
+    w = np.asarray(w, dtype=complex)
+    t = np.linspace(0.0, 1.0, steps + 1)
+    out = [w]
+    for i in range(len(w)):
+        for j in range(i + 1, len(w)):
+            out.append((1.0 - t) * w[i] + t * w[j])
+    if len(w) == 3:
+        a, b = np.meshgrid(t, t)
+        keep = a + b <= 1.0
+        a, b = a[keep], b[keep]
+        out.append((1.0 - a - b) * w[0] + a * w[1] + b * w[2])
+    return np.concatenate(out)
+
+
+class TestNearestPointWeights:
+    """The planar step of the certificate: convex weights of the point of
+    the hull of at most three values w_i in C that lies nearest 0."""
+
+    def check(self, w):
+        lam = nearest_point_weights(w)
+        assert len(lam) == len(w)
+        assert min(lam) >= 0.0
+        assert sum(lam) == pytest.approx(1.0, abs=1e-12)
+        point = sum(l * p for l, p in zip(lam, w))
+        assert abs(point) <= np.abs(hull_samples(w)).min() + 1e-12
+        return lam, point
+
+    def test_single_point(self):
+        assert nearest_point_weights([3 - 4j]) == [1.0]
+
+    def test_vertex(self):
+        lam, point = self.check([1 + 1j, 2 + 3j])
+        assert lam == [1.0, 0.0] and point == 1 + 1j
+        lam, point = self.check([4 + 1j, 2 - 1j, 1 + 0.5j])
+        assert lam == [0.0, 0.0, 1.0]
+
+    def test_edge(self):
+        lam, point = self.check([1 + 1j, 1 - 1j])
+        assert lam == [0.5, 0.5] and point == 1.0
+        lam, point = self.check([2 + 2j, 2 - 1j, 5 + 0j])
+        assert lam[2] == 0.0 and point == pytest.approx(2.0, abs=1e-15)
+
+    def test_interior(self):
+        lam, point = self.check([1.0 + 0j, -1 + 1j, -1 - 1j])
+        assert all(l > 0.0 for l in lam)
+        assert abs(point) <= 1e-15
+
+    def test_collinear(self):
+        # 0 on the segment: no triangle, the edge through 0 gives it
+        lam, point = self.check([1 + 1j, 2 + 2j, -1 - 1j])
+        assert abs(point) <= 1e-15 and lam[1] == 0.0
+        # 0 off the line's hull: the nearest end
+        lam, point = self.check([2 + 2j, 3 + 3j, 1 + 1j])
+        assert lam == [0.0, 0.0, 1.0]
+        # the foot of 0 on the line, inside an edge
+        lam, point = self.check([2 + 1j, 2 + 5j, 2 - 3j])
+        assert lam[1] == 0.0 and point == pytest.approx(2.0, abs=1e-15)
+
+    def test_duplicates(self):
+        for w in ([1 + 2j, 1 + 2j], [1 + 2j] * 3, [2j, 2j, 1.0 + 0j], [1j, -1j, 1j]):
+            self.check(w)
+        assert self.check([1 + 2j] * 3)[1] == 1 + 2j
+        assert abs(self.check([1j, -1j, 1j])[1]) <= 1e-15
+
+    def test_random(self):
+        rng = np.random.default_rng(61)
+        for k in (2, 3) * 60:
+            w = list(rng.standard_normal(k) + 1j * rng.standard_normal(k))
+            self.check(w)
+            self.check([p + complex(*rng.standard_normal(2)) * 3.0 for p in w])
+
+
+def inside_matrix(rng, n):
+    """C - round(tr C / n) I for a random integer n x n C, n >= 2, redrawn
+    until the support search certifies chi = 0 there and every one of 512
+    sampled directions keeps the support function 0.25 or more beyond it.
+    (At n = 1 the translate is the zero matrix, which has no instance.)"""
+    thetas = np.linspace(0.0, 2.0 * math.pi, 512, endpoint=False)
+    while True:
+        c = random_gaussian_integer(rng, n, -3, 3)
+        tr = np.trace(c.to_complex()) / n
+        centre = gr(round(tr.real), round(tr.imag))
+        mat = c.translate(centre)
+        if mat.is_zero() or support_search(mat, 1e-6).chi != 0.0:
+            continue
+        t = mat.to_complex()
+        a, b = 0.5 * (t + t.conj().T), -0.5j * (t - t.conj().T)
+        g = [np.linalg.eigvalsh(math.cos(th) * a + math.sin(th) * b)[0] for th in thetas]
+        if max(g) <= -0.25:
+            return mat
+
+
+class TestHullCertificate:
+    """chi = 0 ends as soon as the hull of the repaired centres holds a
+    point within eps of 0; the witness is a density whose value is read
+    off it, and the objective cut at best_cert keeps every optimum."""
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_chi_zero_family(self, n):
+        rng = np.random.default_rng(1100 + n)
+        for eps in (1e-3, 1e-6):
+            mat = inside_matrix(rng, n)
+            inst, ball = make(mat)
+            res = solve(inst, ball, eps)
+            assert res.value <= eps
+            assert res.lower_bound == 0.0
+            assert np.linalg.eigvalsh(res.X)[0] >= -1e-12
+            assert abs(np.trace(res.X) - 1.0) <= 1e-12
+            assert res.value == math.hypot(*inst.pencil_values(res.X))
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_bracket_just_outside(self, n):
+        # centres 0.01 beyond the support line of W(C) in a random direction
+        rng = np.random.default_rng(1200 + n)
+        for _ in range(2):
+            c = random_gaussian_integer(rng, n, -3, 3)
+            t = c.to_complex()
+            a, b = 0.5 * (t + t.conj().T), -0.5j * (t - t.conj().T)
+            th = rng.uniform(0.0, 2.0 * math.pi)
+            h = np.linalg.eigvalsh(math.cos(th) * a + math.sin(th) * b)[-1]
+            z = (h + 0.01) * complex(math.cos(th), math.sin(th))
+            centre = GaussianRational(
+                Fraction(z.real).limit_denominator(10**4),
+                Fraction(z.imag).limit_denominator(10**4),
+            )
+            mat = c.translate(centre)
+            inst, ball = make(mat)
+            res = solve(inst, ball, 1e-4)
+            chi = support_search(mat, 1e-7).chi
+            assert chi >= 0.009
+            assert res.lower_bound <= chi + 1e-9 <= res.value + 1e-9
+            assert res.value - res.lower_bound <= 1e-4
+            assert res.value == math.hypot(*inst.pencil_values(res.X))
+
+    def test_witness_is_a_repaired_density(self, monkeypatch):
+        # every certificate, a single centre's or a combination's, comes
+        # out of repair_point: clipped to the PSD cone, trace rescaled to 1
+        repaired = []
+
+        def spy(inst, dens):
+            out = repair_point(inst, dens)
+            repaired.append(out[1])
+            return out
+
+        monkeypatch.setattr(ellipsoid, "repair_point", spy)
+        rng = np.random.default_rng(1300)
+        for n in (2, 3, 4):
+            repaired.clear()
+            inst, ball = make(inside_matrix(rng, n))
+            res = solve(inst, ball, 1e-4)
+            assert any(x is res.X for x in repaired)
