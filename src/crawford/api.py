@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import enum
 import math
+import time
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -64,7 +65,13 @@ def crawford(query: CrawfordQuery) -> CrawfordResult:
     divide by l.  Oracle path: certified support search at delta = epsilon.
     BOTH runs the two and reports the SDP value, with the oracle value
     and discrepancy in solver_stats.
+
+    solver_stats carries perf_counter phase timings in seconds: setup_s
+    (translation through the certified ball) and solve_s (the ellipsoid
+    run) on the SDP route, oracle_s (the support search and witness) on
+    the oracle route; BOTH carries all three.
     """
+    t_start = time.perf_counter()
     t_mat = query.matrix.translate(query.center)
     eps = query.epsilon
     center_c = complex(query.center)
@@ -92,7 +99,9 @@ def crawford(query: CrawfordQuery) -> CrawfordResult:
         pencil = hermitian_split(cint)
         inst = sdp.build_instance(pencil, frobenius_ceiling(cint))
         ball = ellipsoid.certified_ball(inst, cint)
+        t_setup = time.perf_counter()
         res = ellipsoid.solve(inst, ball, eps * scale)
+        t_solve = time.perf_counter()
         chi_val = res.value / scale
         u, w, v = res.Z.uv[0, 0], res.Z.uv[1, 1], res.Z.uv[0, 1]
         nearest = complex(0.5 * (u - w), v) / scale
@@ -108,18 +117,20 @@ def crawford(query: CrawfordQuery) -> CrawfordResult:
             outer_R=float(ball.outer_R),
             epsilon_solver=eps * scale,
             scale_factor=scale,
+            setup_s=t_setup - t_start,
+            solve_s=t_solve - t_setup,
         )
 
     if query.method in (Method.ORACLE_SWEEP, Method.BOTH):
+        t_oracle = time.perf_counter()
         search = oracle.support_search(t_mat, eps)
         orc_stats = {"evaluations": search.grid_size, "theta": search.theta}
         if query.method is Method.ORACLE_SWEEP:
             chi_val = search.chi
             scale = 1
             if search.chi > 0.0:
-                pen = hermitian_split(t_mat)
                 x = oracle.minimizing_witness(
-                    pen.a.to_complex(), pen.b.to_complex(), search.theta
+                    *oracle.hermitian_parts(t_mat), search.theta
                 )
                 nearest = complex(x.conj() @ t_mat.to_complex() @ x)
                 witness = np.outer(x, x.conj())
@@ -132,6 +143,7 @@ def crawford(query: CrawfordQuery) -> CrawfordResult:
             stats["oracle_value"] = search.chi
             stats["oracle_theta"] = search.theta
             stats["discrepancy"] = abs(chi_val - search.chi)
+        stats["oracle_s"] = time.perf_counter() - t_oracle
 
     bound = numerical_radius_upper(t_mat)
     if chi_val > bound + eps:

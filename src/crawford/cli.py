@@ -162,6 +162,9 @@ def cmd_chi(matrix_path, config: RunConfig) -> int:
         if "certified_gap" in stats:
             doc["lower_bound"] = stats["lower_bound"]
             doc["certified_gap"] = stats["certified_gap"]
+        for key in ("setup_s", "solve_s", "oracle_s"):
+            if key in stats:
+                doc[key] = stats[key]
         print(json.dumps(doc))
         return 0
     print(f"chi = {result.chi:.10g}")

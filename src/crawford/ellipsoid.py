@@ -104,7 +104,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import ComplexMatrix
+from .linalg import ComplexMatrix, exact_dot, exact_sum
 from .sdp import BlockDiagSymmetric, SdpInstance, assemble_feasible_point
 
 # r = c + 1 + u_d / sqrt(3): the objective's gradient in the chart
@@ -231,11 +231,10 @@ def _ball_center(inst: SdpInstance) -> BlockDiagSymmetric:
     """
     n = inst.n
     c = inst.frob_ceiling
-    x = sum(inst.ahat[i, i] for i in range(2 * n)) / (2 * n)
-    y = sum(inst.bhat[i, i] for i in range(2 * n)) / (2 * n)
+    x = exact_sum(inst.ahat.diagonal()) / (2 * n)
+    y = exact_sum(inst.bhat.diagonal()) / (2 * n)
     yb = np.full((2 * n, 2 * n), Fraction(0), dtype=object)
-    for i in range(2 * n):
-        yb[i, i] = Fraction(1, n)
+    np.fill_diagonal(yb, Fraction(1, n))
     s = np.array(
         [[c + 1 + x, y], [y, c + 1 - x]], dtype=object
     )
@@ -244,7 +243,10 @@ def _ball_center(inst: SdpInstance) -> BlockDiagSymmetric:
 
 def certified_ball(inst: SdpInstance, c_matrix: ComplexMatrix) -> CertifiedBall:
     """The explicit ball data: G strictly feasible, inner radius 1/n
-    inside the affine subspace, outer radius 12 + 4*frob_ceiling."""
+    inside the affine subspace, outer radius 12 + 4*frob_ceiling.
+
+    Every check is exact.  G's big block is diagonal, (1/n) I, so <F, G>
+    reads only the diagonal of F's big block."""
     n = inst.n
     g = _ball_center(inst)
     tr = c_matrix.trace()
@@ -252,12 +254,15 @@ def certified_ball(inst: SdpInstance, c_matrix: ComplexMatrix) -> CertifiedBall:
     s = g.uv
     if s[0, 0] != inst.frob_ceiling + 1 + x or s[0, 1] != y:
         raise ValueError("instance was not built from this matrix")
-    # S - I PSD, exact: diagonal and determinant conditions
+    # S - I PSD: diagonal and determinant conditions
     c = Fraction(inst.frob_ceiling)
-    assert c + x >= 0 and c - x >= 0 and (c + x) * (c - x) - y * y >= 0
-    # G satisfies every equality constraint, exact
+    if not (c + x >= 0 and c - x >= 0 and (c + x) * (c - x) - y * y >= 0):
+        raise ValueError("S - I is not PSD; the ball center is not interior")
+    # G satisfies every equality constraint
+    g_support = (*g.y.diagonal(), *s.flat, g.t)
     for f, b in inst.tails:
-        assert f.inner(g) == b
+        if exact_dot((*f.y.diagonal(), *f.uv.flat, f.t), g_support) != b:
+            raise ValueError("the ball center violates a tail constraint")
     return CertifiedBall(
         center=g,
         s_block=s,
@@ -305,17 +310,6 @@ def build_chart(inst: SdpInstance) -> AffineChart:
     )
 
 
-def _min_eig_2x2(t: np.ndarray):
-    (a, b), (_, c) = t.tolist()
-    lam = 0.5 * (a + c) - math.hypot(0.5 * (a - c), b)
-    if b == 0.0:
-        return lam, np.array([1.0, 0.0]) if a <= c else np.array([0.0, 1.0])
-    # take the row of T - lam I whose difference does not cancel:
-    # lam - c is pure round-off when a > c and |b| is tiny
-    p, q = (b, lam - a) if a > c else (lam - c, b)
-    return lam, np.array([p, q]) / math.hypot(p, q)
-
-
 def separation_oracle(chart: AffineChart, u: np.ndarray, best_value: float) -> Cut:
     """Classify the chart point u, Z = Z(X, r): PSD and improving, PSD but
     not improving (objective cut along the gradient of r at depth
@@ -351,10 +345,12 @@ def separation_oracle(chart: AffineChart, u: np.ndarray, best_value: float) -> C
         w = qx[:, 0]
         normal = -(chart.x_map @ np.outer(w, w.conj()).ravel().view(float))
     elif worst == lam_t:
-        # v'[[r+a, b], [b, r-a]]v = r + (p^2 - q^2) a + 2pq b for unit v
-        _, (p, q) = _min_eig_2x2(np.array([[r + a, b], [b, r - a]]))
-        normal = -(chart.pencil_grad @ (p * p - q * q, 2.0 * p * q))
-        normal -= chart.objective_grad
+        # v'[[r+a, b], [b, r-a]]v = r + (p^2 - q^2) a + 2pq b for unit
+        # v = (p, q); the smallest eigenvalue r - m is reached at
+        # (p^2 - q^2, 2pq) = -(a, b) / m, and at m = 0 by every v
+        normal = -chart.objective_grad
+        if m > 0.0:
+            normal = normal + chart.pencil_grad @ (a / m, b / m)
     else:
         # t = c + 2 - r
         normal = chart.objective_grad

@@ -91,9 +91,26 @@ def _coerce(x) -> GaussianRational:
     raise TypeError(f"cannot coerce {x!r} to a Gaussian rational")
 
 
+def exact_sum(values) -> Fraction:
+    """Sum of Fractions, taken in integers over their common denominator."""
+    values = tuple(values)
+    l = math.lcm(*(v.denominator for v in values))
+    return Fraction(sum(v.numerator * (l // v.denominator) for v in values), l)
+
+
+def exact_dot(xs, ys) -> Fraction:
+    """Sum of x * y over pairs of Fractions, taken in integers over the
+    common denominator of the products."""
+    terms = [
+        (x.numerator * y.numerator, x.denominator * y.denominator)
+        for x, y in zip(xs, ys)
+    ]
+    l = math.lcm(*(d for _, d in terms))
+    return Fraction(sum(p * (l // d) for p, d in terms), l)
+
+
 ZERO = GaussianRational(0, 0)
 ONE = GaussianRational(1, 0)
-I_UNIT = GaussianRational(0, 1)
 
 
 @dataclass(frozen=True)
@@ -149,26 +166,43 @@ class ComplexMatrix:
         )
 
     def trace(self) -> GaussianRational:
-        t = ZERO
-        for i in range(self.n):
-            t = t + self.entries[i][i]
-        return t
+        diag = [self.entries[i][i] for i in range(self.n)]
+        return GaussianRational(
+            exact_sum(x.re for x in diag), exact_sum(x.im for x in diag)
+        )
+
+    def denominator_lcm(self) -> int:
+        """lcm of the denominators of every entry's real and imaginary part."""
+        return math.lcm(
+            *(v.denominator for row in self.entries for x in row for v in (x.re, x.im))
+        )
+
+    def integer_parts(self, l: int) -> list:
+        """l*C as rows of (Re, Im) integer pairs, for l a multiple of
+        `denominator_lcm()`."""
+        return [
+            [tuple(v.numerator * (l // v.denominator) for v in (x.re, x.im)) for x in row]
+            for row in self.entries
+        ]
 
     def frobenius_sq(self) -> Fraction:
-        """Sum of |entry|^2, exact."""
-        s = Fraction(0)
-        for row in self.entries:
-            for x in row:
-                s += x.abs2()
-        return s
+        """Sum of |entry|^2, exact: ||l*C||_F^2 in integers, over l^2."""
+        l = self.denominator_lcm()
+        s = sum(p * p + q * q for row in self.integer_parts(l) for p, q in row)
+        return Fraction(s, l * l)
 
     def is_zero(self) -> bool:
         return all(x.is_zero() for row in self.entries for x in row)
 
     def is_hermitian(self) -> bool:
         n = self.n
+        e = self.entries
+        # Fractions are in lowest terms with a positive denominator, so
+        # Im e_ij = -Im e_ji compares numerators and denominators as ints
         return all(
-            self.entries[i][j] == self.entries[j][i].conjugate()
+            e[i][j].re == e[j][i].re
+            and e[i][j].im.numerator == -e[j][i].im.numerator
+            and e[i][j].im.denominator == e[j][i].im.denominator
             for i in range(n)
             for j in range(i, n)
         )
@@ -211,14 +245,46 @@ class HermitianPencil:
 
 
 def hermitian_split(c: ComplexMatrix) -> HermitianPencil:
-    """C = A + iB with A = (C + C*)/2 and B = (C - C*)/(2i), both Hermitian."""
-    cs = c.adjoint()
-    half = Fraction(1, 2)
-    a = (c + cs).scale(half)
-    # (C - C*)/(2i) = -i/2 * (C - C*)
-    b = (c - cs).scale(GaussianRational(0, -half))
-    assert a.is_hermitian() and b.is_hermitian()
-    return HermitianPencil(a=a, b=b, ahat=hat_embed(a), bhat=hat_embed(b))
+    """C = A + iB with A = (C + C*)/2 and B = (C - C*)/(2i), both Hermitian,
+    with their hat matrices, in one pass over the pairs i <= j.  With
+    l C = P + iQ Gaussian-integer (l the denominator lcm), each entry is
+    one exact fraction over 2l:
+
+      A_ij = ((P_ij + P_ji) + (Q_ij - Q_ji) i) / 2l,
+      B_ij = ((Q_ij + Q_ji) + (P_ji - P_ij) i) / 2l,
+
+    and A_ji, B_ji are their conjugates."""
+    n = c.n
+    l = c.denominator_lcm()
+    lc = c.integer_parts(l)
+    a = [[None] * n for _ in range(n)]
+    b = [[None] * n for _ in range(n)]
+    ahat = np.empty((2 * n, 2 * n), dtype=object)
+    bhat = np.empty((2 * n, 2 * n), dtype=object)
+    for i in range(n):
+        for j in range(i, n):
+            (p, q), (r, s) = lc[i][j], lc[j][i]
+            # numerators over 2l of Re and Im of A_ij, then of B_ij
+            parts = ((a, ahat, p + r, q - s), (b, bhat, q + s, r - p))
+            for h, hat, re_num, im_num in parts:
+                re, im, neg = (Fraction(v, 2 * l) for v in (re_num, im_num, -im_num))
+                h[i][j] = GaussianRational(re, im)
+                h[j][i] = GaussianRational(re, neg)
+                _place_hat(hat, n, i, j, re, im, neg)
+    pencil = HermitianPencil(
+        a=ComplexMatrix(a), b=ComplexMatrix(b), ahat=ahat, bhat=bhat
+    )
+    if not (pencil.a.is_hermitian() and pencil.b.is_hermitian()):
+        raise ValueError("Hermitian split produced a non-Hermitian part")
+    return pencil
+
+
+def _place_hat(hat: np.ndarray, n: int, i: int, j: int, re, im, neg) -> None:
+    """Write H_ij = re + im i (i <= j) and H_ji = conj(H_ij) into the hat
+    matrix [[Re H, -Im H], [Im H, Re H]]; neg is -im."""
+    hat[i, j] = hat[j, i] = hat[n + i, n + j] = hat[n + j, n + i] = re
+    hat[n + i, j] = hat[j, n + i] = im
+    hat[i, n + j] = hat[n + j, i] = neg
 
 
 def hat_embed(h: ComplexMatrix) -> np.ndarray:
@@ -233,13 +299,9 @@ def hat_embed(h: ComplexMatrix) -> np.ndarray:
     n = h.n
     out = np.empty((2 * n, 2 * n), dtype=object)
     for i in range(n):
-        for j in range(n):
-            re = h.entries[i][j].re
-            im = h.entries[i][j].im
-            out[i, j] = re
-            out[n + i, n + j] = re
-            out[i, n + j] = -im
-            out[n + i, j] = im
+        for j in range(i, n):
+            x = h.entries[i][j]
+            _place_hat(out, n, i, j, x.re, x.im, -x.im)
     return out
 
 
@@ -261,14 +323,14 @@ def frobenius_ceiling(c: ComplexMatrix) -> int:
 def clear_denominators(c: ComplexMatrix):
     """Return (l*C, l) where l is the lcm of the denominators of the real
     and imaginary parts of every entry, so l*C is Gaussian-integer and
-    chi(C) = chi(l*C)/l.
+    chi(C) = chi(l*C)/l.  At l = 1, C itself is returned.
     """
-    l = 1
-    for row in c.entries:
-        for x in row:
-            l = math.lcm(l, x.re.denominator, x.im.denominator)
+    l = c.denominator_lcm()
+    if l == 1:
+        return c, 1
     scaled = c.scale(l)
     for row in scaled.entries:
         for x in row:
-            assert x.re.denominator == 1 and x.im.denominator == 1
+            if x.re.denominator != 1 or x.im.denominator != 1:
+                raise ValueError("clearing the denominators left a fraction")
     return scaled, l

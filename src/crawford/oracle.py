@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ComplexMatrix, hermitian_split
+from .linalg import ComplexMatrix
 
 
 @dataclass(frozen=True)
@@ -31,9 +31,11 @@ class OracleSearch:
     grid_size: int        # number of evaluations of g
 
 
-def _float_parts(c: ComplexMatrix):
-    pen = hermitian_split(c)
-    return pen.a.to_complex(), pen.b.to_complex()
+def hermitian_parts(c: ComplexMatrix):
+    """A = (F + F*)/2 and B = (F - F*)/(2i) of F = C in floats."""
+    f = c.to_complex()
+    fs = f.conj().T
+    return 0.5 * (f + fs), -0.5j * (f - fs)
 
 
 def _gmin_at(a_f: np.ndarray, b_f: np.ndarray, theta: float) -> float:
@@ -46,7 +48,7 @@ def support_search(c: ComplexMatrix, delta: float) -> OracleSearch:
     exceeds max(0, best + delta); all peaks <= 0 certify chi = 0 exactly."""
     if delta <= 0.0:
         raise ValueError("delta must be positive")
-    a_f, b_f = _float_parts(c)
+    a_f, b_f = hermitian_parts(c)
     lip = math.sqrt(float(c.frobenius_sq()))
     nodes = [0.5 * math.pi * k for k in range(4)]
     vals = [_gmin_at(a_f, b_f, t) for t in nodes]
@@ -88,7 +90,7 @@ def sample_boundary(c: ComplexMatrix, m: int):
     their hull converges to W(C) as m grows."""
     if m < 3:
         raise ValueError("need at least 3 samples")
-    a_f, b_f = _float_parts(c)
+    a_f, b_f = hermitian_parts(c)
     cf = c.to_complex()
     out = []
     for k in range(m):

@@ -165,6 +165,17 @@ class SdpInstance:
         return self.N + len(self.tails)
 
 
+def _negated_hat(hat: np.ndarray) -> np.ndarray:
+    """-hat H = hat(-H) = [[-Re H, Im H], [-Im H, -Re H]]: the two
+    off-diagonal blocks of hat H = [[Re H, -Im H], [Im H, Re H]] swap,
+    and only Re H is negated."""
+    n = hat.shape[0] // 2
+    out = np.empty_like(hat)
+    out[:n, :n] = out[n:, n:] = -hat[:n, :n]
+    out[:n, n:], out[n:, :n] = hat[n:, :n], hat[:n, n:]
+    return out
+
+
 def build_instance(pencil: HermitianPencil, frob_ceiling: int) -> SdpInstance:
     """Assemble F_0 .. F_{N+4} and b for the given Hermitian pencil."""
     if frob_ceiling < 1:
@@ -183,14 +194,13 @@ def build_instance(pencil: HermitianPencil, frob_ceiling: int) -> SdpInstance:
         )
 
     y_zero = np.full((2 * n, 2 * n), zero, dtype=object)
-    y_eye = np.full((2 * n, 2 * n), zero, dtype=object)
-    for i in range(2 * n):
-        y_eye[i, i] = one
+    y_eye = y_zero.copy()
+    np.fill_diagonal(y_eye, one)
 
     f0 = bd(y_zero, [[Fraction(1, 2), zero], [zero, Fraction(1, 2)]], zero)
     tail = [
-        bd(-pencil.ahat, [[one, zero], [zero, -one]], zero),
-        bd(-pencil.bhat, [[zero, one], [one, zero]], zero),
+        bd(_negated_hat(pencil.ahat), [[one, zero], [zero, -one]], zero),
+        bd(_negated_hat(pencil.bhat), [[zero, one], [one, zero]], zero),
         bd(y_eye, [[zero, zero], [zero, zero]], zero),
         bd(y_zero, [[one, zero], [zero, one]], Fraction(2)),
     ]

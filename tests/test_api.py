@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -182,6 +183,23 @@ class TestStatsAndValidation:
         stats = res.solver_stats
         assert stats["evaluations"] == support_search(EXAMPLE, EPS).grid_size
         assert stats["iterations"] == stats["evaluations"] >= 4
+
+    @pytest.mark.parametrize(
+        "method, keys",
+        [
+            (Method.SDP_ELLIPSOID, ("setup_s", "solve_s")),
+            (Method.ORACLE_SWEEP, ("oracle_s",)),
+            (Method.BOTH, ("setup_s", "solve_s", "oracle_s")),
+        ],
+    )
+    def test_phase_timings(self, method, keys):
+        t0 = time.perf_counter()
+        res = run(EXAMPLE, method=method)
+        wall = time.perf_counter() - t0
+        stats = res.solver_stats
+        assert {"setup_s", "solve_s", "oracle_s"} & set(stats) == set(keys)
+        assert all(stats[k] >= 0.0 for k in keys)
+        assert sum(stats[k] for k in keys) <= wall
 
     def test_epsilon_validated(self):
         with pytest.raises(ValueError):

@@ -126,7 +126,10 @@ class TestCmdChi:
             "epsilon",
             "lower_bound",
             "certified_gap",
+            "setup_s",
+            "solve_s",
         ]
+        assert payload["setup_s"] >= 0.0 and payload["solve_s"] >= 0.0
         assert payload["method"] == "sdp"
         assert payload["lower_bound"] <= CHI_EXAMPLE <= payload["chi"]
         assert payload["certified_gap"] == pytest.approx(
@@ -161,7 +164,10 @@ class TestCmdChi:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["method"] == "oracle"
-        assert list(payload) == ["chi", "z", "iterations", "method", "epsilon"]
+        assert list(payload) == [
+            "chi", "z", "iterations", "method", "epsilon", "oracle_s"
+        ]
+        assert payload["oracle_s"] >= 0.0
         assert abs(payload["chi"] - CHI_EXAMPLE) < 1e-4
 
     def test_oracle_method_default_eps(self, tmp_path, capsys):

@@ -9,7 +9,6 @@ from crawford import ellipsoid
 from crawford.ellipsoid import (
     BlockDiagSymmetric,
     EllipsoidCapExceeded,
-    _min_eig_2x2,
     _shrink,
     build_chart,
     certified_ball,
@@ -86,6 +85,29 @@ class TestCertifiedBall:
         inst, _ = make(EXAMPLE)
         with pytest.raises(ValueError):
             certified_ball(inst, IDENTITY2)
+
+    @pytest.mark.parametrize("k", range(4))
+    def test_shifted_tail_rhs_rejected(self, k):
+        inst, _ = make(EXAMPLE)
+        tails = list(inst.tails)
+        f, b = tails[k]
+        tails[k] = (f, b + Fraction(1, inst.n))
+        with pytest.raises(ValueError, match="tail"):
+            certified_ball(dataclasses.replace(inst, tails=tuple(tails)), EXAMPLE)
+
+    def test_changed_ahat_entry_rejected(self):
+        # F_{N+1} holds -Ahat; G = diag(I/n, S, 1) meets its diagonal
+        inst, _ = make(EXAMPLE)
+        f, b = inst.tails[0]
+        y = f.y.copy()
+        y[0, 0] -= 1
+        tails = ((dataclasses.replace(f, y=y), b),) + inst.tails[1:]
+        with pytest.raises(ValueError, match="tail"):
+            certified_ball(dataclasses.replace(inst, tails=tails), EXAMPLE)
+        ahat = inst.ahat.copy()
+        ahat[1, 1] += 1
+        with pytest.raises(ValueError, match="not built from this matrix"):
+            certified_ball(dataclasses.replace(inst, ahat=ahat), EXAMPLE)
 
 
 class TestChart:
@@ -287,25 +309,50 @@ def assert_cut_separates(inst, chart, zc, cut, rng):
             assert cut.normal @ (x - zc) <= -cut.depth
 
 
-class TestMinEig2x2:
-    def test_tiny_offdiagonal_with_larger_first_entry(self):
-        # lam - c cancels to round-off here; the eigenvector must still
-        # attain the smallest eigenvalue
-        t = np.array([[4.0, 1e-17], [1e-17, -0.39]])
-        lam, v = _min_eig_2x2(t)
-        assert lam == pytest.approx(-0.39)
-        assert np.linalg.norm(v) == pytest.approx(1.0)
-        assert v @ t @ v == pytest.approx(lam, abs=1e-12)
+class TestModulusCut:
+    """The 2x2 block's cut at centres with r < |w(X)|, where that block
+    is the most violated one."""
 
-    def test_matches_eigh(self):
-        rng = np.random.default_rng(41)
-        for _ in range(200):
-            a, c = rng.standard_normal(2) * 5.0
-            b = rng.standard_normal() * 10.0 ** rng.integers(-18, 2)
-            t = np.array([[a, b], [b, c]])
-            lam, v = _min_eig_2x2(t)
-            assert lam == pytest.approx(np.linalg.eigvalsh(t)[0], abs=1e-12)
-            assert v @ t @ v == pytest.approx(lam, abs=1e-12)
+    @pytest.mark.parametrize(
+        "mat",
+        [
+            EXAMPLE,
+            # B = 0: b = 0 exactly
+            ComplexMatrix([[gr(3), gr(1)], [gr(1), gr(1)]]),
+            # B = diag(1e-18, 0): |b| <= 1e-17 |a|
+            ComplexMatrix([[gr(3, Fraction(1, 10**18)), gr(0)], [gr(0), gr(1)]]),
+        ],
+        ids=["example", "b_zero", "b_tiny"],
+    )
+    def test_cut_keeps_feasible_points_and_is_the_gradient(self, mat):
+        inst, _ = make(mat)
+        chart = build_chart(inst)
+        rng = np.random.default_rng(29)
+
+        def lam_t(u):
+            return float(np.linalg.eigvalsh(chart.point(u).uv)[0])
+
+        for _ in range(4):
+            # ||X - I/n||_F <= ||u_x|| / sqrt(2) < 1/n keeps X PD
+            u = rng.standard_normal(chart.dim)
+            u[:-1] *= 0.5 / (chart.n * np.linalg.norm(u[:-1]))
+            a, b = inst.pencil_values(chart.density(u))
+            m = math.hypot(a, b)
+            if mat is not EXAMPLE:
+                assert abs(b) <= 1e-17 * abs(a)
+            # r = |w(X)| / 2
+            u[-1] = (0.5 * m - inst.frob_ceiling - 1.0) * math.sqrt(3.0)
+            assert chart.modulus(u) < m
+            cut = separation_oracle(chart, u, math.inf)
+            assert cut.kind == "feasibility"
+            assert cut.min_eig == pytest.approx(chart.modulus(u) - m, abs=1e-12)
+            h = 1e-6
+            grad = np.array([
+                (lam_t(u + h * e) - lam_t(u - h * e)) / (2.0 * h)
+                for e in np.eye(chart.dim)
+            ])
+            assert np.allclose(cut.normal, -grad, atol=1e-6)
+            assert_cut_separates(inst, chart, u, cut, rng)
 
 
 class TestDeepCutUpdate:

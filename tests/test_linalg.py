@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crawford.ellipsoid import certified_ball
 from crawford.linalg import (
     ComplexMatrix,
     GaussianRational,
@@ -13,6 +14,7 @@ from crawford.linalg import (
     hat_embed,
     hermitian_split,
 )
+from crawford.sdp import build_instance
 from helpers import (
     COPRIME_DENOMINATORS,
     EXAMPLE,
@@ -31,6 +33,33 @@ def small_matrix(n):
     return st.lists(
         st.lists(gaussians, min_size=n, max_size=n), min_size=n, max_size=n
     ).map(ComplexMatrix)
+
+
+# entries a/p + (b/q) i with p, q drawn from pairwise coprime denominators
+coprime_rationals = st.builds(
+    Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 3, 5, 7])
+)
+coprime_matrices = st.integers(1, 5).flatmap(
+    lambda n: st.lists(
+        st.lists(
+            st.builds(GaussianRational, coprime_rationals, coprime_rationals),
+            min_size=n,
+            max_size=n,
+        ),
+        min_size=n,
+        max_size=n,
+    ).map(ComplexMatrix)
+)
+
+
+def reference_hat(h: ComplexMatrix) -> np.ndarray:
+    re = np.array([[x.re for x in row] for row in h.entries], dtype=object)
+    im = np.array([[x.im for x in row] for row in h.entries], dtype=object)
+    return np.block([[re, -im], [im, re]])
+
+
+def all_fractions(arr) -> bool:
+    return all(isinstance(v, Fraction) for v in np.asarray(arr).flat)
 
 
 class TestGaussianRational:
@@ -79,6 +108,44 @@ class TestHermitianSplit:
         assert pen.a.is_hermitian() and pen.b.is_hermitian()
         recon = pen.a + pen.b.scale(GaussianRational(0, 1))
         assert recon == c
+
+
+class TestExactSetupMatchesReference:
+    """The one-pass split, build_instance and certified_ball against a
+    reference made from ComplexMatrix operations and dense inner products."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(coprime_matrices)
+    def test_split_instance_and_ball(self, c):
+        cint, l = clear_denominators(c)
+        assert cint == c.scale(l)
+        for m in (c, cint):
+            adj = m.adjoint()
+            a_ref = (m + adj).scale(Fraction(1, 2))
+            b_ref = (m - adj).scale(GaussianRational(0, Fraction(-1, 2)))
+            pen = hermitian_split(m)
+            assert pen.a == a_ref and pen.b == b_ref
+            for hat, ref in ((pen.ahat, a_ref), (pen.bhat, b_ref)):
+                assert all_fractions(hat)
+                assert np.array_equal(hat, reference_hat(ref))
+            if m.is_zero():
+                continue
+            k = frobenius_ceiling(m)
+            inst = build_instance(pen, k)
+            tails = [f for f, _ in inst.tails]
+            assert np.array_equal(tails[0].y, -reference_hat(a_ref))
+            assert np.array_equal(tails[1].y, -reference_hat(b_ref))
+            assert all(all_fractions(f.y) and all_fractions(f.uv) for f in tails)
+            assert [b for _, b in inst.tails] == [0, 0, 2, 2 * (k + 2)]
+            ball = certified_ball(inst, m)
+            tr = m.trace()
+            x, y = tr.re / m.n, tr.im / m.n
+            assert ball.trace_center == (x, y)
+            assert np.array_equal(
+                ball.s_block, np.array([[k + 1 + x, y], [y, k + 1 - x]], dtype=object)
+            )
+            for f, b in inst.tails:
+                assert f.inner(ball.center) == b
 
 
 class TestHatEmbed:
@@ -179,7 +246,7 @@ class TestClearDenominators:
     def test_integer_passthrough(self):
         c = ComplexMatrix([[gr(2), gr(0, -3)], [gr(1), gr(4)]])
         cint, l = clear_denominators(c)
-        assert l == 1 and cint == c
+        assert l == 1 and cint is c
 
     def test_mixed(self):
         c = ComplexMatrix(
