@@ -19,15 +19,10 @@ import time
 
 import numpy as np
 
+from crawford.api import sdp_instance
 from crawford.ellipsoid import certified_ball, solve
-from crawford.linalg import (
-    ComplexMatrix,
-    GaussianRational,
-    frobenius_ceiling,
-    hermitian_split,
-)
+from crawford.linalg import ComplexMatrix, GaussianRational, frobenius_ceiling
 from crawford.oracle import chi_oracle
-from crawford.sdp import build_instance
 
 
 def random_matrix(rng: np.random.Generator, n: int, lo: int, hi: int) -> ComplexMatrix:
@@ -67,10 +62,11 @@ def main() -> None:
             if c.is_zero():
                 continue
             mat = c.translate(GaussianRational(frobenius_ceiling(c) + 1, 0))
-            inst = build_instance(hermitian_split(mat), frobenius_ceiling(mat))
+            # mat has integer entries, so l = 1
+            inst, mat, _ = sdp_instance(mat)
             ball = certified_ball(inst, mat)
             t0 = time.time()
-            res = solve(inst, ball, args.eps)
+            res = solve(ball, args.eps)
             dt = time.time() - t0
             model = n**4 * math.log(n + 1.0)
             line = (

@@ -50,11 +50,20 @@ class CrawfordResult:
     method_used: Method
     solver_stats: dict
     scale_factor: int
+    ball: Optional[ellipsoid.CertifiedBall]  # SDP route only, with its chart
 
 
 def numerical_radius_upper(c: ComplexMatrix) -> float:
     """||C||_F, an upper bound for the numerical radius and hence for chi."""
     return math.sqrt(float(c.frobenius_sq()))
+
+
+def sdp_instance(t: ComplexMatrix):
+    """The exact SDP instance for l*t, t with its denominators cleared:
+    (instance, l*t, l).  Its optimum is l chi(0, t)."""
+    cint, scale = clear_denominators(t)
+    inst = sdp.build_instance(hermitian_split(cint), frobenius_ceiling(cint))
+    return inst, cint, scale
 
 
 def crawford(query: CrawfordQuery) -> CrawfordResult:
@@ -67,9 +76,9 @@ def crawford(query: CrawfordQuery) -> CrawfordResult:
     and discrepancy in solver_stats.
 
     solver_stats carries perf_counter phase timings in seconds: setup_s
-    (translation through the certified ball) and solve_s (the ellipsoid
-    run) on the SDP route, oracle_s (the support search and witness) on
-    the oracle route; BOTH carries all three.
+    (translation through the certified ball and its chart) and solve_s
+    (the ellipsoid loop) on the SDP route, oracle_s (the support search
+    and witness) on the oracle route; BOTH carries all three.
     """
     t_start = time.perf_counter()
     t_mat = query.matrix.translate(query.center)
@@ -86,6 +95,7 @@ def crawford(query: CrawfordQuery) -> CrawfordResult:
             method_used=query.method,
             solver_stats={"short_circuit": "zero matrix", "iterations": 0},
             scale_factor=1,
+            ball=None,
         )
 
     stats: dict = {}
@@ -93,14 +103,13 @@ def crawford(query: CrawfordQuery) -> CrawfordResult:
     nearest = None
     witness = None
     scale = 1
+    ball = None
 
     if query.method in (Method.SDP_ELLIPSOID, Method.BOTH):
-        cint, scale = clear_denominators(t_mat)
-        pencil = hermitian_split(cint)
-        inst = sdp.build_instance(pencil, frobenius_ceiling(cint))
+        inst, cint, scale = sdp_instance(t_mat)
         ball = ellipsoid.certified_ball(inst, cint)
         t_setup = time.perf_counter()
-        res = ellipsoid.solve(inst, ball, eps * scale)
+        res = ellipsoid.solve(ball, eps * scale)
         t_solve = time.perf_counter()
         chi_val = res.value / scale
         u, w, v = res.Z.uv[0, 0], res.Z.uv[1, 1], res.Z.uv[0, 1]
@@ -160,6 +169,7 @@ def crawford(query: CrawfordQuery) -> CrawfordResult:
         method_used=query.method,
         solver_stats=stats,
         scale_factor=scale,
+        ball=ball,
     )
 
 

@@ -24,16 +24,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import ellipsoid, oracle, sdp
-from .api import CrawfordQuery, Method, crawford
+from . import oracle, sdp
+from .api import CrawfordQuery, Method, crawford, sdp_instance
 from .ellipsoid import EllipsoidCapExceeded
-from .linalg import (
-    ComplexMatrix,
-    GaussianRational,
-    clear_denominators,
-    frobenius_ceiling,
-    hermitian_split,
-)
+from .linalg import ComplexMatrix, GaussianRational
+# unused here; perfbench/tracing.py patches these names on this module
+from .linalg import clear_denominators, frobenius_ceiling, hermitian_split  # noqa: F401
 
 
 class MatrixParseError(ValueError):
@@ -89,10 +85,15 @@ def load_matrix(path) -> ComplexMatrix:
         raise MatrixParseError(f'{path}: need an object with "n" and "entries"')
     n = doc["n"]
     rows = doc["entries"]
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise MatrixParseError(f"{path}: n must be a positive integer")
-    if len(rows) != n or any(len(r) != n for r in rows):
-        raise MatrixParseError(f"{path}: entries must be {n}x{n}")
+    if not (
+        isinstance(rows, list)
+        and len(rows) == n
+        and all(isinstance(r, list) and len(r) == n for r in rows)
+        and all(isinstance(x, str) for r in rows for x in r)
+    ):
+        raise MatrixParseError(f"{path}: entries must be {n} lists of {n} strings")
     try:
         return ComplexMatrix([[parse_gaussian(x) for x in row] for row in rows])
     except MatrixParseError as e:
@@ -189,19 +190,11 @@ def cmd_chi(matrix_path, config: RunConfig) -> int:
     return 0
 
 
-def _instance_for(c: ComplexMatrix, config: RunConfig):
-    t = c.translate(config.center_value())
+def cmd_export(matrix_path, config: RunConfig, out_path) -> int:
+    t = load_matrix(matrix_path).translate(config.center_value())
     if t.is_zero():
         raise MatrixParseError("matrix is zero after translation; chi = 0, nothing to export")
-    cint, scale = clear_denominators(t)
-    pencil = hermitian_split(cint)
-    inst = sdp.build_instance(pencil, frobenius_ceiling(cint))
-    return inst, cint, scale
-
-
-def cmd_export(matrix_path, config: RunConfig, out_path) -> int:
-    c = load_matrix(matrix_path)
-    inst, _, scale = _instance_for(c, config)
+    inst, _, scale = sdp_instance(t)
     sdp.export_sdpa(inst, out_path)
     bs = inst.block_sizes
     b_last = [float(b) for _, b in inst.tails[-2:]]
@@ -255,10 +248,9 @@ def cmd_verify(matrix_path, config: RunConfig) -> int:
         print("oracle value = (zero matrix short circuit)")
 
     t = c.translate(center)
-    if not t.is_zero():
-        inst, cint, scale = _instance_for(c, config)
-        ball = ellipsoid.certified_ball(inst, cint)
-        chart = ellipsoid.build_chart(inst)
+    ball = result.ball                  # None only on the zero short circuit
+    if ball is not None:
+        chart = ball.chart
         rng = np.random.default_rng(config.seed)
         r_in = float(ball.inner_r)
         worst = math.inf

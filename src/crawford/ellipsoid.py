@@ -139,10 +139,10 @@ class CertifiedBall:
     feasible, and the whole feasible set lies within outer_R of G."""
 
     center: BlockDiagSymmetric          # exact G = diag((1/n) I, S, 1)
-    s_block: np.ndarray                 # exact 2x2 S
     inner_r: Fraction                   # 1/n
     outer_R: Fraction                   # 12 + 4 frob_ceiling
     trace_center: tuple                 # (x, y) = (1/n) tr C, exact
+    chart: AffineChart                  # the radii's chart, u = 0 at G
 
 
 @dataclass(frozen=True)
@@ -243,7 +243,7 @@ def _ball_center(inst: SdpInstance) -> BlockDiagSymmetric:
 
 def certified_ball(inst: SdpInstance, c_matrix: ComplexMatrix) -> CertifiedBall:
     """The explicit ball data: G strictly feasible, inner radius 1/n
-    inside the affine subspace, outer radius 12 + 4*frob_ceiling.
+    inside the affine subspace, outer radius 12 + 4*frob_ceiling, in its chart.
 
     Every check is exact.  G's big block is diagonal, (1/n) I, so <F, G>
     reads only the diagonal of F's big block."""
@@ -265,10 +265,10 @@ def certified_ball(inst: SdpInstance, c_matrix: ComplexMatrix) -> CertifiedBall:
             raise ValueError("the ball center violates a tail constraint")
     return CertifiedBall(
         center=g,
-        s_block=s,
         inner_r=Fraction(1, n),
         outer_R=Fraction(12 + 4 * inst.frob_ceiling),
         trace_center=(x, y),
+        chart=build_chart(inst),
     )
 
 
@@ -427,19 +427,19 @@ def _shrink(z: np.ndarray, p_mat: np.ndarray, b: np.ndarray, alpha: float) -> No
 
 
 def solve(
-    inst: SdpInstance,
     ball: CertifiedBall,
     eps: float,
     record: Optional[list] = None,
 ) -> SolveResult:
-    """Minimize <F_0, Z> over the feasible region to certified accuracy eps.
+    """Minimize <F_0, Z> over the ball's instance to certified accuracy eps.
 
     Deterministic.  `record`, if given, collects best_cert each time it
     falls, so its values decrease.
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    chart = build_chart(inst)
+    chart = ball.chart
+    inst = chart.inst
     d = chart.dim
     p_mat = chart.initial_shape.copy()
     half_logdet = 0.5 * np.linalg.slogdet(p_mat)[1]

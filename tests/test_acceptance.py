@@ -196,7 +196,7 @@ def test_criterion_05_certified_ball(report):
             )
             worst_dir = min(worst_dir, lam)
             ok &= lam >= -1e-9
-        res = solve(inst, ball, 1e-3)
+        res = solve(ball, 1e-3)
         ok &= res.max_feasible_distance <= float(ball.outer_R) + 1e-6
         details.append(f"n={n} dir_min={worst_dir:.1e}")
     assert report(
@@ -364,7 +364,7 @@ def test_scaling_report_not_gated(capsys):
             inst = build_instance(hermitian_split(c), frobenius_ceiling(c))
             ball = certified_ball(inst, c)
             t0 = time.time()
-            res = solve(inst, ball, eps)
+            res = solve(ball, eps)
             dt = time.time() - t0
             ratio = res.iterations / (n**4 * math.log(n + 1.0))
             rows[family].append((n, centre, res.iterations, ratio, dt))

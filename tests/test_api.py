@@ -12,6 +12,7 @@ from crawford.api import (
     crawford,
     crawford_number,
     numerical_radius_upper,
+    sdp_instance,
 )
 from crawford.linalg import ComplexMatrix, GaussianRational, hermitian_split
 from crawford.oracle import support_search
@@ -210,6 +211,33 @@ class TestStatsAndValidation:
     def test_shorthand(self):
         val = crawford_number(EXAMPLE, epsilon=EPS)
         assert val == pytest.approx(CHI_EXAMPLE, abs=EPS)
+
+
+class TestSetUp:
+    def test_sdp_instance_clears_denominators(self):
+        inst, cint, scale = sdp_instance(COPRIME_DENOMINATORS)
+        assert scale == 21
+        assert cint == COPRIME_DENOMINATORS.scale(gr(21))
+        assert inst.n == 3
+
+    @pytest.mark.parametrize("method", [Method.SDP_ELLIPSOID, Method.BOTH])
+    def test_ball_charts_the_solved_instance(self, method):
+        res = run(COPRIME_DENOMINATORS, center=gr(4, 1), method=method)
+        assert res.scale_factor == 21
+        chart = res.ball.chart
+        assert chart.inst.n == 3
+        value = math.hypot(*chart.inst.pencil_values(res.witness_X))
+        assert value == pytest.approx(res.chi * res.scale_factor, rel=1e-12)
+
+    def test_no_ball_on_the_oracle_route(self):
+        res = run(EXAMPLE_TILDE, center=EXAMPLE_CENTER, method=Method.ORACLE_SWEEP)
+        assert res.ball is None
+
+    @pytest.mark.parametrize("method", list(Method))
+    def test_no_ball_for_the_zero_short_circuit(self, method):
+        res = run(identity(2), center=gr(1), method=method)
+        assert res.solver_stats["short_circuit"] == "zero matrix"
+        assert res.ball is None
 
 
 class TestRadiusBound:

@@ -41,6 +41,18 @@ PARSE_CASES = [
 ]
 
 
+# each was once accepted or crashed with a non-parse error
+MALFORMED_FILES = [
+    '{"n": 2, "entries": ["12", "34"]}',
+    '{"n": 2, "entries": [[1, 2], [3, 4]]}',
+    '{"n": 1, "entries": 5}',
+    '{"n": 1, "entries": "1"}',
+    '{"n": 1, "entries": [[null]]}',
+    '{"n": true, "entries": [["1"]]}',
+    '{"n": 1.0, "entries": [["1"]]}',
+]
+
+
 class TestParseGaussian:
     @pytest.mark.parametrize("text,want", PARSE_CASES)
     def test_corpus(self, text, want):
@@ -88,6 +100,13 @@ class TestMatrixFiles:
     def test_bad_json(self, tmp_path):
         p = tmp_path / "nope.json"
         p.write_text("{")
+        with pytest.raises(MatrixParseError):
+            load_matrix(p)
+
+    @pytest.mark.parametrize("text", MALFORMED_FILES)
+    def test_malformed_file(self, tmp_path, text):
+        p = tmp_path / "bad.json"
+        p.write_text(text)
         with pytest.raises(MatrixParseError):
             load_matrix(p)
 
@@ -188,6 +207,12 @@ class TestExitCodes:
     def test_parse_error(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
         p.write_text('{"n": 1, "entries": [["wat"]]}')
+        assert main(["chi", str(p)]) == 2
+
+    @pytest.mark.parametrize("text", MALFORMED_FILES)
+    def test_malformed_file(self, tmp_path, capsys, text):
+        p = tmp_path / "bad.json"
+        p.write_text(text)
         assert main(["chi", str(p)]) == 2
 
     def test_bad_center(self, tmp_path, capsys):
@@ -313,6 +338,31 @@ class TestCmdVerify:
         assert len(seen) == 1
         assert code == 5
         assert "rotation_identity: FAIL" in out
+
+    def test_one_set_up_and_one_chart_per_solve(self, tmp_path, capsys, monkeypatch):
+        # verify solves three queries (the given one, its rotation and its
+        # double), and its inner-ball check reads the first one's ball
+        from crawford import ellipsoid, sdp
+
+        calls = {"build_instance": 0, "build_chart": 0}
+
+        def count(module, name):
+            fn = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        count(sdp, "build_instance")
+        count(ellipsoid, "build_chart")
+        p = write_matrix(tmp_path / "c.json", EXAMPLE_TILDE)
+        code = main(["verify", p, "--center=-3-i", "--eps", "1e-4"])
+        out = capsys.readouterr().out
+        assert code == 0, out
+        assert "inner_ball: PASS" in out
+        assert calls == {"build_instance": 3, "build_chart": 3}
 
     def test_seeded_random_passes(self, tmp_path, capsys):
         import numpy as np

@@ -53,7 +53,7 @@ class TestCertifiedBall:
         assert ball.outer_R == 40
         assert ball.trace_center == (3, 1)
         assert np.array_equal(
-            ball.s_block.astype(float), np.array([[11.0, 1.0], [1.0, 5.0]])
+            ball.center.uv.astype(float), np.array([[11.0, 1.0], [1.0, 5.0]])
         )
         g = ball.center
         assert np.array_equal(g.y.astype(float), 0.5 * np.eye(4))
@@ -64,7 +64,7 @@ class TestCertifiedBall:
         assert ball.inner_r == Fraction(1, 2)
         assert ball.outer_R == 20
         assert np.array_equal(
-            ball.s_block.astype(float), np.array([[4.0, 0.0], [0.0, 2.0]])
+            ball.center.uv.astype(float), np.array([[4.0, 0.0], [0.0, 2.0]])
         )
 
     def test_trace_identities_exact(self):
@@ -78,7 +78,7 @@ class TestCertifiedBall:
     def test_s_minus_identity_psd(self):
         for mat in (EXAMPLE, IDENTITY2, DIAG_PM):
             _, ball = make(mat)
-            s = ball.s_block.astype(float) - np.eye(2)
+            s = ball.center.uv.astype(float) - np.eye(2)
             assert np.linalg.eigvalsh(s)[0] >= 0.0
 
     def test_wrong_matrix_rejected(self):
@@ -229,7 +229,7 @@ class TestInitialEllipsoid:
 
     def test_cap_from_log_det(self, charted):
         for inst, ball, chart, _ in charted:
-            res = solve(inst, ball, 1e-3)
+            res = solve(ball, 1e-3)
             d = chart.dim
             f0n = max(1.0, math.sqrt(inst.f0.inner(inst.f0)))
             r_in = float(ball.inner_r)
@@ -409,7 +409,7 @@ class TestDeepCutUpdate:
 
         monkeypatch.setattr(ellipsoid, "separation_oracle", deep_after_first_feasible)
         rec = []
-        res = solve(inst, ball, 1e-4, record=rec)
+        res = solve(ball, 1e-4, record=rec)
         assert res.iterations == 2
         assert len(rec) == 1
         assert res.lower_bound == rec[0]
@@ -424,7 +424,7 @@ class TestDeepCutUpdate:
 
         monkeypatch.setattr(ellipsoid, "separation_oracle", always_deep)
         with pytest.raises(EllipsoidCapExceeded) as info:
-            solve(inst, ball, 1e-4)
+            solve(ball, 1e-4)
         assert info.value.iterations == 1
         assert info.value.lower_bound == 0.0
 
@@ -442,24 +442,24 @@ class TestPsdTraceBound:
 class TestSolve:
     def test_reference_example_value(self):
         inst, ball = make(EXAMPLE)
-        res = solve(inst, ball, 1e-4)
+        res = solve(ball, 1e-4)
         assert 1.9225 <= res.value <= 1.9235
         assert CHI_EXAMPLE <= res.value <= CHI_EXAMPLE + 1e-4
 
     def test_identity(self):
         inst, ball = make(IDENTITY2)
-        res = solve(inst, ball, 1e-4)
+        res = solve(ball, 1e-4)
         assert 1.0 - 1e-9 <= res.value <= 1.0 + 1e-4
 
     def test_indefinite_diagonal_reaches_zero(self):
         inst, ball = make(DIAG_PM)
-        res = solve(inst, ball, 1e-4)
+        res = solve(ball, 1e-4)
         assert 0.0 <= res.value <= 1e-4
 
     def test_deterministic(self):
         inst, ball = make(EXAMPLE)
-        r1 = solve(inst, ball, 1e-4)
-        r2 = solve(inst, ball, 1e-4)
+        r1 = solve(ball, 1e-4)
+        r2 = solve(ball, 1e-4)
         assert r1.value == r2.value
         assert r1.iterations == r2.iterations
         assert r1.cuts_feasibility == r2.cuts_feasibility
@@ -467,13 +467,13 @@ class TestSolve:
     def test_accepted_values_monotone(self):
         inst, ball = make(EXAMPLE)
         rec = []
-        solve(inst, ball, 1e-4, record=rec)
+        solve(ball, 1e-4, record=rec)
         assert len(rec) >= 1
         assert all(b <= a + 1e-15 for a, b in zip(rec, rec[1:]))
 
     def test_result_invariants(self):
         inst, ball = make(EXAMPLE)
-        res = solve(inst, ball, 1e-4)
+        res = solve(ball, 1e-4)
         z = res.Z
         tol = 1e-9 * float(ball.outer_R)
         assert np.linalg.eigvalsh(0.5 * (z.y + z.y.T))[0] >= -tol
@@ -492,7 +492,7 @@ class TestSolve:
 
     def test_lower_bound_below_truth(self):
         inst, ball = make(EXAMPLE)
-        res = solve(inst, ball, 1e-4)
+        res = solve(ball, 1e-4)
         assert res.lower_bound <= CHI_EXAMPLE + 1e-12
 
     @pytest.mark.parametrize("n", range(2, 6))
@@ -503,7 +503,7 @@ class TestSolve:
             # chi >= 1 about the centre ceil(||C||_F) + 1
             mat = c.translate(gr(frobenius_ceiling(c) + 1))
             inst, ball = make(mat)
-            res = solve(inst, ball, 1e-4)
+            res = solve(ball, 1e-4)
             # the oracle's best evaluation sits near the top of a smooth
             # maximum: its error is second order in the final arc width
             chi = support_search(mat, 1e-6).chi
@@ -529,13 +529,13 @@ class TestSolve:
 
     def test_outer_ball_bound(self):
         inst, ball = make(EXAMPLE)
-        res = solve(inst, ball, 1e-4)
+        res = solve(ball, 1e-4)
         assert res.max_feasible_distance <= float(ball.outer_R) + 1e-6
 
     def test_rejects_nonpositive_eps(self):
         inst, ball = make(EXAMPLE)
         with pytest.raises(ValueError):
-            solve(inst, ball, 0.0)
+            solve(ball, 0.0)
 
     def test_cap_diagnostic_carries_state(self):
         inst, ball = make(EXAMPLE)
@@ -680,7 +680,7 @@ class TestHullCertificate:
         for eps in (1e-3, 1e-6):
             mat = inside_matrix(rng, n)
             inst, ball = make(mat)
-            res = solve(inst, ball, eps)
+            res = solve(ball, eps)
             assert res.value <= eps
             assert res.lower_bound == 0.0
             assert np.linalg.eigvalsh(res.X)[0] >= -1e-12
@@ -704,7 +704,7 @@ class TestHullCertificate:
             )
             mat = c.translate(centre)
             inst, ball = make(mat)
-            res = solve(inst, ball, 1e-4)
+            res = solve(ball, 1e-4)
             chi = support_search(mat, 1e-7).chi
             assert chi >= 0.009
             assert res.lower_bound <= chi + 1e-9 <= res.value + 1e-9
@@ -726,5 +726,5 @@ class TestHullCertificate:
         for n in (2, 3, 4):
             repaired.clear()
             inst, ball = make(inside_matrix(rng, n))
-            res = solve(inst, ball, 1e-4)
+            res = solve(ball, 1e-4)
             assert any(x is res.X for x in repaired)

@@ -142,7 +142,7 @@ class TestExactSetupMatchesReference:
             x, y = tr.re / m.n, tr.im / m.n
             assert ball.trace_center == (x, y)
             assert np.array_equal(
-                ball.s_block, np.array([[k + 1 + x, y], [y, k + 1 - x]], dtype=object)
+                ball.center.uv, np.array([[k + 1 + x, y], [y, k + 1 - x]], dtype=object)
             )
             for f, b in inst.tails:
                 assert f.inner(ball.center) == b
