@@ -45,7 +45,9 @@ from .sdp import (
     SdpInstance,
     annihilators,
     build_instance,
+    constraints,
     export_sdpa,
+    objective,
     read_sdpa,
 )
 
@@ -70,6 +72,7 @@ __all__ = [
     "certified_ball",
     "chi_oracle",
     "clear_denominators",
+    "constraints",
     "crawford",
     "crawford_number",
     "export_sdpa",
@@ -77,6 +80,7 @@ __all__ = [
     "hat_embed",
     "hermitian_split",
     "numerical_radius_upper",
+    "objective",
     "read_sdpa",
     "sample_boundary",
     "separation_oracle",

@@ -112,8 +112,7 @@ def crawford(query: CrawfordQuery) -> CrawfordResult:
         res = ellipsoid.solve(ball, eps * scale)
         t_solve = time.perf_counter()
         chi_val = res.value / scale
-        u, w, v = res.Z.uv[0, 0], res.Z.uv[1, 1], res.Z.uv[0, 1]
-        nearest = complex(0.5 * (u - w), v) / scale
+        nearest = complex(*inst.pencil_values(res.X)) / scale
         witness = res.X
         stats.update(
             iterations=res.iterations,

@@ -26,7 +26,6 @@ import numpy as np
 
 from . import oracle, sdp
 from .api import CrawfordQuery, Method, crawford, sdp_instance
-from .ellipsoid import EllipsoidCapExceeded
 from .linalg import ComplexMatrix, GaussianRational
 # unused here; perfbench/tracing.py patches these names on this module
 from .linalg import clear_denominators, frobenius_ceiling, hermitian_split  # noqa: F401
@@ -197,7 +196,7 @@ def cmd_export(matrix_path, config: RunConfig, out_path) -> int:
     inst, _, scale = sdp_instance(t)
     sdp.export_sdpa(inst, out_path)
     bs = inst.block_sizes
-    b_last = [float(b) for _, b in inst.tails[-2:]]
+    b_last = [float(b) for _, b in sdp.constraints(inst)[-2:]]
     print(f"wrote {out_path}")
     print(f"N = {inst.N}, mDIM = {inst.m}, blocks = {bs[0]} {bs[1]} {bs[2]}")
     print(f"b: {inst.m - 2} zeros then {b_last[0]:g} {b_last[1]:g}")
@@ -357,7 +356,8 @@ def main(argv=None) -> int:
     except (MatrixParseError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except EllipsoidCapExceeded as e:
+    except RuntimeError as e:
+        # EllipsoidCapExceeded, ChartError and crawford's bound check
         print(f"solver error: {e}", file=sys.stderr)
         return 3
     except OSError as e:

@@ -104,6 +104,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import sdp
 from .linalg import ComplexMatrix, exact_dot, exact_sum
 from .sdp import BlockDiagSymmetric, SdpInstance, assemble_feasible_point
 
@@ -141,7 +142,6 @@ class CertifiedBall:
     center: BlockDiagSymmetric          # exact G = diag((1/n) I, S, 1)
     inner_r: Fraction                   # 1/n
     outer_R: Fraction                   # 12 + 4 frob_ceiling
-    trace_center: tuple                 # (x, y) = (1/n) tr C, exact
     chart: AffineChart                  # the radii's chart, u = 0 at G
 
 
@@ -213,7 +213,6 @@ class Cut:
 class SolveResult:
     value: float
     X: np.ndarray                       # repaired density matrix, the witness
-    Z: BlockDiagSymmetric               # Z(X, value)
     iterations: int
     cap: int                            # iteration cap of the volume bound
     cuts_feasibility: int
@@ -226,8 +225,8 @@ class SolveResult:
 def _ball_center(inst: SdpInstance) -> BlockDiagSymmetric:
     """Exact G = diag((1/n) I_{2n}, S, 1) recovered from instance data.
 
-    tr Ahat = -tr(F_{N+1} big block) and similarly for Bhat, so the
-    (x, y) entering S need no access to the original matrix.
+    (x, y) = (1/n) tr C = (tr Ahat, tr Bhat) / 2n, so S needs no access to
+    the original matrix.
     """
     n = inst.n
     c = inst.frob_ceiling
@@ -245,8 +244,9 @@ def certified_ball(inst: SdpInstance, c_matrix: ComplexMatrix) -> CertifiedBall:
     """The explicit ball data: G strictly feasible, inner radius 1/n
     inside the affine subspace, outer radius 12 + 4*frob_ceiling, in its chart.
 
-    Every check is exact.  G's big block is diagonal, (1/n) I, so <F, G>
-    reads only the diagonal of F's big block."""
+    Every check is exact.  G satisfies all N + 4 constraints of
+    `sdp.constraints`; its big block is diagonal, (1/n) I, so <F, G>
+    reads only the entries of F on G's support."""
     n = inst.n
     g = _ball_center(inst)
     tr = c_matrix.trace()
@@ -258,16 +258,21 @@ def certified_ball(inst: SdpInstance, c_matrix: ComplexMatrix) -> CertifiedBall:
     c = Fraction(inst.frob_ceiling)
     if not (c + x >= 0 and c - x >= 0 and (c + x) * (c - x) - y * y >= 0):
         raise ValueError("S - I is not PSD; the ball center is not interior")
-    # G satisfies every equality constraint
-    g_support = (*g.y.diagonal(), *s.flat, g.t)
-    for f, b in inst.tails:
-        if exact_dot((*f.y.diagonal(), *f.uv.flat, f.t), g_support) != b:
-            raise ValueError("the ball center violates a tail constraint")
+    # G satisfies every equality constraint; an off-diagonal entry of the
+    # upper triangle counts twice in <F, G>
+    k = 2 * n
+    support = {(i, i): g.y[i, i] for i in range(k)}
+    support.update(
+        {(k, k): s[0, 0], (k, k + 1): 2 * s[0, 1], (k + 1, k + 1): s[1, 1], (k + 2, k + 2): g.t}
+    )
+    for num, (f, b) in enumerate(sdp.constraints(inst), start=1):
+        on = [(v, support[i, j]) for i, j, v in f if (i, j) in support]
+        if (exact_dot(*zip(*on)) if on else 0) != b:
+            raise ValueError(f"the ball center violates constraint F_{num}")
     return CertifiedBall(
         center=g,
         inner_r=Fraction(1, n),
         outer_R=Fraction(12 + 4 * inst.frob_ceiling),
-        trace_center=(x, y),
         chart=build_chart(inst),
     )
 
@@ -370,8 +375,8 @@ def repair_point(inst: SdpInstance, dens):
     r = |<A,X> + i<B,X>|: Z(X, r) is feasible, and its objective r is a
     true numerical-range modulus, hence an upper bound on the optimum
     however rough X was.  `dens` is X, or its eigendecomposition
-    `np.linalg.eigh(X)` when that is already at hand.  Returns r and the
-    repaired X.
+    `np.linalg.eigh(X)` when that is already at hand.  Returns
+    w = <A,X> + i<B,X>, whose modulus is r, and the repaired X.
     """
     w, q = dens if isinstance(dens, tuple) else np.linalg.eigh(dens)
     w = np.maximum(w, 0.0)
@@ -379,7 +384,7 @@ def repair_point(inst: SdpInstance, dens):
     if tr <= 1e-6:
         raise ChartError("repair collapsed the trace; point was garbage")
     x = (q * (w / tr)) @ q.conj().T
-    return math.hypot(*inst.pencil_values(x)), x
+    return complex(*inst.pencil_values(x)), x
 
 
 def nearest_point_weights(w) -> list:
@@ -461,14 +466,10 @@ def solve(
     n_feas = n_obj = 0
     max_dist = 0.0
 
-    def with_w(x):
-        return complex(*inst.pencil_values(x)), x
-
     def result(it):
         return SolveResult(
             value=best_cert,
             X=best_x,
-            Z=assemble_feasible_point(inst, best_x, best_cert),
             iterations=it,
             cap=cap,
             cuts_feasibility=n_feas,
@@ -484,7 +485,7 @@ def solve(
 
         if cut.kind != "feasibility":
             max_dist = max(max_dist, math.sqrt(z @ z))
-            points = kept + [with_w(repair_point(inst, cut.spectrum)[1])]
+            points = kept + [repair_point(inst, cut.spectrum)]
             lam = nearest_point_weights([w for w, _ in points])
             kept = [p for l, p in zip(lam, points) if l > 0.0]
             if len(kept) == 1:
@@ -494,7 +495,7 @@ def solve(
                 # r = |w(X)|; repair only rounds it, and the value is read
                 # off the repaired X, never off the planar arithmetic
                 comb = sum(l * x for l, (_, x) in zip(lam, points) if l > 0.0)
-                w, x = with_w(repair_point(inst, comb)[1])
+                w, x = repair_point(inst, comb)
                 if len(kept) == 3:
                     # 0 lies in the triangle: keep the combination alone
                     kept = [(w, x)]

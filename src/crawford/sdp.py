@@ -4,14 +4,17 @@ Variable lives in H_{2n+3}(R) with block sizes (2n, 2, 1):
 Z = diag(Y, [[u, v], [v, w]], t).  The constraint list is
 
   F_1 .. F_N          annihilators pinning Y to the hat subspace and the
-                      blocks to each other, kept as sparse (i, j, +-1)
-                      entries (`annihilators`),
+                      blocks to each other (`annihilators`),
   F_{N+1}             u - w = <Ahat, Y>,
   F_{N+2}             2v = <Bhat, Y>,
   F_{N+3}             tr Y = 2,
   F_{N+4}             u + w + 2t = 2(frob_ceiling + 2),
 
-with N = n^2 + 7n + 2, and the objective F_0 reads off (u + w)/2.
+with N = n^2 + 7n + 2, and the objective F_0 (`objective`) reads off
+(u + w)/2.  An instance is its data: the hat matrices of C = A + iB and
+the ceiling c.  `constraints` generates F_1 .. F_{N+4} and b from it as
+sparse upper-triangle (i, j, v) entries; it is the one place that spells
+them out, and the SDPA export and the ball certificate read it.
 
 Construction is exact (Fraction); floats appear only in exported files
 and in the solver-facing views.
@@ -44,8 +47,7 @@ class BlockDiagSymmetric:
     """Element of the block-diagonal subalgebra, blocks (2n, 2, 1).
 
     `y` is the 2n x 2n block, `uv` the 2x2 block, `t` the scalar.  Arrays
-    may hold Fractions (object dtype) or float64; operations preserve
-    whichever arithmetic they are given.
+    may hold Fractions (object dtype) or float64.
     """
 
     y: np.ndarray
@@ -62,30 +64,17 @@ class BlockDiagSymmetric:
     def n(self) -> int:
         return self.y.shape[0] // 2
 
-    def inner(self, other: "BlockDiagSymmetric"):
-        return (
-            (self.y * other.y).sum()
-            + (self.uv * other.uv).sum()
-            + self.t * other.t
-        )
 
-    def to_float(self) -> "BlockDiagSymmetric":
-        return BlockDiagSymmetric(
-            y=self.y.astype(float), uv=self.uv.astype(float), t=float(self.t)
-        )
+# One constraint matrix: upper-triangle entries (i, j, v), i <= j, of a
+# symmetric (2n+3) x (2n+3) matrix with v at (i, j) and (j, i); v is an
+# int or a Fraction.
+Sparse = Tuple[Tuple[int, int, object], ...]
 
 
-# One annihilator: upper-triangle entries (i, j, s), i <= j, of a
-# symmetric (2n+3) x (2n+3) matrix with s at (i, j) and (j, i).
-Annihilator = Tuple[Tuple[int, int, int], ...]
-
-
-def annihilators(n: int) -> List[Annihilator]:
+def annihilators(n: int) -> List[Sparse]:
     """The N = n^2 + 7n + 2 independent annihilators of the block-diagonal
-    hat-structured subspace, each a short tuple of (i, j, +-1) entries.
-    This list is the single description of the structure: the SDPA
-    export is written from it, and the tests check the ellipsoid chart's
-    closed form against it.
+    hat-structured subspace, each a short tuple of (i, j, +-1) entries:
+    F_1 .. F_N of `constraints`, all with b = 0.
 
     Ordering (0-based indices, ambient size m = 2n+3):
       1. E_ij for i < 2n, j in {2n, 2n+1, 2n+2}: kill coupling of the big
@@ -99,7 +88,7 @@ def annihilators(n: int) -> List[Annihilator]:
     if n < 1:
         raise ValueError("n must be positive")
     k = 2 * n
-    out: List[Annihilator] = []
+    out: List[Sparse] = []
     for i in range(k):
         for j in (k, k + 1, k + 2):
             out.append(((i, j, 1),))
@@ -119,15 +108,11 @@ def annihilators(n: int) -> List[Annihilator]:
 
 @dataclass(frozen=True)
 class SdpInstance:
-    """Exact instance data.  The constraints are F_1 .. F_N, the
-    annihilators (all with b = 0, see `annihilators`), followed by the
-    four block-diagonal tail constraints (F, b) in `tails`.  `ahat` /
-    `bhat` keep the hat matrices of the Hermitian split C = A + iB.
-    """
+    """Exact instance data: the hat matrices `ahat` / `bhat` of the
+    Hermitian split C = A + iB and the ceiling c >= ||C||_F.  The
+    constraints are generated from it by `constraints`."""
 
     n: int
-    f0: BlockDiagSymmetric
-    tails: Tuple[Tuple[BlockDiagSymmetric, Fraction], ...]
     frob_ceiling: int
     ahat: np.ndarray
     bhat: np.ndarray
@@ -162,58 +147,44 @@ class SdpInstance:
 
     @property
     def m(self) -> int:
-        return self.N + len(self.tails)
-
-
-def _negated_hat(hat: np.ndarray) -> np.ndarray:
-    """-hat H = hat(-H) = [[-Re H, Im H], [-Im H, -Re H]]: the two
-    off-diagonal blocks of hat H = [[Re H, -Im H], [Im H, Re H]] swap,
-    and only Re H is negated."""
-    n = hat.shape[0] // 2
-    out = np.empty_like(hat)
-    out[:n, :n] = out[n:, n:] = -hat[:n, :n]
-    out[:n, n:], out[n:, :n] = hat[n:, :n], hat[:n, n:]
-    return out
+        return self.N + 4
 
 
 def build_instance(pencil: HermitianPencil, frob_ceiling: int) -> SdpInstance:
-    """Assemble F_0 .. F_{N+4} and b for the given Hermitian pencil."""
+    """The instance of the given Hermitian pencil and ceiling."""
     if frob_ceiling < 1:
         raise ValueError("frob_ceiling must be a positive integer")
     if pencil.a.is_zero() and pencil.b.is_zero():
         raise ValueError("zero pencil: chi is 0, no instance to build")
-    n = pencil.n
-    zero = Fraction(0)
-    one = Fraction(1)
+    return SdpInstance(
+        n=pencil.n, frob_ceiling=frob_ceiling, ahat=pencil.ahat, bhat=pencil.bhat
+    )
 
-    def bd(ydata, uvdata, tdata) -> BlockDiagSymmetric:
-        return BlockDiagSymmetric(
-            y=np.asarray(ydata, dtype=object),
-            uv=np.array(uvdata, dtype=object),
-            t=tdata,
+
+def objective(n: int) -> Sparse:
+    """F_0 = diag(0, I_2 / 2, 0): <F_0, Z> = (u + w)/2."""
+    k = 2 * n
+    return ((k, k, Fraction(1, 2)), (k + 1, k + 1, Fraction(1, 2)))
+
+
+def constraints(inst: SdpInstance) -> List[Tuple[Sparse, int]]:
+    """F_1 .. F_{N+4} with their b: the annihilators, then the four
+    constraints of the module docstring, whose big blocks are -Ahat, -Bhat
+    and I_{2n}."""
+    k = 2 * inst.n
+
+    def negated(hat) -> Sparse:
+        rows = hat.tolist()
+        return tuple(
+            (i, j, -rows[i][j]) for i in range(k) for j in range(i, k) if rows[i][j]
         )
 
-    y_zero = np.full((2 * n, 2 * n), zero, dtype=object)
-    y_eye = y_zero.copy()
-    np.fill_diagonal(y_eye, one)
-
-    f0 = bd(y_zero, [[Fraction(1, 2), zero], [zero, Fraction(1, 2)]], zero)
-    tail = [
-        bd(_negated_hat(pencil.ahat), [[one, zero], [zero, -one]], zero),
-        bd(_negated_hat(pencil.bhat), [[zero, one], [one, zero]], zero),
-        bd(y_eye, [[zero, zero], [zero, zero]], zero),
-        bd(y_zero, [[one, zero], [zero, one]], Fraction(2)),
+    return [(f, 0) for f in annihilators(inst.n)] + [
+        (negated(inst.ahat) + ((k, k, 1), (k + 1, k + 1, -1)), 0),
+        (negated(inst.bhat) + ((k, k + 1, 1),), 0),
+        (tuple((i, i, 1) for i in range(k)), 2),
+        (((k, k, 1), (k + 1, k + 1, 1), (k + 2, k + 2, 2)), 2 * (inst.frob_ceiling + 2)),
     ]
-    b_tail = [zero, zero, Fraction(2), Fraction(2 * (frob_ceiling + 2))]
-
-    return SdpInstance(
-        n=n,
-        f0=f0,
-        tails=tuple(zip(tail, b_tail)),
-        frob_ceiling=frob_ceiling,
-        ahat=pencil.ahat,
-        bhat=pencil.bhat,
-    )
 
 
 def _fmt(v) -> str:
@@ -234,28 +205,13 @@ def export_sdpa(inst: SdpInstance, path) -> None:
     such entries come out as empty matrices.  LF endings, no comments.
     """
     n = inst.n
-    lines = [str(inst.m), "3", f"{2 * n} 2 1"]
-    rhs = [Fraction(0)] * inst.N + [b for _, b in inst.tails]
-    lines.append(" ".join(_fmt(v) for v in rhs))
-
-    def entry(matno: int, blk: int, i: int, j: int, v):
-        lines.append(f"{matno} {blk} {i + 1} {j + 1} {_fmt(v)}")
-
-    def emit_blocks(matno: int, f: BlockDiagSymmetric):
-        for blk, block in enumerate((f.y, f.uv, np.array([[f.t]])), start=1):
-            for i in range(block.shape[0]):
-                for j in range(i, block.shape[0]):
-                    if block[i, j] != 0:
-                        entry(matno, blk, i, j, block[i, j])
-
-    emit_blocks(0, inst.f0)
-    for matno, ann in enumerate(annihilators(n), start=1):
-        for i, j, v in ann:
+    cons = constraints(inst)
+    lines = [str(len(cons)), "3", f"{2 * n} 2 1", " ".join(_fmt(b) for _, b in cons)]
+    for matno, f in enumerate([objective(n)] + [f for f, _ in cons]):
+        for i, j, v in f:
             (bi, li), (bj, lj) = _block_position(n, i), _block_position(n, j)
             if bi == bj:
-                entry(matno, bi, li, lj, v)
-    for matno, (f, _) in enumerate(inst.tails, start=inst.N + 1):
-        emit_blocks(matno, f)
+                lines.append(f"{matno} {bi} {li + 1} {lj + 1} {_fmt(v)}")
     data = "\n".join(lines) + "\n"
     try:
         with open(path, "w", newline="\n") as fh:

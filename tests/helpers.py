@@ -62,34 +62,33 @@ def random_density(rng, n):
     return x / np.trace(x).real
 
 
-def densify(ann, m):
-    """Dense float (m x m) symmetric matrix of one sparse annihilator."""
-    out = np.zeros((m, m))
-    for i, j, v in ann:
+def densify(entries, m, dtype=float):
+    """Dense (m x m) symmetric matrix of sparse upper-triangle entries;
+    dtype=object keeps them exact."""
+    out = np.zeros((m, m), dtype=dtype)
+    for i, j, v in entries:
         out[i, j] = out[j, i] = v
     return out
 
 
-def embed(z):
-    """Full float (2n+3) x (2n+3) matrix with the block-diagonal content
-    of z."""
+def embed(z, dtype=float):
+    """Full (2n+3) x (2n+3) matrix with the block-diagonal content of z;
+    dtype=object keeps exact entries exact."""
     k = z.y.shape[0]
-    out = np.zeros((k + 3, k + 3))
-    out[:k, :k] = z.y.astype(float)
-    out[k : k + 2, k : k + 2] = z.uv.astype(float)
-    out[k + 2, k + 2] = float(z.t)
+    out = np.zeros((k + 3, k + 3), dtype=dtype)
+    out[:k, :k] = z.y
+    out[k : k + 2, k : k + 2] = z.uv
+    out[k + 2, k + 2] = z.t
     return out
 
 
 def dense_constraints(inst):
-    """(F_i, b_i) for i = 1..N+4 as full float matrices: the densified
-    annihilators with b = 0, then the embedded tails."""
-    from crawford.sdp import annihilators
+    """(F_i, b_i) for i = 1..N+4 of `sdp.constraints` as full float
+    matrices."""
+    from crawford.sdp import constraints
 
     m = inst.ambient_dim
-    out = [(densify(a, m), 0.0) for a in annihilators(inst.n)]
-    out += [(embed(f), float(b)) for f, b in inst.tails]
-    return out
+    return [(densify(f, m), float(b)) for f, b in constraints(inst)]
 
 
 def chart_jacobian(chart):

@@ -24,7 +24,7 @@ from crawford.linalg import (
     hermitian_split,
 )
 from crawford.oracle import chi_oracle
-from crawford.sdp import annihilators, build_instance, export_sdpa, read_sdpa
+from crawford.sdp import annihilators, build_instance, export_sdpa, objective, read_sdpa
 from helpers import (
     CHI_EXAMPLE,
     DIAG_PM,
@@ -33,7 +33,6 @@ from helpers import (
     EXAMPLE_TILDE,
     dense_constraints,
     densify,
-    embed,
     gr,
     identity,
     random_gaussian_integer,
@@ -175,13 +174,14 @@ def test_criterion_05_certified_ball(report):
         mat = random_gaussian_integer(rng, n, -5, 5)
         inst = build_instance(hermitian_split(mat), frobenius_ceiling(mat))
         ball = certified_ball(inst, mat)
-        g = ball.center.to_float()
-        s_eigs = np.linalg.eigvalsh(g.uv)
+        g = ball.center
+        gy, guv, gt = g.y.astype(float), g.uv.astype(float), float(g.t)
+        s_eigs = np.linalg.eigvalsh(guv)
         lam_g = min(
-            np.linalg.eigvalsh(g.y)[0], s_eigs[0], g.t
+            np.linalg.eigvalsh(gy)[0], s_eigs[0], gt
         )
         ok &= lam_g >= min(1.0 / n, s_eigs[0]) - 1e-12
-        ok &= np.linalg.eigvalsh(g.uv - np.eye(2))[0] >= -1e-12
+        ok &= np.linalg.eigvalsh(guv - np.eye(2))[0] >= -1e-12
         chart = build_chart(inst)
         r_in = float(ball.inner_r)
         worst_dir = 0.0
@@ -322,7 +322,7 @@ def test_criterion_10_sdpa_golden_file(report, tmp_path):
     identical = fresh.read_bytes() == golden.read_bytes()
     data = read_sdpa(fresh)
     cons = dense_constraints(inst)
-    mats = [embed(inst.f0)] + [f for f, _ in cons]
+    mats = [densify(objective(inst.n), inst.ambient_dim)] + [f for f, _ in cons]
     rt = 0.0
     for got, want in zip(data.matrices, mats):
         rt = max(

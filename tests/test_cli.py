@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,27 @@ from crawford.cli import (
     save_matrix,
 )
 from crawford.linalg import ComplexMatrix, GaussianRational
-from helpers import CHI_EXAMPLE, DIAG_PM, EXAMPLE_TILDE, IDENTITY2, gr, identity
+from helpers import (
+    CHI_EXAMPLE,
+    COPRIME_DENOMINATORS,
+    DIAG_PM,
+    EXAMPLE_TILDE,
+    IDENTITY2,
+    gr,
+    identity,
+)
+
+DATA = Path(__file__).parent / "data"
+
+# a 4x4 Gaussian-integer matrix with imaginary parts on and off the diagonal
+GAUSSIAN4 = ComplexMatrix(
+    [
+        [gr(2, 1), gr(-1), gr(0, 3), gr(1, -2)],
+        [gr(0), gr(-3, 1), gr(2), gr(0, -1)],
+        [gr(1, 1), gr(4), gr(-2, -2), gr(1)],
+        [gr(-1, 3), gr(0, 2), gr(0), gr(5)],
+    ]
+)
 
 
 def write_matrix(path, mat: ComplexMatrix):
@@ -223,6 +244,30 @@ class TestExitCodes:
         p = write_matrix(tmp_path / "c.json", IDENTITY2)
         assert main(["chi", p, "--eps", "2.0"]) == 2
 
+    @pytest.mark.parametrize("command", ["chi", "verify"])
+    @pytest.mark.parametrize("failure", ["chart", "frobenius_bound"])
+    def test_solver_runtime_error_exits_3(
+        self, tmp_path, capsys, monkeypatch, command, failure
+    ):
+        # a ChartError out of the repair, or crawford's check that chi
+        # stays below ||C||_F + eps, is a solver diagnostic, not a traceback
+        from crawford import api, ellipsoid
+
+        if failure == "chart":
+
+            def broken(inst, dens):
+                raise ellipsoid.ChartError("repair collapsed the trace; point was garbage")
+
+            monkeypatch.setattr(ellipsoid, "repair_point", broken)
+            expect = "repair collapsed the trace"
+        else:
+            monkeypatch.setattr(api, "numerical_radius_upper", lambda c: 0.0)
+            expect = "exceeds the Frobenius bound"
+        p = write_matrix(tmp_path / "c.json", EXAMPLE_TILDE)
+        assert main([command, p, "--center=-3-i", "--eps", "1e-4"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("solver error: ") and expect in err
+
 
 class TestCmdExport:
     def test_reference_example(self, tmp_path, capsys):
@@ -251,6 +296,26 @@ class TestCmdExport:
     def test_zero_matrix_rejected(self, tmp_path, capsys):
         p = write_matrix(tmp_path / "z.json", ComplexMatrix.zeros(2))
         assert main(["export", p]) == 2
+
+    @pytest.mark.parametrize(
+        "name,mat,summary",
+        [
+            ("export_n1", ComplexMatrix([[gr(3, 4)]]), "b: 12 zeros then 2 14\n"),
+            (
+                "export_coprime",
+                COPRIME_DENOMINATORS,
+                "b: 34 zeros then 2 184\nnote: instance is for l*C with l = 21\n",
+            ),
+            ("export_gaussian4", GAUSSIAN4, "b: 48 zeros then 2 26\n"),
+        ],
+    )
+    def test_pinned_bytes(self, tmp_path, capsys, name, mat, summary):
+        # files written by an earlier export; the SDPA bytes must not move
+        p = write_matrix(tmp_path / f"{name}.json", mat)
+        out = tmp_path / f"{name}.dat-s"
+        assert main(["export", p, "--out", str(out)]) == 0
+        assert out.read_bytes() == (DATA / f"{name}.dat-s").read_bytes()
+        assert capsys.readouterr().out.endswith(summary)
 
 
 class TestCmdRange:

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from crawford import ellipsoid
+from crawford import ellipsoid, sdp
 from crawford.ellipsoid import (
     BlockDiagSymmetric,
     EllipsoidCapExceeded,
@@ -24,7 +24,7 @@ from crawford.linalg import (
     hermitian_split,
 )
 from crawford.oracle import support_search
-from crawford.sdp import assemble_feasible_point, build_instance
+from crawford.sdp import assemble_feasible_point, build_instance, objective
 from helpers import (
     CHI_EXAMPLE,
     DIAG_PM,
@@ -33,6 +33,7 @@ from helpers import (
     chart_coordinates,
     chart_jacobian,
     dense_constraints,
+    densify,
     embed,
     gr,
     identity,
@@ -51,11 +52,12 @@ class TestCertifiedBall:
         inst, ball = make(EXAMPLE)
         assert ball.inner_r == Fraction(1, 2)
         assert ball.outer_R == 40
-        assert ball.trace_center == (3, 1)
+        # S = [[c + 1 + x, y], [y, c + 1 - x]] with (x, y) = (1/n) tr C
+        g = ball.center
+        assert (g.uv[0, 0] - inst.frob_ceiling - 1, g.uv[0, 1]) == (3, 1)
         assert np.array_equal(
             ball.center.uv.astype(float), np.array([[11.0, 1.0], [1.0, 5.0]])
         )
-        g = ball.center
         assert np.array_equal(g.y.astype(float), 0.5 * np.eye(4))
         assert g.t == 1
 
@@ -87,27 +89,42 @@ class TestCertifiedBall:
             certified_ball(inst, IDENTITY2)
 
     @pytest.mark.parametrize("k", range(4))
-    def test_shifted_tail_rhs_rejected(self, k):
+    def test_shifted_tail_rhs_rejected(self, k, monkeypatch):
         inst, _ = make(EXAMPLE)
-        tails = list(inst.tails)
-        f, b = tails[k]
-        tails[k] = (f, b + Fraction(1, inst.n))
-        with pytest.raises(ValueError, match="tail"):
-            certified_ball(dataclasses.replace(inst, tails=tuple(tails)), EXAMPLE)
+        cons = sdp.constraints(inst)
+        f, b = cons[inst.N + k]
+        cons[inst.N + k] = (f, b + Fraction(1, inst.n))
+        monkeypatch.setattr(sdp, "constraints", lambda _: cons)
+        with pytest.raises(ValueError, match=rf"violates constraint F_{inst.N + k + 1}$"):
+            certified_ball(inst, EXAMPLE)
 
-    def test_changed_ahat_entry_rejected(self):
+    def test_changed_ahat_entry_rejected(self, monkeypatch):
         # F_{N+1} holds -Ahat; G = diag(I/n, S, 1) meets its diagonal
         inst, _ = make(EXAMPLE)
-        f, b = inst.tails[0]
-        y = f.y.copy()
-        y[0, 0] -= 1
-        tails = ((dataclasses.replace(f, y=y), b),) + inst.tails[1:]
-        with pytest.raises(ValueError, match="tail"):
-            certified_ball(dataclasses.replace(inst, tails=tails), EXAMPLE)
         ahat = inst.ahat.copy()
         ahat[1, 1] += 1
         with pytest.raises(ValueError, match="not built from this matrix"):
             certified_ball(dataclasses.replace(inst, ahat=ahat), EXAMPLE)
+        cons = sdp.constraints(inst)
+        f, b = cons[inst.N]
+        (i, j, v), rest = f[0], f[1:]
+        assert (i, j) == (0, 0)
+        cons[inst.N] = (((0, 0, v - 1),) + rest, b)
+        monkeypatch.setattr(sdp, "constraints", lambda _: cons)
+        with pytest.raises(ValueError, match=rf"violates constraint F_{inst.N + 1}$"):
+            certified_ball(inst, EXAMPLE)
+
+    def test_broken_annihilator_rejected(self, monkeypatch):
+        # E_00 - E_nn (the two Re blocks agree) meets G's diagonal; with
+        # its -1 flipped, <F, G> = 2/n, not 0
+        inst, _ = make(EXAMPLE)
+        n = inst.n
+        cons = sdp.constraints(inst)
+        num = cons.index((((0, 0, 1), (n, n, -1)), 0))
+        cons[num] = (((0, 0, 1), (n, n, 1)), 0)
+        monkeypatch.setattr(sdp, "constraints", lambda _: cons)
+        with pytest.raises(ValueError, match=rf"violates constraint F_{num + 1}$"):
+            certified_ball(inst, EXAMPLE)
 
 
 class TestChart:
@@ -174,7 +191,7 @@ class TestChartGates:
 
     def test_origin_is_ball_center(self, charted):
         for _, ball, chart, _ in charted:
-            g = embed(ball.center.to_float())
+            g = embed(ball.center)
             assert np.abs(embed(chart.point(np.zeros(chart.dim))) - g).max() < 1e-12
 
 
@@ -231,7 +248,7 @@ class TestInitialEllipsoid:
         for inst, ball, chart, _ in charted:
             res = solve(ball, 1e-3)
             d = chart.dim
-            f0n = max(1.0, math.sqrt(inst.f0.inner(inst.f0)))
+            f0n = max(1.0, np.linalg.norm(densify(objective(inst.n), inst.ambient_dim)))
             r_in = float(ball.inner_r)
             half_logdet = 0.5 * np.linalg.slogdet(chart.initial_shape)[1]
             cap = math.ceil(
@@ -266,8 +283,9 @@ class TestSeparationOracle:
         # [[x, y], [y, -x]] with (x, y) = tr C / n, eigenvalues +-|tr C| / n
         inst, ball = make(EXAMPLE)
         chart = build_chart(inst)
-        g = ball.center.to_float()
-        x, y = (float(v) for v in ball.trace_center)
+        g = ball.center
+        # S = [[c + 1 + x, y], [y, c + 1 - x]]
+        x, y = float(g.uv[0, 0] - inst.frob_ceiling - 1), float(g.uv[0, 1])
         zp = BlockDiagSymmetric(
             y=g.y, uv=np.array([[x, y], [y, -x]]), t=inst.frob_ceiling + 2.0
         )
@@ -474,14 +492,14 @@ class TestSolve:
     def test_result_invariants(self):
         inst, ball = make(EXAMPLE)
         res = solve(ball, 1e-4)
-        z = res.Z
+        z = assemble_feasible_point(inst, res.X, res.value)
         tol = 1e-9 * float(ball.outer_R)
         assert np.linalg.eigvalsh(0.5 * (z.y + z.y.T))[0] >= -tol
         assert np.linalg.eigvalsh(z.uv)[0] >= -tol
         assert z.t >= -tol
-        assert res.value == pytest.approx(inst.f0.to_float().inner(z), abs=1e-12)
-        assert np.array_equal(z.y, assemble_feasible_point(inst, res.X, res.value).y)
         full = embed(z)
+        f0 = densify(objective(inst.n), inst.ambient_dim)
+        assert res.value == pytest.approx((f0 * full).sum(), abs=1e-12)
         for f, b in dense_constraints(inst):
             assert abs((f * full).sum() - b) <= 1e-9
         assert res.certified_gap == res.value - res.lower_bound
@@ -514,7 +532,7 @@ class TestSolve:
     def test_inner_ball_inclusion(self):
         inst, ball = make(EXAMPLE)
         chart = build_chart(inst)
-        g = embed(ball.center.to_float())
+        g = embed(ball.center)
         rng = np.random.default_rng(29)
         r_in = float(ball.inner_r)
         for _ in range(200):
@@ -552,7 +570,8 @@ class TestRepair:
         rng = np.random.default_rng(31)
         for _ in range(10):
             zc = rng.standard_normal(chart.dim) * 0.3
-            val, x = repair_point(inst, chart.density(zc))
+            w, x = repair_point(inst, chart.density(zc))
+            val = abs(w)
             z = assemble_feasible_point(inst, x, val)
             assert abs(np.trace(x) - 1.0) < 1e-9
             assert val >= CHI_EXAMPLE - 1e-9
@@ -568,9 +587,11 @@ class TestRepair:
         for _ in range(10):
             dens = chart.density(rng.standard_normal(chart.dim) * 50.0)
             assert np.linalg.eigvalsh(dens)[0] < -0.1
-            val, x = repair_point(inst, dens)
+            w, x = repair_point(inst, dens)
+            val = abs(w)
             assert abs(np.trace(x) - 1.0) < 1e-9
             assert np.linalg.eigvalsh(x)[0] >= -1e-12
+            assert w == complex(*inst.pencil_values(x))
             assert val == math.hypot(*inst.pencil_values(x))
             assert val >= CHI_EXAMPLE - 1e-9
 

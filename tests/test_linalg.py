@@ -1,4 +1,5 @@
 from fractions import Fraction
+from numbers import Rational
 
 import numpy as np
 import pytest
@@ -14,11 +15,13 @@ from crawford.linalg import (
     hat_embed,
     hermitian_split,
 )
-from crawford.sdp import build_instance
+from crawford.sdp import build_instance, constraints
 from helpers import (
     COPRIME_DENOMINATORS,
     EXAMPLE,
     EXAMPLE_TILDE,
+    densify,
+    embed,
     gr,
     random_gaussian_integer,
 )
@@ -132,20 +135,22 @@ class TestExactSetupMatchesReference:
                 continue
             k = frobenius_ceiling(m)
             inst = build_instance(pen, k)
-            tails = [f for f, _ in inst.tails]
-            assert np.array_equal(tails[0].y, -reference_hat(a_ref))
-            assert np.array_equal(tails[1].y, -reference_hat(b_ref))
-            assert all(all_fractions(f.y) and all_fractions(f.uv) for f in tails)
-            assert [b for _, b in inst.tails] == [0, 0, 2, 2 * (k + 2)]
+            cons = constraints(inst)
+            size, h = inst.ambient_dim, 2 * m.n
+            tails = [densify(f, size, object) for f, _ in cons[inst.N :]]
+            assert np.array_equal(tails[0][:h, :h], -reference_hat(a_ref))
+            assert np.array_equal(tails[1][:h, :h], -reference_hat(b_ref))
+            assert all(isinstance(v, Rational) for f, _ in cons for _, _, v in f)
+            assert [b for _, b in cons[inst.N :]] == [0, 0, 2, 2 * (k + 2)]
             ball = certified_ball(inst, m)
             tr = m.trace()
             x, y = tr.re / m.n, tr.im / m.n
-            assert ball.trace_center == (x, y)
             assert np.array_equal(
                 ball.center.uv, np.array([[k + 1 + x, y], [y, k + 1 - x]], dtype=object)
             )
-            for f, b in inst.tails:
-                assert f.inner(ball.center) == b
+            g = embed(ball.center, object)
+            for f, b in cons:
+                assert (densify(f, size, object) * g).sum() == b
 
 
 class TestHatEmbed:

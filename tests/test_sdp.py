@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,7 +11,9 @@ from crawford.sdp import (
     annihilators,
     assemble_feasible_point,
     build_instance,
+    constraints,
     export_sdpa,
+    objective,
     read_sdpa,
 )
 from helpers import (
@@ -130,36 +133,53 @@ class TestSubspaceBasis:
 
 
 class TestBuildInstance:
+    def test_instance_is_its_data(self):
+        inst = example_instance()
+        fields = [f.name for f in dataclasses.fields(SdpInstance)]
+        assert fields == ["n", "frob_ceiling", "ahat", "bhat"]
+        pen = hermitian_split(EXAMPLE)
+        assert np.array_equal(inst.ahat, pen.ahat)
+        assert np.array_equal(inst.bhat, pen.bhat)
+        assert inst.frob_ceiling == frobenius_ceiling(EXAMPLE) == 7
+
     def test_reference_tail_blocks(self):
         inst = example_instance()
         assert inst.n == 2
         assert inst.N == 20
         assert inst.m == 24
         assert inst.block_sizes == (4, 2, 1)
-        tails = inst.tails
+        cons = constraints(inst)
+        assert len(cons) == inst.m
+        assert [f for f, _ in cons[: inst.N]] == annihilators(2)
+        assert all(b == 0 for _, b in cons[: inst.N])
+        tails = [(densify(f, 7, object), b) for f, b in cons[inst.N :]]
         assert len(tails) == 4
         f1, b1 = tails[0]
-        assert np.array_equal(f1.y, -inst.ahat)
+        assert np.array_equal(f1[:4, :4], -inst.ahat)
         assert np.array_equal(
-            f1.uv.astype(float), np.array([[1.0, 0.0], [0.0, -1.0]])
+            f1[4:6, 4:6].astype(float), np.array([[1.0, 0.0], [0.0, -1.0]])
         )
-        assert f1.t == 0 and b1 == 0
+        assert f1[6, 6] == 0 and b1 == 0
         f2, b2 = tails[1]
-        assert np.array_equal(f2.y, -inst.bhat)
+        assert np.array_equal(f2[:4, :4], -inst.bhat)
         assert np.array_equal(
-            f2.uv.astype(float), np.array([[0.0, 1.0], [1.0, 0.0]])
+            f2[4:6, 4:6].astype(float), np.array([[0.0, 1.0], [1.0, 0.0]])
         )
         assert b2 == 0
         f3, b3 = tails[2]
-        assert np.array_equal(f3.y.astype(float), np.eye(4))
+        assert np.array_equal(f3[:4, :4].astype(float), np.eye(4))
         assert b3 == 2
         f4, b4 = tails[3]
-        assert np.array_equal(f4.uv.astype(float), np.eye(2))
-        assert f4.t == 2
+        assert np.array_equal(f4[4:6, 4:6].astype(float), np.eye(2))
+        assert f4[6, 6] == 2
         assert b4 == 18
+        # every tail is block-diagonal
+        for f, _ in tails:
+            assert not f[:4, 4:].any() and not f[4:6, 6:].any()
 
     def test_objective_reads_half_u_plus_w(self):
         inst = example_instance()
+        f0 = densify(objective(inst.n), inst.ambient_dim)
         rng = np.random.default_rng(5)
         for _ in range(20):
             vec = rng.standard_normal(inst.ambient_dim**2 + 1)
@@ -167,7 +187,7 @@ class TestBuildInstance:
                 y=vec[:16].reshape(4, 4), uv=vec[16:20].reshape(2, 2), t=vec[20]
             )
             u, w = z.uv[0, 0], z.uv[1, 1]
-            assert abs(inst.f0.to_float().inner(z) - 0.5 * (u + w)) < 1e-12
+            assert abs((f0 * embed(z)).sum() - 0.5 * (u + w)) < 1e-12
 
     def test_feasible_iff_r_dominates_modulus(self):
         inst = example_instance()
@@ -254,7 +274,7 @@ class TestExportSdpa:
         assert data.block_sizes == (4, 2, 1)
         cons = dense_constraints(inst)
         assert np.allclose(data.b, [b for _, b in cons], atol=1e-15)
-        mats = [embed(inst.f0)] + [f for f, _ in cons]
+        mats = [densify(objective(inst.n), 7)] + [f for f, _ in cons]
         for got, want in zip(data.matrices, mats):
             assert np.allclose(got[0], want[:4, :4], atol=1e-15)
             assert np.allclose(got[1], want[4:6, 4:6], atol=1e-15)
