@@ -34,6 +34,7 @@ from .linalg import (
     clear_denominators,
     frobenius_ceiling,
     hat_embed,
+    hat_upper,
     hermitian_split,
 )
 from .oracle import (
@@ -41,9 +42,9 @@ from .oracle import (
     sample_boundary,
 )
 from .sdp import (
-    BlockDiagSymmetric,
     SdpInstance,
     annihilators,
+    ball_center,
     build_instance,
     constraints,
     export_sdpa,
@@ -55,7 +56,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AffineChart",
-    "BlockDiagSymmetric",
     "CertifiedBall",
     "ComplexMatrix",
     "CrawfordQuery",
@@ -67,6 +67,7 @@ __all__ = [
     "SdpInstance",
     "SolveResult",
     "annihilators",
+    "ball_center",
     "build_chart",
     "build_instance",
     "certified_ball",
@@ -78,6 +79,7 @@ __all__ = [
     "export_sdpa",
     "frobenius_ceiling",
     "hat_embed",
+    "hat_upper",
     "hermitian_split",
     "numerical_radius_upper",
     "objective",

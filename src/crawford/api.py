@@ -7,7 +7,7 @@ from __future__ import annotations
 import enum
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -36,8 +36,8 @@ class CrawfordQuery:
     method: Method = Method.SDP_ELLIPSOID
 
     def __post_init__(self):
-        if not self.epsilon > 0.0:
-            raise ValueError("epsilon must be positive")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
+            raise ValueError("epsilon must be finite and positive")
 
 
 @dataclass(frozen=True)

@@ -194,9 +194,8 @@ def cmd_export(matrix_path, config: RunConfig, out_path) -> int:
     if t.is_zero():
         raise MatrixParseError("matrix is zero after translation; chi = 0, nothing to export")
     inst, _, scale = sdp_instance(t)
-    sdp.export_sdpa(inst, out_path)
+    b_last = [float(b) for b in sdp.export_sdpa(inst, out_path)[-2:]]
     bs = inst.block_sizes
-    b_last = [float(b) for _, b in sdp.constraints(inst)[-2:]]
     print(f"wrote {out_path}")
     print(f"N = {inst.N}, mDIM = {inst.m}, blocks = {bs[0]} {bs[1]} {bs[2]}")
     print(f"b: {inst.m - 2} zeros then {b_last[0]:g} {b_last[1]:g}")
@@ -252,15 +251,16 @@ def cmd_verify(matrix_path, config: RunConfig) -> int:
         chart = ball.chart
         rng = np.random.default_rng(config.seed)
         r_in = float(ball.inner_r)
+        k = 2 * chart.n                 # Z's blocks: 2n, 2 and 1
         worst = math.inf
         for _ in range(20):
             w = rng.standard_normal(chart.dim)
             w /= np.linalg.norm(w)
             zb = chart.point(r_in * w)
             lam = min(
-                float(np.linalg.eigvalsh(zb.y)[0]),
-                float(np.linalg.eigvalsh(zb.uv)[0]),
-                float(zb.t),
+                float(np.linalg.eigvalsh(zb[:k, :k])[0]),
+                float(np.linalg.eigvalsh(zb[k : k + 2, k : k + 2])[0]),
+                float(zb[k + 2, k + 2]),
             )
             worst = min(worst, lam)
         check("inner_ball", worst >= -1e-9, f"min eigenvalue {worst:.3g}")
@@ -270,7 +270,7 @@ def cmd_verify(matrix_path, config: RunConfig) -> int:
             check("outer_ball", d <= big_r + 1e-6, f"max distance {d:.6g} vs R {big_r:g}")
 
         # chi(i c, i C) = chi(c, C) through a different SDP instance:
-        # (Ahat, Bhat) becomes (-Bhat, Ahat)
+        # (A, B) becomes (-B, A)
         i = GaussianRational(0, 1)
         r_rot = crawford(
             CrawfordQuery(matrix=c.scale(i), center=i * center, epsilon=eps)

@@ -1,12 +1,14 @@
 """Deep-cut ellipsoid method for the block-diagonal SDP, run in an
 orthonormal chart of the affine constraint subspace, centred at the
-explicit strictly feasible point G and started from the Loewner ellipsoid
-of a cylinder that provably holds the feasible set.
+explicit strictly feasible point G = Z(I/n, c + 1) (`sdp.ball_center`,
+exact and sparse) and started from the Loewner ellipsoid of a cylinder
+that provably holds the feasible set.
 
 The chart is closed-form.  Every equality-feasible point is
 Z(X, r) = diag(hat X, [[r + <A,X>, <B,X>], [<B,X>, r - <A,X>]], c + 2 - r)
-with X Hermitian of trace 1 (`sdp.assemble_feasible_point`), so the
-subspace has dimension d = n^2.  Write X = I/n + sum_k xi_k H_k over a
+with X Hermitian of trace 1 (`sdp.assemble_feasible_point`, a dense
+float array), so the subspace has dimension d = n^2.  The solver itself
+works on X and r alone.  Write X = I/n + sum_k xi_k H_k over a
 Frobenius-orthonormal basis H_k of the traceless Hermitian matrices, and
 r = c + 1 + rho; xi = 0, rho = 0 is the ball center G.  A step
 (dX, dr) moves Z by
@@ -105,8 +107,8 @@ from typing import Optional
 import numpy as np
 
 from . import sdp
-from .linalg import ComplexMatrix, exact_dot, exact_sum
-from .sdp import BlockDiagSymmetric, SdpInstance, assemble_feasible_point
+from .linalg import ComplexMatrix, exact_dot
+from .sdp import SdpInstance, assemble_feasible_point
 
 # r = c + 1 + u_d / sqrt(3): the objective's gradient in the chart
 _RHO = 1.0 / math.sqrt(3.0)
@@ -139,7 +141,7 @@ class CertifiedBall:
     the radius-inner_r ball around G inside the affine subspace is
     feasible, and the whole feasible set lies within outer_R of G."""
 
-    center: BlockDiagSymmetric          # exact G = diag((1/n) I, S, 1)
+    center: sdp.Sparse                  # exact G = diag((1/n) I, S, 1)
     inner_r: Fraction                   # 1/n
     outer_R: Fraction                   # 12 + 4 frob_ceiling
     chart: AffineChart                  # the radii's chart, u = 0 at G
@@ -192,7 +194,7 @@ class AffineChart:
     def modulus(self, u: np.ndarray) -> float:
         return self.inst.frob_ceiling + 1.0 + _RHO * float(u[-1])
 
-    def point(self, u: np.ndarray) -> BlockDiagSymmetric:
+    def point(self, u: np.ndarray) -> np.ndarray:
         return assemble_feasible_point(self.inst, self.density(u), self.modulus(u))
 
 
@@ -222,51 +224,32 @@ class SolveResult:
     max_feasible_distance: float
 
 
-def _ball_center(inst: SdpInstance) -> BlockDiagSymmetric:
-    """Exact G = diag((1/n) I_{2n}, S, 1) recovered from instance data.
-
-    (x, y) = (1/n) tr C = (tr Ahat, tr Bhat) / 2n, so S needs no access to
-    the original matrix.
-    """
-    n = inst.n
-    c = inst.frob_ceiling
-    x = exact_sum(inst.ahat.diagonal()) / (2 * n)
-    y = exact_sum(inst.bhat.diagonal()) / (2 * n)
-    yb = np.full((2 * n, 2 * n), Fraction(0), dtype=object)
-    np.fill_diagonal(yb, Fraction(1, n))
-    s = np.array(
-        [[c + 1 + x, y], [y, c + 1 - x]], dtype=object
-    )
-    return BlockDiagSymmetric(y=yb, uv=s, t=Fraction(1))
-
-
 def certified_ball(inst: SdpInstance, c_matrix: ComplexMatrix) -> CertifiedBall:
-    """The explicit ball data: G strictly feasible, inner radius 1/n
-    inside the affine subspace, outer radius 12 + 4*frob_ceiling, in its chart.
+    """The explicit ball data: G = `sdp.ball_center(inst)` strictly
+    feasible, inner radius 1/n inside the affine subspace, outer radius
+    12 + 4*frob_ceiling, in its chart.
 
-    Every check is exact.  G satisfies all N + 4 constraints of
-    `sdp.constraints`; its big block is diagonal, (1/n) I, so <F, G>
-    reads only the entries of F on G's support."""
+    Every check is exact: the instance's A + iB is C entrywise, S - I is
+    PSD, and G satisfies all N + 4 constraints of `sdp.constraints`, with
+    <F, G> read off the two sparse lists."""
     n = inst.n
-    g = _ball_center(inst)
-    tr = c_matrix.trace()
-    x, y = tr.re / n, tr.im / n
-    s = g.uv
-    if s[0, 0] != inst.frob_ceiling + 1 + x or s[0, 1] != y:
+    if c_matrix.n != n:
         raise ValueError("instance was not built from this matrix")
-    # S - I PSD: diagonal and determinant conditions
-    c = Fraction(inst.frob_ceiling)
-    if not (c + x >= 0 and c - x >= 0 and (c + x) * (c - x) - y * y >= 0):
-        raise ValueError("S - I is not PSD; the ball center is not interior")
-    # G satisfies every equality constraint; an off-diagonal entry of the
-    # upper triangle counts twice in <F, G>
+    for ra, rb, rc in zip(inst.a.entries, inst.b.entries, c_matrix.entries):
+        for a, b, c in zip(ra, rb, rc):
+            # Re(A + iB) = Re A - Im B, Im(A + iB) = Im A + Re B
+            if a.re - b.im != c.re or a.im + b.re != c.im:
+                raise ValueError("instance was not built from this matrix")
+    g = sdp.ball_center(inst)
+    entry = {(i, j): v for i, j, v in g}
     k = 2 * n
-    support = {(i, i): g.y[i, i] for i in range(k)}
-    support.update(
-        {(k, k): s[0, 0], (k, k + 1): 2 * s[0, 1], (k + 1, k + 1): s[1, 1], (k + 2, k + 2): g.t}
-    )
+    # S - I PSD: diagonal and determinant conditions
+    s00, s01, s11 = entry[k, k] - 1, entry[k, k + 1], entry[k + 1, k + 1] - 1
+    if not (s00 >= 0 and s11 >= 0 and s00 * s11 - s01 * s01 >= 0):
+        raise ValueError("S - I is not PSD; the ball center is not interior")
     for num, (f, b) in enumerate(sdp.constraints(inst), start=1):
-        on = [(v, support[i, j]) for i, j, v in f if (i, j) in support]
+        # an off-diagonal entry of the upper triangle counts twice
+        on = [(v if i == j else 2 * v, entry[i, j]) for i, j, v in f if (i, j) in entry]
         if (exact_dot(*zip(*on)) if on else 0) != b:
             raise ValueError(f"the ball center violates constraint F_{num}")
     return CertifiedBall(
@@ -441,8 +424,8 @@ def solve(
     Deterministic.  `record`, if given, collects best_cert each time it
     falls, so its values decrease.
     """
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise ValueError("eps must be finite and positive")
     chart = ball.chart
     inst = chart.inst
     d = chart.dim

@@ -1,5 +1,5 @@
 """Exact Gaussian-rational matrices, Hermitian splitting, and the real
-symmetric embedding used by the SDP construction.
+symmetric (hat) embedding used by the SDP construction.
 
 Everything in this module that touches matrix *construction* is exact
 (fractions.Fraction end to end).  Floating point only enters through the
@@ -165,12 +165,6 @@ class ComplexMatrix:
             [[self.entries[j][i].conjugate() for j in range(n)] for i in range(n)]
         )
 
-    def trace(self) -> GaussianRational:
-        diag = [self.entries[i][i] for i in range(self.n)]
-        return GaussianRational(
-            exact_sum(x.re for x in diag), exact_sum(x.im for x in diag)
-        )
-
     def denominator_lcm(self) -> int:
         """lcm of the denominators of every entry's real and imaginary part."""
         return math.lcm(
@@ -231,13 +225,10 @@ class ComplexMatrix:
 
 @dataclass(frozen=True)
 class HermitianPencil:
-    """Hermitian split C = A + iB together with the real symmetric
-    embeddings of both parts (2n x 2n object arrays of Fraction)."""
+    """Hermitian split C = A + iB."""
 
     a: ComplexMatrix
     b: ComplexMatrix
-    ahat: np.ndarray
-    bhat: np.ndarray
 
     @property
     def n(self) -> int:
@@ -246,9 +237,8 @@ class HermitianPencil:
 
 def hermitian_split(c: ComplexMatrix) -> HermitianPencil:
     """C = A + iB with A = (C + C*)/2 and B = (C - C*)/(2i), both Hermitian,
-    with their hat matrices, in one pass over the pairs i <= j.  With
-    l C = P + iQ Gaussian-integer (l the denominator lcm), each entry is
-    one exact fraction over 2l:
+    in one pass over the pairs i <= j.  With l C = P + iQ Gaussian-integer
+    (l the denominator lcm), each entry is one exact fraction over 2l:
 
       A_ij = ((P_ij + P_ji) + (Q_ij - Q_ji) i) / 2l,
       B_ij = ((Q_ij + Q_ji) + (P_ji - P_ij) i) / 2l,
@@ -259,32 +249,37 @@ def hermitian_split(c: ComplexMatrix) -> HermitianPencil:
     lc = c.integer_parts(l)
     a = [[None] * n for _ in range(n)]
     b = [[None] * n for _ in range(n)]
-    ahat = np.empty((2 * n, 2 * n), dtype=object)
-    bhat = np.empty((2 * n, 2 * n), dtype=object)
     for i in range(n):
         for j in range(i, n):
             (p, q), (r, s) = lc[i][j], lc[j][i]
             # numerators over 2l of Re and Im of A_ij, then of B_ij
-            parts = ((a, ahat, p + r, q - s), (b, bhat, q + s, r - p))
-            for h, hat, re_num, im_num in parts:
+            for h, re_num, im_num in ((a, p + r, q - s), (b, q + s, r - p)):
                 re, im, neg = (Fraction(v, 2 * l) for v in (re_num, im_num, -im_num))
                 h[i][j] = GaussianRational(re, im)
                 h[j][i] = GaussianRational(re, neg)
-                _place_hat(hat, n, i, j, re, im, neg)
-    pencil = HermitianPencil(
-        a=ComplexMatrix(a), b=ComplexMatrix(b), ahat=ahat, bhat=bhat
-    )
+    pencil = HermitianPencil(a=ComplexMatrix(a), b=ComplexMatrix(b))
     if not (pencil.a.is_hermitian() and pencil.b.is_hermitian()):
         raise ValueError("Hermitian split produced a non-Hermitian part")
     return pencil
 
 
-def _place_hat(hat: np.ndarray, n: int, i: int, j: int, re, im, neg) -> None:
-    """Write H_ij = re + im i (i <= j) and H_ji = conj(H_ij) into the hat
-    matrix [[Re H, -Im H], [Im H, Re H]]; neg is -im."""
-    hat[i, j] = hat[j, i] = hat[n + i, n + j] = hat[n + j, n + i] = re
-    hat[n + i, j] = hat[j, n + i] = im
-    hat[i, n + j] = hat[n + j, i] = neg
+def hat_upper(h: ComplexMatrix):
+    """The upper triangle (i, j, v), i <= j, of the real symmetric
+    embedding [[Re H, -Im H], [Im H, Re H]] of a Hermitian n x n H, row by
+    row; v is a Fraction and zeros are included.  The one writer of the
+    hat layout: `hat_embed` and the SDP constraints read it."""
+    n = h.n
+    e = h.entries
+    for i in range(n):
+        row = e[i]
+        for j in range(i, n):
+            yield i, j, row[j].re
+        for j in range(n):
+            yield i, n + j, -row[j].im
+    for i in range(n):
+        row = e[i]
+        for j in range(i, n):
+            yield n + i, n + j, row[j].re
 
 
 def hat_embed(h: ComplexMatrix) -> np.ndarray:
@@ -296,12 +291,9 @@ def hat_embed(h: ComplexMatrix) -> np.ndarray:
     """
     if not h.is_hermitian():
         raise ValueError("hat embedding is defined for Hermitian input")
-    n = h.n
-    out = np.empty((2 * n, 2 * n), dtype=object)
-    for i in range(n):
-        for j in range(i, n):
-            x = h.entries[i][j]
-            _place_hat(out, n, i, j, x.re, x.im, -x.im)
+    out = np.empty((2 * h.n, 2 * h.n), dtype=object)
+    for i, j, v in hat_upper(h):
+        out[i, j] = out[j, i] = v
     return out
 
 

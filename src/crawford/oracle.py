@@ -46,8 +46,8 @@ def support_search(c: ComplexMatrix, delta: float) -> OracleSearch:
     """From the four quarter-turn arcs, split the arc with the highest cone
     peak (g_lo + g_hi)/2 + L (hi - lo)/2 at the peak's angle until no peak
     exceeds max(0, best + delta); all peaks <= 0 certify chi = 0 exactly."""
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
+    if not (math.isfinite(delta) and delta > 0.0):
+        raise ValueError("delta must be finite and positive")
     a_f, b_f = hermitian_parts(c)
     lip = math.sqrt(float(c.frobenius_sq()))
     nodes = [0.5 * math.pi * k for k in range(4)]

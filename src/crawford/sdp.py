@@ -10,11 +10,19 @@ Z = diag(Y, [[u, v], [v, w]], t).  The constraint list is
   F_{N+3}             tr Y = 2,
   F_{N+4}             u + w + 2t = 2(frob_ceiling + 2),
 
-with N = n^2 + 7n + 2, and the objective F_0 (`objective`) reads off
-(u + w)/2.  An instance is its data: the hat matrices of C = A + iB and
-the ceiling c.  `constraints` generates F_1 .. F_{N+4} and b from it as
-sparse upper-triangle (i, j, v) entries; it is the one place that spells
-them out, and the SDPA export and the ball certificate read it.
+with N = n^2 + 7n + 2 and Hhat = [[Re H, -Im H], [Im H, Re H]]
+(`linalg.hat_upper`), and the objective F_0 (`objective`) reads off
+(u + w)/2.  An instance is its data: the Hermitian split C = A + iB and
+the ceiling c.
+
+Each kind of object has one representation:
+
+  exact SDP matrices  F_0 .. F_{N+4} (`objective`, `constraints`) and the
+                      ball center G (`ball_center`) are `Sparse` lists of
+                      upper-triangle (i, j, v) entries, written here
+                      and read by the SDPA export and the ball certificate;
+  float points        Z(X, r) (`assemble_feasible_point`) is a dense
+                      (2n+3) x (2n+3) array.
 
 Construction is exact (Fraction); floats appear only in exported files
 and in the solver-facing views.
@@ -29,7 +37,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .linalg import HermitianPencil
+from .linalg import ComplexMatrix, HermitianPencil, exact_sum, hat_upper
 
 
 def _block_position(n: int, i: int) -> Tuple[int, int]:
@@ -40,29 +48,6 @@ def _block_position(n: int, i: int) -> Tuple[int, int]:
     if i < k + 2:
         return 2, i - k
     return 3, 0
-
-
-@dataclass(frozen=True)
-class BlockDiagSymmetric:
-    """Element of the block-diagonal subalgebra, blocks (2n, 2, 1).
-
-    `y` is the 2n x 2n block, `uv` the 2x2 block, `t` the scalar.  Arrays
-    may hold Fractions (object dtype) or float64.
-    """
-
-    y: np.ndarray
-    uv: np.ndarray
-    t: object
-
-    def __post_init__(self):
-        if self.y.shape[0] != self.y.shape[1] or self.y.shape[0] % 2:
-            raise ValueError("y block must be square of even size")
-        if self.uv.shape != (2, 2):
-            raise ValueError("uv block must be 2x2")
-
-    @property
-    def n(self) -> int:
-        return self.y.shape[0] // 2
 
 
 # One constraint matrix: upper-triangle entries (i, j, v), i <= j, of a
@@ -108,24 +93,22 @@ def annihilators(n: int) -> List[Sparse]:
 
 @dataclass(frozen=True)
 class SdpInstance:
-    """Exact instance data: the hat matrices `ahat` / `bhat` of the
-    Hermitian split C = A + iB and the ceiling c >= ||C||_F.  The
-    constraints are generated from it by `constraints`."""
+    """Exact instance data: the Hermitian split C = A + iB and the
+    ceiling c >= ||C||_F.  The constraints are generated from it by
+    `constraints`."""
 
     n: int
     frob_ceiling: int
-    ahat: np.ndarray
-    bhat: np.ndarray
+    a: ComplexMatrix
+    b: ComplexMatrix
 
     @cached_property
     def pencil_flat(self) -> np.ndarray:
-        """(A, B) as one float (2, 2n^2) array, read once off the hat
-        matrices [[Re H, -Im H], [Im H, Re H]]: row-major entries with
+        """(A, B) as one float (2, 2n^2) array: row-major entries with
         real and imaginary parts interleaved, the memory layout of a
         complex array, so <H, X> = Re tr(H* X) is a dot product."""
-        n = self.n
-        hats = np.array([self.ahat, self.bhat], dtype=float)
-        return (hats[:, :n, :n] + 1j * hats[:, n:, :n]).reshape(2, -1).view(float)
+        pencil = np.array([self.a.to_complex(), self.b.to_complex()])
+        return pencil.reshape(2, -1).view(float)
 
     def pencil_values(self, dens: np.ndarray) -> Tuple[float, float]:
         """(<A, X>, <B, X>) for a Hermitian n x n X; <C, X> is their
@@ -156,9 +139,7 @@ def build_instance(pencil: HermitianPencil, frob_ceiling: int) -> SdpInstance:
         raise ValueError("frob_ceiling must be a positive integer")
     if pencil.a.is_zero() and pencil.b.is_zero():
         raise ValueError("zero pencil: chi is 0, no instance to build")
-    return SdpInstance(
-        n=pencil.n, frob_ceiling=frob_ceiling, ahat=pencil.ahat, bhat=pencil.bhat
-    )
+    return SdpInstance(n=pencil.n, frob_ceiling=frob_ceiling, a=pencil.a, b=pencil.b)
 
 
 def objective(n: int) -> Sparse:
@@ -173,18 +154,31 @@ def constraints(inst: SdpInstance) -> List[Tuple[Sparse, int]]:
     and I_{2n}."""
     k = 2 * inst.n
 
-    def negated(hat) -> Sparse:
-        rows = hat.tolist()
-        return tuple(
-            (i, j, -rows[i][j]) for i in range(k) for j in range(i, k) if rows[i][j]
-        )
+    def negated(h: ComplexMatrix) -> Sparse:
+        return tuple((i, j, -v) for i, j, v in hat_upper(h) if v)
 
     return [(f, 0) for f in annihilators(inst.n)] + [
-        (negated(inst.ahat) + ((k, k, 1), (k + 1, k + 1, -1)), 0),
-        (negated(inst.bhat) + ((k, k + 1, 1),), 0),
+        (negated(inst.a) + ((k, k, 1), (k + 1, k + 1, -1)), 0),
+        (negated(inst.b) + ((k, k + 1, 1),), 0),
         (tuple((i, i, 1) for i in range(k)), 2),
         (((k, k, 1), (k + 1, k + 1, 1), (k + 2, k + 2, 2)), 2 * (inst.frob_ceiling + 2)),
     ]
+
+
+def ball_center(inst: SdpInstance) -> Sparse:
+    """The ball center G = Z(I/n, c + 1) = diag((1/n) I_{2n}, S, 1), exact,
+    with S = [[c + 1 + x, y], [y, c + 1 - x]] and x + iy = <A, I/n> +
+    i<B, I/n> = (1/n) tr C."""
+    n, k = inst.n, 2 * inst.n
+    x, y = (exact_sum(h[i, i].re for i in range(n)) / n for h in (inst.a, inst.b))
+    r = inst.frob_ceiling + 1
+    diag = Fraction(1, n)
+    return tuple((i, i, diag) for i in range(k)) + (
+        (k, k, r + x),
+        (k, k + 1, y),
+        (k + 1, k + 1, r - x),
+        (k + 2, k + 2, 1),
+    )
 
 
 def _fmt(v) -> str:
@@ -193,8 +187,9 @@ def _fmt(v) -> str:
     return repr(float(v))
 
 
-def export_sdpa(inst: SdpInstance, path) -> None:
-    """Write the instance in SDPA sparse format (.dat-s).
+def export_sdpa(inst: SdpInstance, path) -> List[int]:
+    """Write the instance in SDPA sparse format (.dat-s) and return the
+    b values it wrote.
 
     Layout: mDIM, nBLOCK, block sizes, b, then entry lines
     "matno blkno i j value" (1-based indices inside each block, upper
@@ -218,6 +213,7 @@ def export_sdpa(inst: SdpInstance, path) -> None:
             fh.write(data)
     except OSError as e:
         raise OSError(f"cannot write SDPA file {path}: {e}") from e
+    return [b for _, b in cons]
 
 
 @dataclass(frozen=True)
@@ -239,23 +235,32 @@ def read_sdpa(path) -> SdpaData:
             raw = [ln.strip() for ln in fh if ln.strip()]
     except OSError as e:
         raise OSError(f"cannot read SDPA file {path}: {e}") from e
-    mdim = int(raw[0])
-    nblock = int(raw[1])
-    sizes = tuple(int(s) for s in raw[2].split())
-    if len(sizes) != nblock:
-        raise ValueError(f"{path}: block size count does not match nBLOCK")
-    b = np.array([float(s) for s in raw[3].split()])
+    try:
+        mdim, nblock = int(raw[0]), int(raw[1])
+        sizes = tuple(int(s) for s in raw[2].split())
+        b = np.array([float(s) for s in raw[3].split()])
+    except (IndexError, ValueError):
+        raise ValueError(f"{path}: missing or malformed header") from None
+    if len(sizes) != nblock or min(sizes, default=1) < 1:
+        raise ValueError(f"{path}: need nBLOCK positive block sizes")
     if b.shape != (mdim,):
         raise ValueError(f"{path}: b length does not match mDIM")
     mats = [
         [np.zeros((s, s)) for s in sizes] for _ in range(mdim + 1)
     ]
     for ln in raw[4:]:
-        parts = ln.split()
-        if len(parts) != 5:
-            raise ValueError(f"{path}: bad entry line {ln!r}")
-        matno, blk, i, j = (int(p) for p in parts[:4])
-        v = float(parts[4])
+        try:
+            matno, blk, i, j, v = ln.split()
+            matno, blk, i, j, v = int(matno), int(blk), int(i), int(j), float(v)
+        except ValueError:
+            raise ValueError(f"{path}: bad entry line {ln!r}") from None
+        if not (
+            0 <= matno <= mdim
+            and 1 <= blk <= nblock
+            and 1 <= min(i, j)
+            and max(i, j) <= sizes[blk - 1]
+        ):
+            raise ValueError(f"{path}: entry out of range {ln!r}")
         mats[matno][blk - 1][i - 1, j - 1] = v
         mats[matno][blk - 1][j - 1, i - 1] = v
     return SdpaData(
@@ -266,11 +271,9 @@ def read_sdpa(path) -> SdpaData:
     )
 
 
-def assemble_feasible_point(
-    inst: SdpInstance, dens: np.ndarray, r: float
-) -> BlockDiagSymmetric:
-    """Z(X, r) = diag(hat X, [[r + x, y], [y, r - x]], c + 2 - r) with
-    x + iy = <A, X> + i<B, X> and c = frob_ceiling.
+def assemble_feasible_point(inst: SdpInstance, dens: np.ndarray, r: float) -> np.ndarray:
+    """The dense float Z(X, r) = diag(hat X, [[r + x, y], [y, r - x]],
+    c + 2 - r) with x + iy = <A, X> + i<B, X> and c = frob_ceiling.
 
     For a Hermitian X of trace 1 this satisfies every equality constraint,
     and every equality-feasible point is of this form.  It is PSD exactly
@@ -278,8 +281,9 @@ def assemble_feasible_point(
     """
     dens = np.asarray(dens, dtype=complex)
     x, y = inst.pencil_values(dens)
-    return BlockDiagSymmetric(
-        y=np.block([[dens.real, -dens.imag], [dens.imag, dens.real]]),
-        uv=np.array([[r + x, y], [y, r - x]]),
-        t=inst.frob_ceiling + 2.0 - r,
-    )
+    k = 2 * inst.n
+    z = np.zeros((k + 3, k + 3))
+    z[:k, :k] = np.block([[dens.real, -dens.imag], [dens.imag, dens.real]])
+    z[k : k + 2, k : k + 2] = [[r + x, y], [y, r - x]]
+    z[k + 2, k + 2] = inst.frob_ceiling + 2.0 - r
+    return z

@@ -71,15 +71,11 @@ def densify(entries, m, dtype=float):
     return out
 
 
-def embed(z, dtype=float):
-    """Full (2n+3) x (2n+3) matrix with the block-diagonal content of z;
-    dtype=object keeps exact entries exact."""
-    k = z.y.shape[0]
-    out = np.zeros((k + 3, k + 3), dtype=dtype)
-    out[:k, :k] = z.y
-    out[k : k + 2, k : k + 2] = z.uv
-    out[k + 2, k + 2] = z.t
-    return out
+def blocks(z):
+    """The diagonal blocks (Y, [[u, v], [v, w]], t) of a (2n+3) x (2n+3)
+    Z with block sizes (2n, 2, 1)."""
+    k = z.shape[0] - 3
+    return z[:k, :k], z[k : k + 2, k : k + 2], z[k + 2, k + 2]
 
 
 def dense_constraints(inst):
@@ -92,17 +88,15 @@ def dense_constraints(inst):
 
 
 def chart_jacobian(chart):
-    """(d, (2n+3)^2) matrix whose row k is embed(point(e_k)) minus
-    embed(point(0)), raveled: the chart's linear part in full
-    coordinates, where the dot product is the Frobenius one."""
-    origin = embed(chart.point(np.zeros(chart.dim)))
-    return np.array(
-        [(embed(chart.point(e)) - origin).ravel() for e in np.eye(chart.dim)]
-    )
+    """(d, (2n+3)^2) matrix whose row k is point(e_k) minus point(0),
+    raveled: the chart's linear part in full coordinates, where the dot
+    product is the Frobenius one."""
+    origin = chart.point(np.zeros(chart.dim))
+    return np.array([(chart.point(e) - origin).ravel() for e in np.eye(chart.dim)])
 
 
 def chart_coordinates(chart, z):
     """Chart coordinates of an equality-feasible z, through the
     orthonormal Jacobian."""
-    origin = embed(chart.point(np.zeros(chart.dim)))
-    return chart_jacobian(chart) @ (embed(z) - origin).ravel()
+    origin = chart.point(np.zeros(chart.dim))
+    return chart_jacobian(chart) @ (z - origin).ravel()

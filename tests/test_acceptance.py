@@ -31,6 +31,7 @@ from helpers import (
     EXAMPLE,
     EXAMPLE_CENTER,
     EXAMPLE_TILDE,
+    blocks,
     dense_constraints,
     densify,
     gr,
@@ -174,8 +175,7 @@ def test_criterion_05_certified_ball(report):
         mat = random_gaussian_integer(rng, n, -5, 5)
         inst = build_instance(hermitian_split(mat), frobenius_ceiling(mat))
         ball = certified_ball(inst, mat)
-        g = ball.center
-        gy, guv, gt = g.y.astype(float), g.uv.astype(float), float(g.t)
+        gy, guv, gt = blocks(densify(ball.center, inst.ambient_dim))
         s_eigs = np.linalg.eigvalsh(guv)
         lam_g = min(
             np.linalg.eigvalsh(gy)[0], s_eigs[0], gt
@@ -188,11 +188,11 @@ def test_criterion_05_certified_ball(report):
         for _ in range(200):
             w = rng.standard_normal(chart.dim)
             w /= np.linalg.norm(w)
-            step = chart.point(r_in * w)
+            step_y, step_uv, step_t = blocks(chart.point(r_in * w))
             lam = min(
-                np.linalg.eigvalsh(step.y)[0],
-                np.linalg.eigvalsh(step.uv)[0],
-                step.t,
+                np.linalg.eigvalsh(step_y)[0],
+                np.linalg.eigvalsh(step_uv)[0],
+                step_t,
             )
             worst_dir = min(worst_dir, lam)
             ok &= lam >= -1e-9

@@ -208,6 +208,13 @@ class TestStatsAndValidation:
         with pytest.raises(ValueError):
             CrawfordQuery(matrix=EXAMPLE, epsilon=-1e-6)
 
+    @pytest.mark.parametrize("eps", [math.inf, math.nan])
+    def test_non_finite_epsilon_rejected(self, eps):
+        # an infinite eps once reached the solver and the oracle, which
+        # failed with a bare "math domain error" or a wrong value
+        with pytest.raises(ValueError, match="finite and positive"):
+            CrawfordQuery(matrix=EXAMPLE, epsilon=eps)
+
     def test_shorthand(self):
         val = crawford_number(EXAMPLE, epsilon=EPS)
         assert val == pytest.approx(CHI_EXAMPLE, abs=EPS)

@@ -317,6 +317,24 @@ class TestCmdExport:
         assert out.read_bytes() == (DATA / f"{name}.dat-s").read_bytes()
         assert capsys.readouterr().out.endswith(summary)
 
+    def test_constraints_generated_once(self, tmp_path, capsys, monkeypatch):
+        # the b values printed are the ones export_sdpa wrote
+        from crawford import sdp
+
+        calls = []
+        constraints = sdp.constraints
+
+        def counted(inst):
+            calls.append(inst)
+            return constraints(inst)
+
+        monkeypatch.setattr(sdp, "constraints", counted)
+        p = write_matrix(tmp_path / "c.json", EXAMPLE_TILDE)
+        out = tmp_path / "c.dat-s"
+        assert main(["export", p, "--center=-3-i", "--out", str(out)]) == 0
+        assert len(calls) == 1
+        assert capsys.readouterr().out.endswith("b: 22 zeros then 2 18\n")
+
 
 class TestCmdRange:
     def test_reference_example_csv(self, tmp_path, capsys):

@@ -7,7 +7,6 @@ import pytest
 
 from crawford import ellipsoid, sdp
 from crawford.ellipsoid import (
-    BlockDiagSymmetric,
     EllipsoidCapExceeded,
     _shrink,
     build_chart,
@@ -30,11 +29,11 @@ from helpers import (
     DIAG_PM,
     EXAMPLE,
     IDENTITY2,
+    blocks,
     chart_coordinates,
     chart_jacobian,
     dense_constraints,
     densify,
-    embed,
     gr,
     identity,
     random_density,
@@ -53,34 +52,31 @@ class TestCertifiedBall:
         assert ball.inner_r == Fraction(1, 2)
         assert ball.outer_R == 40
         # S = [[c + 1 + x, y], [y, c + 1 - x]] with (x, y) = (1/n) tr C
-        g = ball.center
-        assert (g.uv[0, 0] - inst.frob_ceiling - 1, g.uv[0, 1]) == (3, 1)
-        assert np.array_equal(
-            ball.center.uv.astype(float), np.array([[11.0, 1.0], [1.0, 5.0]])
-        )
-        assert np.array_equal(g.y.astype(float), 0.5 * np.eye(4))
-        assert g.t == 1
+        gy, guv, gt = blocks(densify(ball.center, inst.ambient_dim, object))
+        assert (guv[0, 0] - inst.frob_ceiling - 1, guv[0, 1]) == (3, 1)
+        assert np.array_equal(guv.astype(float), np.array([[11.0, 1.0], [1.0, 5.0]]))
+        assert np.array_equal(gy.astype(float), 0.5 * np.eye(4))
+        assert gt == 1
 
     def test_identity2(self):
         inst, ball = make(IDENTITY2)
         assert ball.inner_r == Fraction(1, 2)
         assert ball.outer_R == 20
-        assert np.array_equal(
-            ball.center.uv.astype(float), np.array([[4.0, 0.0], [0.0, 2.0]])
-        )
+        _, guv, _ = blocks(densify(ball.center, inst.ambient_dim))
+        assert np.array_equal(guv, np.array([[4.0, 0.0], [0.0, 2.0]]))
 
     def test_trace_identities_exact(self):
         for mat in (EXAMPLE, IDENTITY2, DIAG_PM, identity(3)):
             inst, ball = make(mat)
-            g = ball.center
-            assert sum(g.y[i, i] for i in range(2 * inst.n)) == 2
-            u, w = g.uv[0, 0], g.uv[1, 1]
-            assert u + w + 2 * g.t == 2 * (inst.frob_ceiling + 2)
+            gy, guv, gt = blocks(densify(ball.center, inst.ambient_dim, object))
+            assert sum(gy[i, i] for i in range(2 * inst.n)) == 2
+            u, w = guv[0, 0], guv[1, 1]
+            assert u + w + 2 * gt == 2 * (inst.frob_ceiling + 2)
 
     def test_s_minus_identity_psd(self):
         for mat in (EXAMPLE, IDENTITY2, DIAG_PM):
-            _, ball = make(mat)
-            s = ball.center.uv.astype(float) - np.eye(2)
+            inst, ball = make(mat)
+            s = blocks(densify(ball.center, inst.ambient_dim))[1] - np.eye(2)
             assert np.linalg.eigvalsh(s)[0] >= 0.0
 
     def test_wrong_matrix_rejected(self):
@@ -101,10 +97,8 @@ class TestCertifiedBall:
     def test_changed_ahat_entry_rejected(self, monkeypatch):
         # F_{N+1} holds -Ahat; G = diag(I/n, S, 1) meets its diagonal
         inst, _ = make(EXAMPLE)
-        ahat = inst.ahat.copy()
-        ahat[1, 1] += 1
         with pytest.raises(ValueError, match="not built from this matrix"):
-            certified_ball(dataclasses.replace(inst, ahat=ahat), EXAMPLE)
+            certified_ball(changed_a(inst, {(1, 1): 1}), EXAMPLE)
         cons = sdp.constraints(inst)
         f, b = cons[inst.N]
         (i, j, v), rest = f[0], f[1:]
@@ -113,6 +107,13 @@ class TestCertifiedBall:
         monkeypatch.setattr(sdp, "constraints", lambda _: cons)
         with pytest.raises(ValueError, match=rf"violates constraint F_{inst.N + 1}$"):
             certified_ball(inst, EXAMPLE)
+
+    def test_changed_offdiagonal_a_pair_rejected(self):
+        # A stays Hermitian and its trace is unchanged, and G's support,
+        # the diagonal, does not meet the change
+        inst, _ = make(EXAMPLE)
+        with pytest.raises(ValueError, match="not built from this matrix"):
+            certified_ball(changed_a(inst, {(0, 1): 1, (1, 0): 1}), EXAMPLE)
 
     def test_broken_annihilator_rejected(self, monkeypatch):
         # E_00 - E_nn (the two Re blocks agree) meets G's diagonal; with
@@ -125,6 +126,14 @@ class TestCertifiedBall:
         monkeypatch.setattr(sdp, "constraints", lambda _: cons)
         with pytest.raises(ValueError, match=rf"violates constraint F_{num + 1}$"):
             certified_ball(inst, EXAMPLE)
+
+
+def changed_a(inst, deltas):
+    """inst with deltas[i, j] added to A_ij."""
+    rows = [list(row) for row in inst.a.entries]
+    for (i, j), delta in deltas.items():
+        rows[i][j] = rows[i][j] + delta
+    return dataclasses.replace(inst, a=ComplexMatrix(rows))
 
 
 class TestChart:
@@ -156,7 +165,7 @@ class TestChart:
         rng = np.random.default_rng(7)
         for _ in range(20):
             zc = rng.standard_normal(chart.dim) * 3.0
-            full = embed(chart.point(zc))
+            full = chart.point(zc)
             for f, b in dense_constraints(inst):
                 assert abs((f * full).sum() - b) < 1e-10
 
@@ -190,9 +199,9 @@ class TestChartGates:
             assert np.abs(rows @ jac.T).max() < 1e-12
 
     def test_origin_is_ball_center(self, charted):
-        for _, ball, chart, _ in charted:
-            g = embed(ball.center)
-            assert np.abs(embed(chart.point(np.zeros(chart.dim))) - g).max() < 1e-12
+        for inst, ball, chart, _ in charted:
+            g = densify(ball.center, inst.ambient_dim)
+            assert np.abs(chart.point(np.zeros(chart.dim)) - g).max() < 1e-12
 
 
 class TestInitialEllipsoid:
@@ -283,14 +292,15 @@ class TestSeparationOracle:
         # [[x, y], [y, -x]] with (x, y) = tr C / n, eigenvalues +-|tr C| / n
         inst, ball = make(EXAMPLE)
         chart = build_chart(inst)
-        g = ball.center
+        _, guv, _ = blocks(densify(ball.center, inst.ambient_dim, object))
         # S = [[c + 1 + x, y], [y, c + 1 - x]]
-        x, y = float(g.uv[0, 0] - inst.frob_ceiling - 1), float(g.uv[0, 1])
-        zp = BlockDiagSymmetric(
-            y=g.y, uv=np.array([[x, y], [y, -x]]), t=inst.frob_ceiling + 2.0
-        )
+        x, y = float(guv[0, 0] - inst.frob_ceiling - 1), float(guv[0, 1])
+        zp = densify(ball.center, inst.ambient_dim)
+        k = 2 * inst.n
+        zp[k : k + 2, k : k + 2] = [[x, y], [y, -x]]
+        zp[k + 2, k + 2] = inst.frob_ceiling + 2.0
         zc = chart_coordinates(chart, zp)
-        assert np.allclose(embed(chart.point(zc)), embed(zp), atol=1e-12)
+        assert np.allclose(chart.point(zc), zp, atol=1e-12)
         cut = separation_oracle(chart, zc, math.inf)
         assert cut.kind == "feasibility"
         assert cut.min_eig == pytest.approx(-math.hypot(x, y))
@@ -317,12 +327,12 @@ def assert_cut_separates(inst, chart, zc, cut, rng):
     top = inst.frob_ceiling + 2.0
     for _ in range(30):
         dens = random_density(rng, inst.n)
-        uv = assemble_feasible_point(inst, dens, 0.0).uv
+        uv = blocks(assemble_feasible_point(inst, dens, 0.0))[1]
         modulus = math.hypot(uv[0, 0], uv[0, 1])
         for r in (modulus, modulus + (top - modulus) * rng.random(), top):
             z = assemble_feasible_point(inst, dens, r)
             x = chart_coordinates(chart, z)
-            assert np.allclose(embed(chart.point(x)), embed(z), atol=1e-9)
+            assert np.allclose(chart.point(x), z, atol=1e-9)
             assert cut.normal @ (x - zc) <= cut.min_eig + 1e-9
             assert cut.normal @ (x - zc) <= -cut.depth
 
@@ -348,7 +358,7 @@ class TestModulusCut:
         rng = np.random.default_rng(29)
 
         def lam_t(u):
-            return float(np.linalg.eigvalsh(chart.point(u).uv)[0])
+            return float(np.linalg.eigvalsh(blocks(chart.point(u))[1])[0])
 
         for _ in range(4):
             # ||X - I/n||_F <= ||u_x|| / sqrt(2) < 1/n keeps X PD
@@ -492,12 +502,12 @@ class TestSolve:
     def test_result_invariants(self):
         inst, ball = make(EXAMPLE)
         res = solve(ball, 1e-4)
-        z = assemble_feasible_point(inst, res.X, res.value)
+        full = assemble_feasible_point(inst, res.X, res.value)
+        zy, zuv, zt = blocks(full)
         tol = 1e-9 * float(ball.outer_R)
-        assert np.linalg.eigvalsh(0.5 * (z.y + z.y.T))[0] >= -tol
-        assert np.linalg.eigvalsh(z.uv)[0] >= -tol
-        assert z.t >= -tol
-        full = embed(z)
+        assert np.linalg.eigvalsh(0.5 * (zy + zy.T))[0] >= -tol
+        assert np.linalg.eigvalsh(zuv)[0] >= -tol
+        assert zt >= -tol
         f0 = densify(objective(inst.n), inst.ambient_dim)
         assert res.value == pytest.approx((f0 * full).sum(), abs=1e-12)
         for f, b in dense_constraints(inst):
@@ -532,7 +542,7 @@ class TestSolve:
     def test_inner_ball_inclusion(self):
         inst, ball = make(EXAMPLE)
         chart = build_chart(inst)
-        g = embed(ball.center)
+        g = densify(ball.center, inst.ambient_dim)
         rng = np.random.default_rng(29)
         r_in = float(ball.inner_r)
         for _ in range(200):
@@ -540,10 +550,11 @@ class TestSolve:
             w /= np.linalg.norm(w)
             z = chart.point(r_in * w)
             # the step from G has Frobenius length r_in
-            assert np.linalg.norm(embed(z) - g) == pytest.approx(r_in, abs=1e-12)
-            assert np.linalg.eigvalsh(z.y)[0] >= -1e-9
-            assert np.linalg.eigvalsh(z.uv)[0] >= -1e-9
-            assert z.t >= -1e-9
+            assert np.linalg.norm(z - g) == pytest.approx(r_in, abs=1e-12)
+            zy, zuv, zt = blocks(z)
+            assert np.linalg.eigvalsh(zy)[0] >= -1e-9
+            assert np.linalg.eigvalsh(zuv)[0] >= -1e-9
+            assert zt >= -1e-9
 
     def test_outer_ball_bound(self):
         inst, ball = make(EXAMPLE)
@@ -554,6 +565,12 @@ class TestSolve:
         inst, ball = make(EXAMPLE)
         with pytest.raises(ValueError):
             solve(ball, 0.0)
+
+    @pytest.mark.parametrize("eps", [math.inf, math.nan])
+    def test_rejects_non_finite_eps(self, eps):
+        _, ball = make(EXAMPLE)
+        with pytest.raises(ValueError, match="finite and positive"):
+            solve(ball, eps)
 
     def test_cap_diagnostic_carries_state(self):
         inst, ball = make(EXAMPLE)
@@ -572,13 +589,13 @@ class TestRepair:
             zc = rng.standard_normal(chart.dim) * 0.3
             w, x = repair_point(inst, chart.density(zc))
             val = abs(w)
-            z = assemble_feasible_point(inst, x, val)
+            zy, zuv, zt = blocks(assemble_feasible_point(inst, x, val))
             assert abs(np.trace(x) - 1.0) < 1e-9
             assert val >= CHI_EXAMPLE - 1e-9
-            assert np.linalg.eigvalsh(z.y)[0] >= -1e-9
-            assert np.linalg.eigvalsh(z.uv)[0] >= -1e-9
-            assert z.t >= -1e-9
-            assert abs(np.trace(z.y) - 2.0) < 1e-9
+            assert np.linalg.eigvalsh(zy)[0] >= -1e-9
+            assert np.linalg.eigvalsh(zuv)[0] >= -1e-9
+            assert zt >= -1e-9
+            assert abs(np.trace(zy) - 2.0) < 1e-9
 
     def test_indefinite_density_clipped_to_trace_one(self):
         inst, _ = make(EXAMPLE)

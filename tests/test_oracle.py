@@ -62,6 +62,13 @@ class TestChiOracle:
         with pytest.raises(ValueError):
             support_search(EXAMPLE, 0.0)
 
+    @pytest.mark.parametrize("delta", [math.inf, math.nan])
+    def test_rejects_non_finite_delta(self, delta):
+        # a nan delta makes every stop comparison false: the search never
+        # returned
+        with pytest.raises(ValueError, match="finite and positive"):
+            support_search(EXAMPLE, delta)
+
     @pytest.mark.parametrize("n", range(1, 7))
     def test_certificate_random(self, n):
         rng = np.random.default_rng(500 + n)

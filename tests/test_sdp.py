@@ -4,9 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from crawford.linalg import ComplexMatrix, frobenius_ceiling, hermitian_split
+from crawford.linalg import ComplexMatrix, frobenius_ceiling, hat_embed, hermitian_split
 from crawford.sdp import (
-    BlockDiagSymmetric,
     SdpInstance,
     annihilators,
     assemble_feasible_point,
@@ -19,9 +18,9 @@ from crawford.sdp import (
 from helpers import (
     EXAMPLE,
     DIAG_PM,
+    blocks,
     dense_constraints,
     densify,
-    embed,
     gr,
     random_density,
     random_hermitian_gaussian_integer,
@@ -45,7 +44,7 @@ def modulus_block(x, y, r):
     gives <A, X> = x and <B, X> = y."""
     mat = ComplexMatrix([[gr(x, y)]])
     inst = build_instance(hermitian_split(mat), frobenius_ceiling(mat))
-    return assemble_feasible_point(inst, np.eye(1), r).uv
+    return blocks(assemble_feasible_point(inst, np.eye(1), r))[1]
 
 
 class TestModulusBlock:
@@ -58,7 +57,7 @@ class TestModulusBlock:
     def test_origin(self):
         # C = diag(1, -1) and X = I/2 give <A, X> = <B, X> = 0
         inst = build_instance(hermitian_split(DIAG_PM), frobenius_ceiling(DIAG_PM))
-        m = assemble_feasible_point(inst, 0.5 * np.eye(2), 0.0).uv
+        m = blocks(assemble_feasible_point(inst, 0.5 * np.eye(2), 0.0))[1]
         assert np.array_equal(m, np.zeros((2, 2)))
 
     def test_boundary_irrational(self):
@@ -110,10 +109,10 @@ class TestSubspaceBasis:
                 h = random_hermitian_gaussian_integer(rng, n).to_complex()
                 yh = np.block([[h.real, -h.imag], [h.imag, h.real]])
                 tt = rng.standard_normal((2, 2))
-                z = BlockDiagSymmetric(
-                    y=yh, uv=tt + tt.T, t=float(rng.standard_normal())
-                )
-                full = embed(z)
+                full = np.zeros((2 * n + 3, 2 * n + 3))
+                full[: 2 * n, : 2 * n] = yh
+                full[2 * n : 2 * n + 2, 2 * n : 2 * n + 2] = tt + tt.T
+                full[2 * n + 2, 2 * n + 2] = rng.standard_normal()
                 for f in basis:
                     assert abs((f * full).sum()) < 1e-9
 
@@ -136,10 +135,10 @@ class TestBuildInstance:
     def test_instance_is_its_data(self):
         inst = example_instance()
         fields = [f.name for f in dataclasses.fields(SdpInstance)]
-        assert fields == ["n", "frob_ceiling", "ahat", "bhat"]
+        assert fields == ["n", "frob_ceiling", "a", "b"]
         pen = hermitian_split(EXAMPLE)
-        assert np.array_equal(inst.ahat, pen.ahat)
-        assert np.array_equal(inst.bhat, pen.bhat)
+        assert inst.a == pen.a
+        assert inst.b == pen.b
         assert inst.frob_ceiling == frobenius_ceiling(EXAMPLE) == 7
 
     def test_reference_tail_blocks(self):
@@ -155,13 +154,13 @@ class TestBuildInstance:
         tails = [(densify(f, 7, object), b) for f, b in cons[inst.N :]]
         assert len(tails) == 4
         f1, b1 = tails[0]
-        assert np.array_equal(f1[:4, :4], -inst.ahat)
+        assert np.array_equal(f1[:4, :4], -hat_embed(inst.a))
         assert np.array_equal(
             f1[4:6, 4:6].astype(float), np.array([[1.0, 0.0], [0.0, -1.0]])
         )
         assert f1[6, 6] == 0 and b1 == 0
         f2, b2 = tails[1]
-        assert np.array_equal(f2[:4, :4], -inst.bhat)
+        assert np.array_equal(f2[:4, :4], -hat_embed(inst.b))
         assert np.array_equal(
             f2[4:6, 4:6].astype(float), np.array([[0.0, 1.0], [1.0, 0.0]])
         )
@@ -183,11 +182,12 @@ class TestBuildInstance:
         rng = np.random.default_rng(5)
         for _ in range(20):
             vec = rng.standard_normal(inst.ambient_dim**2 + 1)
-            z = BlockDiagSymmetric(
-                y=vec[:16].reshape(4, 4), uv=vec[16:20].reshape(2, 2), t=vec[20]
-            )
-            u, w = z.uv[0, 0], z.uv[1, 1]
-            assert abs((f0 * embed(z)).sum() - 0.5 * (u + w)) < 1e-12
+            z = np.zeros((7, 7))
+            z[:4, :4] = vec[:16].reshape(4, 4)
+            z[4:6, 4:6] = vec[16:20].reshape(2, 2)
+            z[6, 6] = vec[20]
+            u, w = z[4, 4], z[5, 5]
+            assert abs((f0 * z).sum() - 0.5 * (u + w)) < 1e-12
 
     def test_feasible_iff_r_dominates_modulus(self):
         inst = example_instance()
@@ -199,23 +199,22 @@ class TestBuildInstance:
             x = random_density(rng, 2)
             zval = complex((a_f.conj() * x).sum().real, (b_f.conj() * x).sum().real)
             for r in (abs(zval) * 1.01 + 1e-6, abs(zval) + 1.0):
-                z = assemble_feasible_point(inst, x, r)
-                full = embed(z)
+                full = assemble_feasible_point(inst, x, r)
                 for f, b in dense_constraints(inst):
                     assert abs((f * full).sum() - b) < 1e-8
-                assert np.linalg.eigvalsh(z.y)[0] >= -1e-9
-                assert np.linalg.eigvalsh(z.uv)[0] >= -1e-9
-                assert z.t >= -1e-9
+                zy, zuv, zt = blocks(full)
+                assert np.linalg.eigvalsh(zy)[0] >= -1e-9
+                assert np.linalg.eigvalsh(zuv)[0] >= -1e-9
+                assert zt >= -1e-9
             if abs(zval) > 1e-3:
                 bad = assemble_feasible_point(inst, x, abs(zval) * 0.98)
-                assert np.linalg.eigvalsh(bad.uv)[0] < 0.0
+                assert np.linalg.eigvalsh(blocks(bad)[1])[0] < 0.0
 
     def test_structured_points_lie_in_affine_slice(self):
         inst = example_instance()
         rng = np.random.default_rng(13)
         for _ in range(10):
-            z = assemble_feasible_point(inst, random_density(rng, 2), 3.0)
-            full = embed(z)
+            full = assemble_feasible_point(inst, random_density(rng, 2), 3.0)
             for f, _ in dense_constraints(inst)[: inst.N]:
                 assert abs((f * full).sum()) < 1e-9
 
@@ -285,3 +284,31 @@ class TestExportSdpa:
         bad = tmp_path / "missing" / "x.dat-s"
         with pytest.raises(OSError, match="x.dat-s"):
             export_sdpa(inst, bad)
+
+    def test_returns_the_b_it_wrote(self, tmp_path):
+        inst = example_instance()
+        path = tmp_path / "b.dat-s"
+        b = export_sdpa(inst, path)
+        assert b == [b for _, b in constraints(inst)]
+        assert np.array_equal(read_sdpa(path).b, [float(v) for v in b])
+
+
+class TestReadSdpa:
+    """Malformed files raise ValueError naming the path, never IndexError."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            "3\n",
+            "1\n3\n4 2 1\n0.0\n2 1 1 1 1.0\n",
+            "1\n3\n4 2 1\n0.0\n1 4 1 1 1.0\n",
+            "1\n3\n4 2 1\n0.0\n1 2 3 1 1.0\n",
+        ],
+        ids=["empty", "header_only", "matno_beyond_mdim", "block_4", "index_beyond_block"],
+    )
+    def test_malformed_file_raises_value_error(self, tmp_path, text):
+        path = tmp_path / "bad.dat-s"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="bad.dat-s"):
+            read_sdpa(path)
