@@ -3,8 +3,9 @@
 
 For each n the script draws a random Gaussian-integer C, shifts it to
 C - kI with k = ceil(||C||_F) + 1, so that chi >= 1, solves it at fixed
-eps, and reports iterations next to the n^4 log n model; a bounded ratio
-column means the growth is compatible with that model.  (About the
+eps, and reports iterations next to the n^4 log n model, with the solve's
+wall time and its microseconds per iteration; a bounded ratio column
+means the growth is compatible with that model.  (About the
 centre 0, random C with n >= 3 almost always have chi = 0, and those
 solves end as soon as the hull of the repaired centres holds a point
 within eps of 0, which says nothing of the volume bound.)  Every value
@@ -54,7 +55,7 @@ def main() -> None:
     )
     print(
         f"{'n':>3} {'d':>4} {'iters':>8} {'iters/(n^4 ln n)':>17} {'seconds':>8}"
-        f" {'|sdp-oracle|':>13}"
+        f" {'us/iter':>8} {'|sdp-oracle|':>13}"
     )
     for n in range(args.n_min, args.n_max + 1):
         for trial in range(args.trials):
@@ -65,13 +66,14 @@ def main() -> None:
             # mat has integer entries, so l = 1
             inst, mat, _ = sdp_instance(mat)
             ball = certified_ball(inst, mat)
-            t0 = time.time()
+            t0 = time.perf_counter()
             res = solve(ball, args.eps)
-            dt = time.time() - t0
+            dt = time.perf_counter() - t0
+            us_per_iter = 1e6 * dt / res.iterations
             model = n**4 * math.log(n + 1.0)
             line = (
                 f"{n:>3} {n * n:>4} {res.iterations:>8} "
-                f"{res.iterations / model:>17.2f} {dt:>8.3f}"
+                f"{res.iterations / model:>17.2f} {dt:>8.3f} {us_per_iter:>8.1f}"
             )
             gap = abs(res.value - chi_oracle(mat, args.eps))
             print(line + f" {gap:>13.2e}")
@@ -85,6 +87,7 @@ def main() -> None:
                 "iterations": res.iterations,
                 "value": res.value,
                 "seconds": dt,
+                "us_per_iter": us_per_iter,
                 "oracle_gap": gap,
             }
             rows.append(row)

@@ -78,7 +78,11 @@ def crawford(query: CrawfordQuery) -> CrawfordResult:
     solver_stats carries perf_counter phase timings in seconds: setup_s
     (translation through the certified ball and its chart) and solve_s
     (the ellipsoid loop) on the SDP route, oracle_s (the support search
-    and witness) on the oracle route; BOTH carries all three.
+    and witness) on the oracle route; BOTH carries all three.  The SDP
+    route also counts its feasibility cuts by block: cuts_spectral (on
+    X), cuts_modulus (the 2x2 block) and cuts_ceiling (the scalar), whose
+    sum is cuts_feasibility; cuts_modulus + cuts_ceiling steps took no
+    spectrum of X.
     """
     t_start = time.perf_counter()
     t_mat = query.matrix.translate(query.center)
@@ -127,6 +131,9 @@ def crawford(query: CrawfordQuery) -> CrawfordResult:
             scale_factor=scale,
             setup_s=t_setup - t_start,
             solve_s=t_solve - t_setup,
+            cuts_spectral=res.cuts_spectral,
+            cuts_modulus=res.cuts_modulus,
+            cuts_ceiling=res.cuts_ceiling,
         )
 
     if query.method in (Method.ORACLE_SWEEP, Method.BOTH):

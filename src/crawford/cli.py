@@ -162,7 +162,10 @@ def cmd_chi(matrix_path, config: RunConfig) -> int:
         if "certified_gap" in stats:
             doc["lower_bound"] = stats["lower_bound"]
             doc["certified_gap"] = stats["certified_gap"]
-        for key in ("setup_s", "solve_s", "oracle_s"):
+        for key in (
+            "setup_s", "solve_s", "oracle_s",
+            "cuts_spectral", "cuts_modulus", "cuts_ceiling",
+        ):
             if key in stats:
                 doc[key] = stats[key]
         print(json.dumps(doc))

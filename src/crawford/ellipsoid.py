@@ -80,8 +80,15 @@ Each step keeps the part of the ellipsoid E on the far side of a deep
 cut {x : g.(x - z) <= -depth} (Bland, Goldfarb & Todd, Oper. Res. 29(6),
 1981, section 3):
 
-  feasibility  the eigenvector cut at the violated block, backed off by
-               the PSD tolerance, depth = -lambda_min - tol,
+  feasibility  the eigenvector cut at a violated block, backed off by
+               the PSD tolerance, depth = -lambda_min - tol, where
+               lambda_min (`Cut.min_eig`) is the smallest eigenvalue of
+               the block cut on.  Any violated block gives a valid cut,
+               so the cheap blocks come first: the 2x2 block
+               (lambda_min = r - |w(X)|) or the scalar t = c + 2 - r,
+               whichever is lower, when either is violated, and X's
+               eigenvector cut, the only one that needs eigh(X), only
+               when both hold,
   objective    the level set obj <= best_cert, depth = obj(z) - best_cert
                (0 on an improving step, a central cut).
 
@@ -198,17 +205,18 @@ class AffineChart:
         return assemble_feasible_point(self.inst, self.density(u), self.modulus(u))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Cut:
     """The halfspace {x : normal.(x - z) <= -depth} that keeps every
     feasible chart point with objective below the current best_cert."""
 
     kind: str                           # feasible_improving | feasibility | objective
     normal: np.ndarray                  # chart coordinates
-    min_eig: float
+    min_eig: float                      # least eigenvalue of the block cut on
     objective: float
     depth: float                        # >= 0; 0 is a cut through z
     spectrum: Optional[tuple] = None    # eigh(X) of a PSD-feasible point
+    block: Optional[str] = None         # feasibility: spectral | modulus | ceiling
 
 
 @dataclass(frozen=True)
@@ -217,8 +225,11 @@ class SolveResult:
     X: np.ndarray                       # repaired density matrix, the witness
     iterations: int
     cap: int                            # iteration cap of the volume bound
-    cuts_feasibility: int
+    cuts_feasibility: int               # cuts_spectral + cuts_modulus + cuts_ceiling
     cuts_objective: int
+    cuts_spectral: int                  # on X, after its spectrum
+    cuts_modulus: int                   # on the 2x2 block, no spectrum taken
+    cuts_ceiling: int                   # on the scalar t, no spectrum taken
     certified_gap: float
     lower_bound: float
     max_feasible_distance: float
@@ -301,53 +312,70 @@ def build_chart(inst: SdpInstance) -> AffineChart:
 def separation_oracle(chart: AffineChart, u: np.ndarray, best_value: float) -> Cut:
     """Classify the chart point u, Z = Z(X, r): PSD and improving, PSD but
     not improving (objective cut along the gradient of r at depth
-    r - best_value), or not PSD (cut along the gradient of the violated
-    block's v'Zv at depth -lambda_min - tol).  lambda(hat X) = lambda(X),
-    each twice, and v'(hat X)v = w*Xw for the matching complex w, so the
-    big block needs only X.  PSD tolerance is tol = 1e-9 (1 + ||Z||_F).
-    The cut of a PSD-feasible point carries eigh(X), for its repair."""
-    x = chart.density(u)
-    wx, qx = np.linalg.eigh(x)
-    a, b = chart.inst.pencil_values(x)
+    r - best_value), or not PSD (cut along the gradient of a violated
+    block's v'Zv at depth -lambda_min - tol).  PSD tolerance is
+    tol = 1e-9 (1 + ||Z||_F).
+
+    X is read once, as its flat layout.  The 2x2 and scalar blocks come
+    first: their eigenvalues r - |w(X)| and t = c + 2 - r are closed-form,
+    and when either is below -tol the more violated of the two gives the
+    cut, with no spectrum of X.  Only when both hold is X's spectrum taken:
+    lambda(hat X) = lambda(X), each twice, and v'(hat X)v = w*Xw for the
+    matching complex w, so the big block needs only X.  The cut of a
+    PSD-feasible point carries eigh(X), for its repair."""
+    inst = chart.inst
+    flat = chart.x_origin + u @ chart.x_map
+    a, b = (inst.pencil_flat @ flat).tolist()
     r = chart.modulus(u)
-    t = chart.inst.frob_ceiling + 2.0 - r
+    t = inst.frob_ceiling + 2.0 - r
     m = math.hypot(a, b)
     lam_t = r - m
     # ||Z||_F^2 = 2 ||X||_F^2 + ||[[r+a, b], [b, r-a]]||_F^2 + t^2
-    tol = 1e-9 * (1.0 + math.sqrt(2.0 * float(wx @ wx + r * r + m * m) + t * t))
-    lam_x = float(wx[0])
-    worst = min(lam_x, lam_t, t)
+    xx = float(flat @ flat)
+    tol = 1e-9 * (1.0 + math.sqrt(2.0 * (xx + r * r + m * m) + t * t))
 
-    if worst >= -tol:
-        improving = r < best_value
+    if lam_t < -tol or t < -tol:
+        if lam_t <= t:
+            # v'[[r+a, b], [b, r-a]]v = r + (p^2 - q^2) a + 2pq b for unit
+            # v = (p, q); the smallest eigenvalue r - m is reached at
+            # (p^2 - q^2, 2pq) = -(a, b) / m, and at m = 0 by every v
+            block, worst = "modulus", lam_t
+            normal = -chart.objective_grad
+            if m > 0.0:
+                normal = normal + chart.pencil_grad @ (a / m, b / m)
+        else:
+            block, worst, normal = "ceiling", t, chart.objective_grad
         return Cut(
-            kind="feasible_improving" if improving else "objective",
-            normal=chart.objective_grad,
+            kind="feasibility",
+            normal=normal,
             min_eig=worst,
             objective=r,
-            depth=0.0 if improving else r - best_value,
-            spectrum=(wx, qx),
+            depth=max(0.0, -worst - tol),
+            block=block,
         )
 
-    if worst == lam_x:
+    n = chart.n
+    wx, qx = np.linalg.eigh(flat.view(complex).reshape(n, n))
+    lam_x = float(wx[0])
+    if lam_x < -tol:
         w = qx[:, 0]
-        normal = -(chart.x_map @ np.outer(w, w.conj()).ravel().view(float))
-    elif worst == lam_t:
-        # v'[[r+a, b], [b, r-a]]v = r + (p^2 - q^2) a + 2pq b for unit
-        # v = (p, q); the smallest eigenvalue r - m is reached at
-        # (p^2 - q^2, 2pq) = -(a, b) / m, and at m = 0 by every v
-        normal = -chart.objective_grad
-        if m > 0.0:
-            normal = normal + chart.pencil_grad @ (a / m, b / m)
-    else:
-        # t = c + 2 - r
-        normal = chart.objective_grad
+        return Cut(
+            kind="feasibility",
+            normal=chart.x_map @ ((-w)[:, None] * w.conj()).ravel().view(float),
+            min_eig=lam_x,
+            objective=r,
+            depth=max(0.0, -lam_x - tol),
+            block="spectral",
+        )
+
+    improving = r < best_value
     return Cut(
-        kind="feasibility",
-        normal=normal,
-        min_eig=worst,
+        kind="feasible_improving" if improving else "objective",
+        normal=chart.objective_grad,
+        min_eig=min(lam_x, lam_t, t),
         objective=r,
-        depth=max(0.0, -worst - tol),
+        depth=0.0 if improving else r - best_value,
+        spectrum=(wx, qx),
     )
 
 
@@ -409,8 +437,11 @@ def _shrink(z: np.ndarray, p_mat: np.ndarray, b: np.ndarray, alpha: float) -> No
         return
     tau = (1.0 + d * alpha) / (d + 1.0)
     sigma = 2.0 * tau / (1.0 + alpha)
-    z -= tau * b
-    p_mat -= (sigma * b)[:, None] * b
+    step = tau * b
+    z -= step
+    # sigma b, written over tau b
+    np.multiply(b, sigma, out=step)
+    p_mat -= step[:, None] * b
     p_mat *= d * d * (1.0 - alpha * alpha) / (d * d - 1.0)
 
 
@@ -446,7 +477,8 @@ def solve(
     # diagonal entries of a PSD matrix are nonnegative, so (u+w)/2 >= 0
     # on the whole cone; 0 is a certified lower bound from the start
     lb = 0.0
-    n_feas = n_obj = 0
+    n_obj = 0
+    n_feas = {"spectral": 0, "modulus": 0, "ceiling": 0}
     max_dist = 0.0
 
     def result(it):
@@ -455,8 +487,11 @@ def solve(
             X=best_x,
             iterations=it,
             cap=cap,
-            cuts_feasibility=n_feas,
+            cuts_feasibility=sum(n_feas.values()),
             cuts_objective=n_obj,
+            cuts_spectral=n_feas["spectral"],
+            cuts_modulus=n_feas["modulus"],
+            cuts_ceiling=n_feas["ceiling"],
             certified_gap=best_cert - lb,
             lower_bound=lb,
             max_feasible_distance=max_dist,
@@ -488,20 +523,21 @@ def solve(
                 if record is not None:
                     record.append(best_cert)
 
-        # the objective's gradient is e_d / sqrt(3): P g is P's last column
-        p_obj = p_mat[:, -1] * _RHO
-        width = math.sqrt(max(float(p_obj[-1]) * _RHO, 0.0))
-        lb = max(lb, min(best_cert, obj_center - width))
+        # the objective's gradient is e_d / sqrt(3): g'Pg is P's last
+        # diagonal entry over 3, and P g is P's last column over sqrt(3)
+        gpg_obj = float(p_mat[-1, -1]) * _RHO * _RHO
+        lb = max(lb, min(best_cert, obj_center - math.sqrt(max(gpg_obj, 0.0))))
         if best_cert - lb <= eps:
             return result(it)
 
         if cut.kind == "feasibility":
             pg = p_mat @ cut.normal
-            n_feas += 1
+            gpg = float(cut.normal @ pg)
+            n_feas[cut.block] += 1
         else:
-            pg = p_obj
+            pg = p_mat[:, -1] * _RHO
+            gpg = gpg_obj
             n_obj += 1
-        gpg = float(cut.normal @ pg)
         if not math.isfinite(gpg) or gpg <= 0.0:
             raise EllipsoidCapExceeded(
                 "ellipsoid degenerated (numerical breakdown); "

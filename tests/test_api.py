@@ -178,6 +178,11 @@ class TestStatsAndValidation:
             res.chi - stats["lower_bound"], abs=1e-15
         )
         assert 0.0 <= stats["certified_gap"] <= EPS
+        # cuts by block come last; the modulus and ceiling cuts are the
+        # steps that took no spectrum of X
+        by_block = ["cuts_spectral", "cuts_modulus", "cuts_ceiling"]
+        assert list(stats)[-3:] == by_block
+        assert stats["cuts_feasibility"] == sum(stats[k] for k in by_block)
 
     def test_oracle_stats_fields(self):
         res = run(EXAMPLE, method=Method.ORACLE_SWEEP)

@@ -168,8 +168,14 @@ class TestCmdChi:
             "certified_gap",
             "setup_s",
             "solve_s",
+            "cuts_spectral",
+            "cuts_modulus",
+            "cuts_ceiling",
         ]
         assert payload["setup_s"] >= 0.0 and payload["solve_s"] >= 0.0
+        cuts = [payload[k] for k in ("cuts_spectral", "cuts_modulus", "cuts_ceiling")]
+        assert all(isinstance(k, int) and k >= 0 for k in cuts)
+        assert sum(cuts) < payload["iterations"]
         assert payload["method"] == "sdp"
         assert payload["lower_bound"] <= CHI_EXAMPLE <= payload["chi"]
         assert payload["certified_gap"] == pytest.approx(

@@ -307,14 +307,94 @@ class TestSeparationOracle:
         assert_cut_separates(inst, chart, zc, cut, np.random.default_rng(19))
 
     def test_eigenvector_cut_separates(self):
+        # X indefinite while |w(X)| <= r <= c + 2: only the big block is
+        # violated, so the cut is X's, along -grad lambda_min(X)
         inst, ball = make(EXAMPLE)
         chart = build_chart(inst)
         rng = np.random.default_rng(17)
-        zc = rng.standard_normal(chart.dim) * 50.0
+        zc = indefinite_center(chart, rng, lam_min=-0.2)
+
+        def lam_x(u):
+            return float(np.linalg.eigvalsh(chart.density(u))[0])
+
         cut = separation_oracle(chart, zc, math.inf)
-        assert cut.kind == "feasibility"
+        assert (cut.kind, cut.block) == ("feasibility", "spectral")
+        assert cut.min_eig == pytest.approx(lam_x(zc), abs=1e-12)
         assert cut.min_eig < 0.0
+        h = 1e-6
+        grad = np.array([
+            (lam_x(zc + h * e) - lam_x(zc - h * e)) / (2.0 * h)
+            for e in np.eye(chart.dim)
+        ])
+        assert np.allclose(cut.normal, -grad, atol=1e-6)
         assert_cut_separates(inst, chart, zc, cut, rng)
+
+
+def indefinite_center(chart, rng, lam_min):
+    """A chart point whose X has least eigenvalue lam_min < 0 and whose
+    r lies midway between |w(X)| and c + 2, so the 2x2 and scalar blocks
+    hold."""
+    u = np.zeros(chart.dim)
+    u[:-1] = rng.standard_normal(chart.dim - 1)
+    lam = float(np.linalg.eigvalsh(chart.density(u))[0])
+    # X = I/n + s (X(u) - I/n) is affine in s along the ray
+    u[:-1] *= (1.0 / chart.n - lam_min) / (1.0 / chart.n - lam)
+    m = math.hypot(*chart.inst.pencil_values(chart.density(u)))
+    top = chart.inst.frob_ceiling + 2.0
+    assert m < top
+    u[-1] = (0.5 * (m + top) - chart.inst.frob_ceiling - 1.0) * math.sqrt(3.0)
+    return u
+
+
+class TestCheapBlocksFirst:
+    """The 2x2 and scalar blocks are checked before X's spectrum: a
+    violated one gives the cut, and np.linalg.eigh is not called."""
+
+    @pytest.fixture
+    def eigh_calls(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(x):
+            calls.append(x.shape)
+            return eigh(x)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        return calls
+
+    def test_modulus_cut_before_spectrum(self, eigh_calls):
+        inst, _ = make(EXAMPLE)
+        chart = build_chart(inst)
+        u = indefinite_center(chart, np.random.default_rng(31), lam_min=-1.0)
+        m = math.hypot(*inst.pencil_values(chart.density(u)))
+        # r - |w(X)| = -1e-3, above lambda_min(X) = -1: X is the more
+        # violated block, and the modulus cut is still the one taken
+        u[-1] = (m - 1e-3 - inst.frob_ceiling - 1.0) * math.sqrt(3.0)
+        cut = separation_oracle(chart, u, math.inf)
+        assert eigh_calls == []
+        assert (cut.kind, cut.block) == ("feasibility", "modulus")
+        assert cut.min_eig == pytest.approx(-1e-3, abs=1e-12)
+        assert np.linalg.eigvalsh(chart.density(u))[0] == pytest.approx(-1.0)
+
+    def test_ceiling_cut_before_spectrum(self, eigh_calls):
+        inst, _ = make(EXAMPLE)
+        chart = build_chart(inst)
+        u = np.zeros(chart.dim)
+        # r = c + 3: t = -1
+        u[-1] = 2.0 * math.sqrt(3.0)
+        cut = separation_oracle(chart, u, math.inf)
+        assert eigh_calls == []
+        assert (cut.kind, cut.block) == ("feasibility", "ceiling")
+        assert cut.min_eig == pytest.approx(-1.0, abs=1e-12)
+        assert np.array_equal(cut.normal, chart.objective_grad)
+
+    def test_one_spectrum_at_a_feasible_center(self, eigh_calls):
+        inst, _ = make(EXAMPLE)
+        chart = build_chart(inst)
+        cut = separation_oracle(chart, np.zeros(chart.dim), math.inf)
+        assert eigh_calls == [(inst.n, inst.n)]
+        assert cut.kind == "feasible_improving"
+        assert cut.block is None and cut.spectrum is not None
 
 
 def assert_cut_separates(inst, chart, zc, cut, rng):
@@ -338,8 +418,8 @@ def assert_cut_separates(inst, chart, zc, cut, rng):
 
 
 class TestModulusCut:
-    """The 2x2 block's cut at centres with r < |w(X)|, where that block
-    is the most violated one."""
+    """The 2x2 block's cut at centres with r < |w(X)| and X positive
+    definite, where that block is the violated one."""
 
     @pytest.mark.parametrize(
         "mat",
@@ -372,7 +452,7 @@ class TestModulusCut:
             u[-1] = (0.5 * m - inst.frob_ceiling - 1.0) * math.sqrt(3.0)
             assert chart.modulus(u) < m
             cut = separation_oracle(chart, u, math.inf)
-            assert cut.kind == "feasibility"
+            assert (cut.kind, cut.block) == ("feasibility", "modulus")
             assert cut.min_eig == pytest.approx(chart.modulus(u) - m, abs=1e-12)
             h = 1e-6
             grad = np.array([
@@ -432,7 +512,9 @@ class TestDeepCutUpdate:
         def deep_after_first_feasible(chart, u, best_value):
             cut = oracle(chart, u, best_value)
             if best_value < math.inf:
-                cut = dataclasses.replace(cut, kind="feasibility", depth=1e6)
+                cut = dataclasses.replace(
+                    cut, kind="feasibility", block="spectral", depth=1e6
+                )
             return cut
 
         monkeypatch.setattr(ellipsoid, "separation_oracle", deep_after_first_feasible)
@@ -448,7 +530,9 @@ class TestDeepCutUpdate:
 
         def always_deep(chart, u, best_value):
             cut = oracle(chart, u, best_value)
-            return dataclasses.replace(cut, kind="feasibility", depth=1e6)
+            return dataclasses.replace(
+                cut, kind="feasibility", block="spectral", depth=1e6
+            )
 
         monkeypatch.setattr(ellipsoid, "separation_oracle", always_deep)
         with pytest.raises(EllipsoidCapExceeded) as info:
@@ -517,6 +601,9 @@ class TestSolve:
         assert res.lower_bound <= res.value
         assert res.value - res.lower_bound <= 1e-4 + 1e-12
         assert res.cuts_feasibility + res.cuts_objective <= res.iterations
+        assert res.cuts_feasibility == (
+            res.cuts_spectral + res.cuts_modulus + res.cuts_ceiling
+        )
 
     def test_lower_bound_below_truth(self):
         inst, ball = make(EXAMPLE)

@@ -2,11 +2,14 @@
 interpreter, as a user would run it, and must exit 0 with its result
 lines."""
 
+import csv
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from helpers import CHI_EXAMPLE
 
@@ -42,9 +45,23 @@ def test_reproduce_worked_example(tmp_path):
 
 
 def test_scaling_study_small(tmp_path):
-    out = run_script("scaling_study.py", "--n-max", "3", "--trials", "1")
-    rows = re.findall(r"^\s+(\d+)\s+(\d+)\s+(\d+)\s+\S+\s+\S+\s+(\S+)$", out, re.M)
-    assert [(n, d) for n, d, _, _ in rows] == [("2", "4"), ("3", "9")]
-    for _, _, iterations, gap in rows:
+    table = tmp_path / "rows.csv"
+    out = run_script(
+        "scaling_study.py", "--n-max", "3", "--trials", "1", "--csv", str(table)
+    )
+    assert re.search(r"^\s+n\s+d\s+iters\s.*\sseconds\s+us/iter\s", out, re.M)
+    rows = re.findall(
+        r"^\s+(\d+)\s+(\d+)\s+(\d+)\s+\S+\s+(\S+)\s+(\S+)\s+(\S+)$", out, re.M
+    )
+    assert [(n, d) for n, d, *_ in rows] == [("2", "4"), ("3", "9")]
+    for _, _, iterations, seconds, us_per_iter, gap in rows:
         assert int(iterations) > 0
+        assert float(seconds) >= 0.0 and float(us_per_iter) > 0.0
         assert float(gap) <= 2e-3
+    with open(table, newline="") as fh:
+        records = list(csv.DictReader(fh))
+    assert [int(r["n"]) for r in records] == [2, 3]
+    for r in records:
+        assert float(r["us_per_iter"]) == pytest.approx(
+            1e6 * float(r["seconds"]) / int(r["iterations"])
+        )
