@@ -82,7 +82,13 @@ def crawford(query: CrawfordQuery) -> CrawfordResult:
     route also counts its feasibility cuts by block: cuts_spectral (on
     X), cuts_modulus (the 2x2 block) and cuts_ceiling (the scalar), whose
     sum is cuts_feasibility; cuts_modulus + cuts_ceiling steps took no
-    spectrum of X.
+    spectrum of X.  lower_bound is the solver's certified lb over l: the
+    larger of the objective's minimum over the ellipsoid and the dual
+    bound lambda_min(cos t A + sin t B) at t = arg w of each new best
+    certificate, both capped by that certificate.  lower_bound_dual is
+    the best of those dual bounds over l (None if no certificate had
+    w != 0), and certs_spectral counts the falls of the best certificate
+    that came from spectral-cut centers.
     """
     t_start = time.perf_counter()
     t_mat = query.matrix.translate(query.center)
@@ -134,6 +140,11 @@ def crawford(query: CrawfordQuery) -> CrawfordResult:
             cuts_spectral=res.cuts_spectral,
             cuts_modulus=res.cuts_modulus,
             cuts_ceiling=res.cuts_ceiling,
+            lower_bound_dual=(
+                None if res.lower_bound_dual is None
+                else res.lower_bound_dual / scale
+            ),
+            certs_spectral=res.certs_spectral,
         )
 
     if query.method in (Method.ORACLE_SWEEP, Method.BOTH):

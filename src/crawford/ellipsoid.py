@@ -58,23 +58,46 @@ The solver keeps two bounds per run:
              w(X) = <A,X> + i<B,X>, of a repaired density X (clipped to
              the PSD cone, trace rescaled to 1), so Z(X, r) is feasible
              and r is a genuine upper bound on the optimum,
-  lb         a certified lower bound, max over iterations of
-             min(best_cert, obj(center_k) - sqrt(g' P_k g)), valid because
-             the cut rules never discard a feasible point with objective
-             below the current best_cert.
+  lb         a certified lower bound, the largest of 0 and, over the
+             iterations, min(best_cert, obj(center_k) - sqrt(g' P_k g))
+             and min(best_cert, lambda_min(cos t A + sin t B)) at
+             t = arg w of each new best_cert's density.  The first is
+             valid because the cut rules never discard a feasible point
+             with objective below the current best_cert; the second by
+             weak duality, as |z| >= Re(e^{-it} z) >= lambda_min(cos t A +
+             sin t B) for every z = w(X) of a density X and every t (Rump,
+             Acta Numerica 19, 2010, on such a-posteriori bounds).
 
-The candidates for best_cert come from the convex hull of the repaired
-centers.  Z(X, r) is feasible exactly when X is a density and
+The objective's minimum over E lags well behind the optimum, so on its
+own lb closes the gap only as E shrinks onto it.  The dual bound is
+within eps of the optimum once t is near the optimal direction, which
+best_cert's density reaches about when its value does.
+
+The candidates for best_cert are the repaired densities of two kinds of
+center.  Z(X, r) is feasible exactly when X is a density and
 |w(X)| <= r <= c + 2, and w is linear in X, so every convex combination
-of densities X_i is feasible at r = |sum lambda_i w(X_i)|.  Each
-PSD-feasible center is repaired (from the eigendecomposition the oracle
-took) and offered, with at most two kept densities, to the planar
-min-norm step `nearest_point_weights` (Wolfe, Math. Programming 11,
-1976): the weights of the point of the hull of their w values nearest 0.
-Points of weight 0 are dropped from the kept set; the combination is
-repaired, and its value is recomputed from the repaired X.  When 0 lies
-in the hull, as it does for chi = 0, best_cert falls below eps in a few
-dozen steps instead of waiting for a single center that close to 0.
+of densities X_i is feasible at r = |sum lambda_i w(X_i)|.
+
+  feasible   each PSD-feasible center is repaired (from the
+             eigendecomposition the oracle took) and offered, with at
+             most two kept densities, to the planar min-norm step
+             `nearest_point_weights` (Wolfe, Math. Programming 11, 1976):
+             the weights of the point of the hull of their w values
+             nearest 0.  Points of weight 0 are dropped from the kept
+             set; the combination is repaired, and its value is
+             recomputed from the repaired X.  When 0 lies in the hull, as
+             it does for chi = 0, best_cert falls below eps in a few
+             dozen steps instead of waiting for a single center that
+             close to 0;
+  spectral   at an eigenvector cut the oracle has eigh(X), w(X) and
+             vec(ww*) of the cut's eigenvector, so it reads w of the
+             clipped density (X - sum lambda_k q_k q_k*) / (1 - sum
+             lambda_k), over the negative eigenpairs, in closed form
+             (`Cut.clipped`).  Only when that value is below best_cert is
+             X repaired, and best_cert is read off the repaired X.  These
+             densities do not enter the hull search.
+
+`solve`'s `record` collects best_cert at each fall, from either kind.
 
 Each step keeps the part of the ellipsoid E on the far side of a deep
 cut {x : g.(x - z) <= -depth} (Bland, Goldfarb & Todd, Oper. Res. 29(6),
@@ -215,8 +238,9 @@ class Cut:
     min_eig: float                      # least eigenvalue of the block cut on
     objective: float
     depth: float                        # >= 0; 0 is a cut through z
-    spectrum: Optional[tuple] = None    # eigh(X) of a PSD-feasible point
+    spectrum: Optional[tuple] = None    # eigh(X), when it was taken
     block: Optional[str] = None         # feasibility: spectral | modulus | ceiling
+    clipped: Optional[complex] = None   # spectral: w of repair_point(eigh(X))
 
 
 @dataclass(frozen=True)
@@ -233,6 +257,8 @@ class SolveResult:
     certified_gap: float
     lower_bound: float
     max_feasible_distance: float
+    lower_bound_dual: Optional[float]   # best lambda_min(cos t A + sin t B)
+    certs_spectral: int                 # best_cert falls at spectral cuts
 
 
 def certified_ball(inst: SdpInstance, c_matrix: ComplexMatrix) -> CertifiedBall:
@@ -322,7 +348,9 @@ def separation_oracle(chart: AffineChart, u: np.ndarray, best_value: float) -> C
     cut, with no spectrum of X.  Only when both hold is X's spectrum taken:
     lambda(hat X) = lambda(X), each twice, and v'(hat X)v = w*Xw for the
     matching complex w, so the big block needs only X.  The cut of a
-    PSD-feasible point carries eigh(X), for its repair."""
+    PSD-feasible point carries eigh(X), for its repair; an eigenvector
+    cut carries it too, with `clipped`, the w that `repair_point` would
+    give its X."""
     inst = chart.inst
     flat = chart.x_origin + u @ chart.x_map
     a, b = (inst.pencil_flat @ flat).tolist()
@@ -359,13 +387,28 @@ def separation_oracle(chart: AffineChart, u: np.ndarray, best_value: float) -> C
     lam_x = float(wx[0])
     if lam_x < -tol:
         w = qx[:, 0]
+        ww = (w[:, None] * w.conj()).ravel().view(float)
+        # w(X+) of the clipped density X+ = (X - sum_k lam_k q_k q_k*) /
+        # (1 - sum_k lam_k) over the negative eigenpairs, read off the
+        # vec(ww*) the normal needs when lam_x is the only one
+        k = int(wx.searchsorted(0.0))
+        if k == 1:
+            da, db = (inst.pencil_flat @ ww).tolist()
+            da, db, tr = lam_x * da, lam_x * db, 1.0 - lam_x
+        else:
+            qn = qx[:, :k]
+            neg = ((qn * wx[:k]) @ qn.conj().T).ravel().view(float)
+            da, db = (inst.pencil_flat @ neg).tolist()
+            tr = 1.0 - float(wx[:k].sum())
         return Cut(
             kind="feasibility",
-            normal=chart.x_map @ ((-w)[:, None] * w.conj()).ravel().view(float),
+            normal=-(chart.x_map @ ww),
             min_eig=lam_x,
             objective=r,
             depth=max(0.0, -lam_x - tol),
+            spectrum=(wx, qx),
             block="spectral",
+            clipped=complex(a - da, b - db) / tr,
         )
 
     improving = r < best_value
@@ -453,12 +496,14 @@ def solve(
     """Minimize <F_0, Z> over the ball's instance to certified accuracy eps.
 
     Deterministic.  `record`, if given, collects best_cert each time it
-    falls, so its values decrease.
+    falls, at a feasible or at a spectral-cut center, so its values
+    decrease.
     """
     if not (math.isfinite(eps) and eps > 0.0):
         raise ValueError("eps must be finite and positive")
     chart = ball.chart
     inst = chart.inst
+    n = chart.n
     d = chart.dim
     p_mat = chart.initial_shape.copy()
     half_logdet = 0.5 * np.linalg.slogdet(p_mat)[1]
@@ -477,9 +522,26 @@ def solve(
     # diagonal entries of a PSD matrix are nonnegative, so (u+w)/2 >= 0
     # on the whole cone; 0 is a certified lower bound from the start
     lb = 0.0
+    # the best lambda_min(cos t A + sin t B), None until one is taken
+    lb_dual: Optional[float] = None
     n_obj = 0
     n_feas = {"spectral": 0, "modulus": 0, "ceiling": 0}
+    n_certs_spectral = 0
     max_dist = 0.0
+
+    def certify(w, x):
+        # best_cert falls to |w| = |w(x)|; the dual bound at arg w raises lb
+        nonlocal best_cert, best_x, lb, lb_dual
+        best_cert = abs(w)
+        best_x = x
+        if record is not None:
+            record.append(best_cert)
+        if best_cert > 0.0:
+            coef = np.array([w.real, w.imag]) / best_cert
+            pencil = (coef @ inst.pencil_flat).view(complex).reshape(n, n)
+            lam = float(np.linalg.eigvalsh(pencil)[0])
+            lb_dual = lam if lb_dual is None else max(lb_dual, lam)
+            lb = max(lb, min(best_cert, lam))
 
     def result(it):
         return SolveResult(
@@ -495,6 +557,8 @@ def solve(
             certified_gap=best_cert - lb,
             lower_bound=lb,
             max_feasible_distance=max_dist,
+            lower_bound_dual=lb_dual,
+            certs_spectral=n_certs_spectral,
         )
 
     for it in range(1, cap + 1):
@@ -518,10 +582,14 @@ def solve(
                     # 0 lies in the triangle: keep the combination alone
                     kept = [(w, x)]
             if abs(w) < best_cert:
-                best_cert = abs(w)
-                best_x = x
-                if record is not None:
-                    record.append(best_cert)
+                certify(w, x)
+        elif cut.clipped is not None and abs(cut.clipped) < best_cert:
+            # the clipped density certifies r = |w(X+)| too; the value is
+            # read off the repaired X, as for a feasible center
+            w, x = repair_point(inst, cut.spectrum)
+            if abs(w) < best_cert:
+                certify(w, x)
+                n_certs_spectral += 1
 
         # the objective's gradient is e_d / sqrt(3): g'Pg is P's last
         # diagonal entry over 3, and P g is P's last column over sqrt(3)

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 
 from crawford.linalg import ComplexMatrix, GaussianRational
+from crawford.oracle import hermitian_parts, minimizing_witness, support_search
 
 
 def gr(re, im=0):
@@ -100,3 +101,43 @@ def chart_coordinates(chart, z):
     orthonormal Jacobian."""
     origin = chart.point(np.zeros(chart.dim))
     return chart_jacobian(chart) @ (z - origin).ravel()
+
+
+def outside_centre(c: ComplexMatrix, theta: float, dist: float, den: int = 1):
+    """A point dist beyond the support line of W(C) in direction theta,
+    rounded to the lattice (Z + iZ)/den: chi(centre, C) >= dist - 1/den."""
+    t = c.to_complex()
+    a, b = 0.5 * (t + t.conj().T), -0.5j * (t - t.conj().T)
+    h = np.linalg.eigvalsh(np.cos(theta) * a + np.sin(theta) * b)[-1]
+    z = (h + dist) * complex(np.cos(theta), np.sin(theta))
+    return GaussianRational(
+        Fraction(round(z.real * den), den), Fraction(round(z.imag * den), den)
+    )
+
+
+def chi_bracket(c: ComplexMatrix):
+    """(lo, hi) with lo <= chi(0, C) <= hi for chi > 0, both certified
+    whatever the search does: g(t) = lambda_min(cos t A + sin t B) <= chi
+    for every t, and |x*Cx| >= chi for every unit x.  A coarse support
+    search finds the direction and a golden-section search sharpens it,
+    so that hi - lo is at float resolution."""
+    a, b = hermitian_parts(c)
+    lip = float(np.linalg.norm(c.to_complex()))
+
+    def g(t):
+        return np.linalg.eigvalsh(np.cos(t) * a + np.sin(t) * b)[0]
+
+    lo_t, hi_t = support_search(c, 1e-3 * lip).theta + np.array([-0.1, 0.1])
+    ratio = 0.5 * (np.sqrt(5.0) - 1.0)
+    for _ in range(80):
+        t1, t2 = hi_t - ratio * (hi_t - lo_t), lo_t + ratio * (hi_t - lo_t)
+        if g(t1) < g(t2):
+            lo_t = t1
+        else:
+            hi_t = t2
+    t = 0.5 * (lo_t + hi_t)
+    x = minimizing_witness(a, b, t)
+    lo, hi = float(g(t)), abs(complex(x.conj() @ c.to_complex() @ x))
+    # equal up to float rounding: both sit at the nearest point
+    assert lo > 0.0 and abs(hi - lo) <= 1e-9 * (1.0 + hi)
+    return lo, hi

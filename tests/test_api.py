@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crawford.api import (
     CrawfordQuery,
@@ -23,8 +25,10 @@ from helpers import (
     EXAMPLE,
     EXAMPLE_CENTER,
     EXAMPLE_TILDE,
+    chi_bracket,
     gr,
     identity,
+    outside_centre,
     random_gaussian_integer,
 )
 
@@ -178,11 +182,17 @@ class TestStatsAndValidation:
             res.chi - stats["lower_bound"], abs=1e-15
         )
         assert 0.0 <= stats["certified_gap"] <= EPS
-        # cuts by block come last; the modulus and ceiling cuts are the
-        # steps that took no spectrum of X
+        # cuts by block come next to last; the modulus and ceiling cuts
+        # are the steps that took no spectrum of X
         by_block = ["cuts_spectral", "cuts_modulus", "cuts_ceiling"]
-        assert list(stats)[-3:] == by_block
+        assert list(stats)[-5:] == by_block + ["lower_bound_dual", "certs_spectral"]
         assert stats["cuts_feasibility"] == sum(stats[k] for k in by_block)
+        # the dual bound is a lower bound on chi and never above lb; each
+        # spectral certificate was a fall of best_cert at a spectral cut
+        assert stats["lower_bound_dual"] <= stats["lower_bound"] <= CHI_EXAMPLE + 1e-12
+        assert stats["lower_bound_dual"] == pytest.approx(CHI_EXAMPLE, abs=EPS)
+        assert isinstance(stats["certs_spectral"], int)
+        assert 0 < stats["certs_spectral"] <= stats["cuts_spectral"]
 
     def test_oracle_stats_fields(self):
         res = run(EXAMPLE, method=Method.ORACLE_SWEEP)
@@ -264,3 +274,104 @@ class TestRadiusBound:
             assert numerical_radius_upper(identity(n)) == pytest.approx(
                 math.sqrt(float(n))
             )
+
+
+# --- the two-sided bracket on chi > 0 inputs ---------------------------
+
+def assert_bracket(res, lo, hi, eps):
+    """lower_bound <= chi <= chi reported, within eps, for lo <= chi <= hi."""
+    lower = res.solver_stats["lower_bound"]
+    assert lower <= hi + 1e-9
+    assert lo <= res.chi + 1e-9
+    assert res.chi - lower <= eps * (1.0 + 1e-12)
+
+
+class TestScaledInputs:
+    """Entries times 10^3 at eps = 0.1, as the CLI sees them for such
+    data: the objective's minimum over E lags far behind chi there, and
+    only the dual bound lambda_min(cos t A + sin t B) at the best
+    certificate closes the gap before the iteration cap (without it,
+    EllipsoidCapExceeded at the cap for most of these)."""
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_bracket_closes(self, n):
+        rng = np.random.default_rng(1900 + n)
+        eps = 0.1
+        for _ in range(4):
+            c = random_gaussian_integer(rng, n, -3, 3)
+            theta = rng.uniform(0.0, 2.0 * math.pi)
+            centre = outside_centre(c, theta, rng.uniform(1.0, 2.0))
+            mat = c.translate(centre).scale(1000)
+            lo, hi = chi_bracket(mat)
+            assert lo >= 290.0
+            res = crawford(CrawfordQuery(matrix=mat, epsilon=eps))
+            assert_bracket(res, lo, hi, eps)
+
+
+gaussian_ints = st.builds(GaussianRational, st.integers(-3, 3), st.integers(-3, 3))
+coprime_rationals = st.builds(
+    Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 3, 5, 7])
+)
+gaussian_rationals = st.builds(GaussianRational, coprime_rationals, coprime_rationals)
+
+
+@st.composite
+def far_instances(draw):
+    """(C, centre) with integer or coprime-rational entries, n = 1..5, and
+    the centre 1 to 2 beyond a support line of W(C), rounded to a lattice
+    of step 1 or 1/3: chi >= 1 - sqrt(2)/2."""
+    n = draw(st.integers(1, 5))
+    entry = draw(st.sampled_from([gaussian_ints, gaussian_rationals]))
+    row = st.lists(entry, min_size=n, max_size=n)
+    c = ComplexMatrix(draw(st.lists(row, min_size=n, max_size=n)))
+    theta = draw(st.floats(0.0, 2.0 * math.pi))
+    dist = draw(st.floats(1.0, 2.0))
+    return c, outside_centre(c, theta, dist, draw(st.sampled_from([1, 3])))
+
+
+@st.composite
+def hermitian_instances(draw):
+    """(H, centre, chi) for an integer Hermitian H, n = 1..5, and a far
+    centre: W(H) is [lambda_min, lambda_max] on the real line, so chi is
+    the distance from the centre to that interval."""
+    n = draw(st.integers(1, 5))
+    entries = [[None] * n for _ in range(n)]
+    for i in range(n):
+        entries[i][i] = GaussianRational(draw(st.integers(-3, 3)), 0)
+        for j in range(i + 1, n):
+            z = draw(gaussian_ints)
+            entries[i][j], entries[j][i] = z, z.conjugate()
+    h = ComplexMatrix(entries)
+    centre = outside_centre(
+        h, draw(st.floats(0.0, 2.0 * math.pi)), draw(st.floats(1.0, 2.0))
+    )
+    lam = np.linalg.eigvalsh(h.to_complex())
+    x, y = float(centre.re), float(centre.im)
+    chi = math.hypot(max(lam[0] - x, 0.0, x - lam[-1]), y)
+    return h, centre, chi
+
+
+class TestTwoSidedBracket:
+    """lower_bound <= chi <= chi reported, and the gap is at most eps, on
+    chi > 0 inputs where both bounds move: best_cert at feasible and at
+    spectral-cut centres, lb through the dual bound."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(far_instances())
+    def test_far_centres(self, inst):
+        c, centre = inst
+        eps = 1e-3
+        lo, hi = chi_bracket(c.translate(centre))
+        res = crawford(CrawfordQuery(matrix=c, center=centre, epsilon=eps))
+        assert_bracket(res, lo, hi, eps)
+        assert res.solver_stats["lower_bound_dual"] <= hi + 1e-9
+
+    @settings(max_examples=30, deadline=None)
+    @given(hermitian_instances())
+    def test_hermitian_closed_form(self, inst):
+        h, centre, chi = inst
+        eps = 1e-3
+        assert chi > 0.0
+        res = crawford(CrawfordQuery(matrix=h, center=centre, epsilon=eps))
+        assert_bracket(res, chi, chi, eps)
+        assert res.solver_stats["lower_bound_dual"] <= chi + 1e-9

@@ -171,11 +171,16 @@ class TestCmdChi:
             "cuts_spectral",
             "cuts_modulus",
             "cuts_ceiling",
+            "lower_bound_dual",
+            "certs_spectral",
         ]
         assert payload["setup_s"] >= 0.0 and payload["solve_s"] >= 0.0
         cuts = [payload[k] for k in ("cuts_spectral", "cuts_modulus", "cuts_ceiling")]
         assert all(isinstance(k, int) and k >= 0 for k in cuts)
         assert sum(cuts) < payload["iterations"]
+        assert payload["lower_bound_dual"] <= payload["lower_bound"]
+        assert isinstance(payload["certs_spectral"], int)
+        assert 0 <= payload["certs_spectral"] <= payload["cuts_spectral"]
         assert payload["method"] == "sdp"
         assert payload["lower_bound"] <= CHI_EXAMPLE <= payload["chi"]
         assert payload["certified_gap"] == pytest.approx(
@@ -465,6 +470,25 @@ class TestCmdVerify:
         out = capsys.readouterr().out
         assert code == 0, out
         assert "FAIL" not in out
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_far_centre_passes(self, tmp_path, capsys, n):
+        # chi > 0: the SDP value may sit up to eps above chi, and the
+        # oracle's within its delta, so the 1.5 eps check must still hold
+        import numpy as np
+
+        from helpers import outside_centre, random_gaussian_integer
+
+        rng = np.random.default_rng(1500 + n)
+        for k in range(2):
+            mat = random_gaussian_integer(rng, n, -3, 3)
+            centre = outside_centre(mat, rng.uniform(0.0, 2.0 * math.pi), 1.5)
+            p = write_matrix(tmp_path / f"f{k}.json", mat)
+            code = main(["verify", p, "--center", format_gaussian(centre), "--eps", "1e-4"])
+            out = capsys.readouterr().out
+            assert code == 0, out
+            assert "sdp_vs_oracle: PASS" in out
+            assert "FAIL" not in out
 
     def test_zero_matrix(self, tmp_path, capsys):
         p = write_matrix(tmp_path / "z.json", ComplexMatrix.zeros(2))

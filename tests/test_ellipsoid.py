@@ -541,6 +541,63 @@ class TestDeepCutUpdate:
         assert info.value.lower_bound == 0.0
 
 
+class TestClippedValue:
+    """A spectral cut carries w of the density that `repair_point` makes
+    of its X, in closed form from the negative eigenpairs."""
+
+    @staticmethod
+    def spectral_cut(chart, rng, lams):
+        # a random X of trace 1 with spectrum lams, and r midway between
+        # |w(X)| and c + 2, so that only X is violated
+        inst = chart.inst
+        n = chart.n
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        q = np.linalg.qr(g)[0]
+        x = (q * np.asarray(lams, dtype=float)) @ q.conj().T
+        r = 0.5 * (math.hypot(*inst.pencil_values(x)) + inst.frob_ceiling + 2.0)
+        u = chart_coordinates(chart, assemble_feasible_point(inst, x, r))
+        assert np.allclose(chart.density(u), x, atol=1e-12)
+        return separation_oracle(chart, u, math.inf), x
+
+    @pytest.mark.parametrize(
+        "lams",
+        [
+            [-0.15, 0.45, 0.7],
+            [-0.05, 0.2, 0.35, 0.5],
+            [-0.1, -0.2, 0.5, 0.8],
+            [-0.05, -0.1, 0.25, 0.4, 0.5],
+        ],
+    )
+    def test_matches_repair(self, lams):
+        rng = np.random.default_rng(1400 + len(lams))
+        for _ in range(5):
+            mat = random_gaussian_integer(rng, len(lams), -3, 3)
+            if mat.is_zero():
+                continue
+            inst, ball = make(mat)
+            cut, x = self.spectral_cut(ball.chart, rng, lams)
+            assert (cut.kind, cut.block) == ("feasibility", "spectral")
+            assert cut.min_eig == pytest.approx(min(lams), abs=1e-12)
+            w, _ = repair_point(inst, np.linalg.eigh(x))
+            assert abs(cut.clipped - w) <= 1e-12
+            assert abs(cut.clipped - repair_point(inst, cut.spectrum)[0]) <= 1e-12
+
+    def test_only_spectral_cuts_carry_a_value(self):
+        inst, ball = make(EXAMPLE)
+        chart = ball.chart
+        cut = separation_oracle(chart, np.zeros(chart.dim), math.inf)
+        assert cut.kind == "feasible_improving" and cut.clipped is None
+        # a feasible cut faked into a spectral one cannot trigger a repair
+        faked = dataclasses.replace(
+            cut, kind="feasibility", block="spectral", depth=1e6
+        )
+        assert faked.clipped is None
+        u = np.zeros(chart.dim)
+        u[-1] = -(inst.frob_ceiling + 1.0) * math.sqrt(3.0)
+        cut = separation_oracle(chart, u, math.inf)
+        assert cut.block == "modulus" and cut.clipped is None
+
+
 class TestPsdTraceBound:
     def test_frobenius_below_trace(self):
         rng = np.random.default_rng(23)
