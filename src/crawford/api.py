@@ -85,10 +85,13 @@ def crawford(query: CrawfordQuery) -> CrawfordResult:
     spectrum of X.  lower_bound is the solver's certified lb over l: the
     larger of the objective's minimum over the ellipsoid and the dual
     bound lambda_min(cos t A + sin t B) at t = arg w of each new best
-    certificate, both capped by that certificate.  lower_bound_dual is
-    the best of those dual bounds over l (None if no certificate had
-    w != 0), and certs_spectral counts the falls of the best certificate
-    that came from spectral-cut centers.
+    certificate, both capped by that certificate.  That eigen-solve is
+    skipped when the pencil's least diagonal entry, which bounds
+    lambda_min from above, is already at most lb, so lower_bound_dual is
+    the best dual bound over the solves actually taken, over l (None if
+    none was taken).  certs_spectral counts the falls of the best
+    certificate that came from spectral-cut centers, and certs_dual those
+    to the rank-one density vv* of a solve's least eigenvector v.
     """
     t_start = time.perf_counter()
     t_mat = query.matrix.translate(query.center)
@@ -145,6 +148,7 @@ def crawford(query: CrawfordQuery) -> CrawfordResult:
                 else res.lower_bound_dual / scale
             ),
             certs_spectral=res.certs_spectral,
+            certs_dual=res.certs_dual,
         )
 
     if query.method in (Method.ORACLE_SWEEP, Method.BOTH):

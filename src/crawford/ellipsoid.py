@@ -71,12 +71,18 @@ The solver keeps two bounds per run:
 The objective's minimum over E lags well behind the optimum, so on its
 own lb closes the gap only as E shrinks onto it.  The dual bound is
 within eps of the optimum once t is near the optimal direction, which
-best_cert's density reaches about when its value does.
+best_cert's density reaches about when its value does.  lambda_min is at
+most every diagonal entry Re(e^{-it} C_ii) of the pencil (a Rayleigh
+quotient), so when the least of them is already <= lb the eigen-solve
+cannot raise lb and is skipped, together with the null-vector
+certificate below; on chi = 0 inputs, where lb stays 0, that skips most
+of them.
 
 The candidates for best_cert are the repaired densities of two kinds of
-center.  Z(X, r) is feasible exactly when X is a density and
-|w(X)| <= r <= c + 2, and w is linear in X, so every convex combination
-of densities X_i is feasible at r = |sum lambda_i w(X_i)|.
+center and the rank-one densities of the dual bound.  Z(X, r) is
+feasible exactly when X is a density and |w(X)| <= r <= c + 2, and w is
+linear in X, so every convex combination of densities X_i is feasible at
+r = |sum lambda_i w(X_i)|.
 
   feasible   each PSD-feasible center is repaired (from the
              eigendecomposition the oracle took) and offered, with at
@@ -95,9 +101,20 @@ of densities X_i is feasible at r = |sum lambda_i w(X_i)|.
              lambda_k), over the negative eigenpairs, in closed form
              (`Cut.clipped`).  Only when that value is below best_cert is
              X repaired, and best_cert is read off the repaired X.  These
-             densities do not enter the hull search.
+             densities do not enter the hull search;
+  dual       the eigen-solve of the dual bound also gives a least
+             eigenvector v of H = cos t A + sin t B, a null vector of the
+             dual slack H - lambda_min I.  By complementary slackness an
+             optimal X lies in that null space at the optimal t, so vv*
+             is an optimum there, and near the optimal t its value
+             |w(vv*)| is close to the optimum.  vv* is a density, so it
+             certifies |w(vv*)|, which is read off vv* with
+             `pencil_values`, never off lambda_min.  It replaces best_cert
+             when lower; such a fall takes no second eigen-solve, and vv*
+             does not enter the hull search.
 
-`solve`'s `record` collects best_cert at each fall, from either kind.
+`solve`'s `record` collects best_cert at each fall, from any of the three
+kinds; a dual fall directly follows the fall whose eigen-solve gave it.
 
 Each step keeps the part of the ellipsoid E on the far side of a deep
 cut {x : g.(x - z) <= -depth} (Bland, Goldfarb & Todd, Oper. Res. 29(6),
@@ -257,8 +274,9 @@ class SolveResult:
     certified_gap: float
     lower_bound: float
     max_feasible_distance: float
-    lower_bound_dual: Optional[float]   # best lambda_min(cos t A + sin t B)
+    lower_bound_dual: Optional[float]   # best lambda_min(cos t A + sin t B) taken
     certs_spectral: int                 # best_cert falls at spectral cuts
+    certs_dual: int                     # best_cert falls to a dual null vector
 
 
 def certified_ball(inst: SdpInstance, c_matrix: ComplexMatrix) -> CertifiedBall:
@@ -496,8 +514,11 @@ def solve(
     """Minimize <F_0, Z> over the ball's instance to certified accuracy eps.
 
     Deterministic.  `record`, if given, collects best_cert each time it
-    falls, at a feasible or at a spectral-cut center, so its values
-    decrease.
+    falls, at a feasible or at a spectral-cut center or to the rank-one
+    density of a dual bound's eigenvector, so its values decrease.
+    `lower_bound_dual` is the best lambda_min(cos t A + sin t B) over the
+    eigen-solves taken, None when the Rayleigh bound ruled out every one,
+    and `certs_dual` counts the rank-one falls.
     """
     if not (math.isfinite(eps) and eps > 0.0):
         raise ValueError("eps must be finite and positive")
@@ -527,21 +548,39 @@ def solve(
     n_obj = 0
     n_feas = {"spectral": 0, "modulus": 0, "ceiling": 0}
     n_certs_spectral = 0
+    n_certs_dual = 0
     max_dist = 0.0
 
-    def certify(w, x):
-        # best_cert falls to |w| = |w(x)|; the dual bound at arg w raises lb
-        nonlocal best_cert, best_x, lb, lb_dual
+    def fall(w, x):
+        nonlocal best_cert, best_x
         best_cert = abs(w)
         best_x = x
         if record is not None:
             record.append(best_cert)
-        if best_cert > 0.0:
-            coef = np.array([w.real, w.imag]) / best_cert
-            pencil = (coef @ inst.pencil_flat).view(complex).reshape(n, n)
-            lam = float(np.linalg.eigvalsh(pencil)[0])
-            lb_dual = lam if lb_dual is None else max(lb_dual, lam)
-            lb = max(lb, min(best_cert, lam))
+
+    def certify(w, x):
+        # best_cert falls to |w| = |w(x)|; the dual slack at t = arg w
+        # raises lb, and its null vector v offers the density vv*
+        nonlocal lb, lb_dual, n_certs_dual
+        fall(w, x)
+        if best_cert == 0.0:
+            return
+        coef = np.array([w.real, w.imag]) / best_cert
+        pencil = (coef @ inst.pencil_flat).view(complex).reshape(n, n)
+        # lambda_min <= min_i Re(e^{-it} C_ii), a Rayleigh quotient: when
+        # that is already <= lb, the solve cannot raise lb
+        if pencil.diagonal().real.min() <= lb:
+            return
+        lams, vecs = np.linalg.eigh(pencil)
+        lam = float(lams[0])
+        lb_dual = lam if lb_dual is None else max(lb_dual, lam)
+        v = vecs[:, 0]
+        xv = v[:, None] * v.conj()
+        wv = complex(*inst.pencil_values(xv))
+        if abs(wv) < best_cert:
+            fall(wv, xv)
+            n_certs_dual += 1
+        lb = max(lb, min(best_cert, lam))
 
     def result(it):
         return SolveResult(
@@ -559,6 +598,7 @@ def solve(
             max_feasible_distance=max_dist,
             lower_bound_dual=lb_dual,
             certs_spectral=n_certs_spectral,
+            certs_dual=n_certs_dual,
         )
 
     for it in range(1, cap + 1):

@@ -182,10 +182,12 @@ class TestStatsAndValidation:
             res.chi - stats["lower_bound"], abs=1e-15
         )
         assert 0.0 <= stats["certified_gap"] <= EPS
-        # cuts by block come next to last; the modulus and ceiling cuts
-        # are the steps that took no spectrum of X
+        # cuts by block, then the dual bound and certificate counts; the
+        # modulus and ceiling cuts are the steps that took no spectrum of X
         by_block = ["cuts_spectral", "cuts_modulus", "cuts_ceiling"]
-        assert list(stats)[-5:] == by_block + ["lower_bound_dual", "certs_spectral"]
+        assert list(stats)[-6:] == by_block + [
+            "lower_bound_dual", "certs_spectral", "certs_dual",
+        ]
         assert stats["cuts_feasibility"] == sum(stats[k] for k in by_block)
         # the dual bound is a lower bound on chi and never above lb; each
         # spectral certificate was a fall of best_cert at a spectral cut
@@ -193,6 +195,8 @@ class TestStatsAndValidation:
         assert stats["lower_bound_dual"] == pytest.approx(CHI_EXAMPLE, abs=EPS)
         assert isinstance(stats["certs_spectral"], int)
         assert 0 < stats["certs_spectral"] <= stats["cuts_spectral"]
+        # the dual eigenvector's rank-one density beats best_cert here
+        assert isinstance(stats["certs_dual"], int) and stats["certs_dual"] > 0
 
     def test_oracle_stats_fields(self):
         res = run(EXAMPLE, method=Method.ORACLE_SWEEP)

@@ -173,6 +173,7 @@ class TestCmdChi:
             "cuts_ceiling",
             "lower_bound_dual",
             "certs_spectral",
+            "certs_dual",
         ]
         assert payload["setup_s"] >= 0.0 and payload["solve_s"] >= 0.0
         cuts = [payload[k] for k in ("cuts_spectral", "cuts_modulus", "cuts_ceiling")]
@@ -181,6 +182,7 @@ class TestCmdChi:
         assert payload["lower_bound_dual"] <= payload["lower_bound"]
         assert isinstance(payload["certs_spectral"], int)
         assert 0 <= payload["certs_spectral"] <= payload["cuts_spectral"]
+        assert isinstance(payload["certs_dual"], int) and payload["certs_dual"] >= 0
         assert payload["method"] == "sdp"
         assert payload["lower_bound"] <= CHI_EXAMPLE <= payload["chi"]
         assert payload["certified_gap"] == pytest.approx(

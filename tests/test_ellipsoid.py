@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from crawford import ellipsoid, sdp
+from crawford.api import sdp_instance
 from crawford.ellipsoid import (
     EllipsoidCapExceeded,
     _shrink,
@@ -32,10 +33,12 @@ from helpers import (
     blocks,
     chart_coordinates,
     chart_jacobian,
+    chi_bracket,
     dense_constraints,
     densify,
     gr,
     identity,
+    outside_centre,
     random_density,
     random_gaussian_integer,
 )
@@ -521,8 +524,11 @@ class TestDeepCutUpdate:
         rec = []
         res = solve(ball, 1e-4, record=rec)
         assert res.iterations == 2
-        assert len(rec) == 1
-        assert res.lower_bound == rec[0]
+        # the first feasible centre's fall may be followed by one to the
+        # dual slack's null vector; the best of them is the lower bound
+        assert len(rec) == 1 + res.certs_dual
+        assert all(b < a for a, b in zip(rec, rec[1:]))
+        assert res.lower_bound == res.value == rec[-1]
 
     def test_emptying_cut_without_best_raises(self, monkeypatch):
         inst, ball = make(EXAMPLE)
@@ -910,3 +916,111 @@ class TestHullCertificate:
             inst, ball = make(inside_matrix(rng, n))
             res = solve(ball, 1e-4)
             assert any(x is res.X for x in repaired)
+
+
+def far_matrix(rng, n, rational):
+    """C - centre for a random C with integer entries, or with real parts
+    over 3 and imaginary parts over 7, and a centre 1 to 2 beyond a
+    support line of W(C), on the lattice (Z + iZ)/3 when rational."""
+    c = random_gaussian_integer(rng, n, -3, 3)
+    if rational:
+        c = ComplexMatrix(
+            [[gr(Fraction(z.re, 3), Fraction(z.im, 7)) for z in row] for row in c.entries]
+        )
+    theta = rng.uniform(0.0, 2.0 * math.pi)
+    centre = outside_centre(c, theta, rng.uniform(1.0, 2.0), 3 if rational else 1)
+    return c.translate(centre)
+
+
+def is_pencil(inst, m):
+    """Whether m = cos t A + sin t B for some t."""
+    ab = inst.pencil_flat
+    flat = np.ascontiguousarray(m).ravel().view(float)
+    coef = np.linalg.lstsq(ab.T, flat, rcond=None)[0]
+    return (
+        np.abs(coef @ ab - flat).max() <= 1e-12 * (1.0 + np.abs(flat).max())
+        and abs(coef @ coef - 1.0) <= 1e-12
+    )
+
+
+class TestRankOneCertificate:
+    """At each fall of best_cert the dual slack cos t A + sin t B -
+    lambda_min I, t = arg w, has a null vector v, and the rank-one density
+    vv* is offered as a certificate: at the optimal t it is an optimum
+    (complementary slackness)."""
+
+    @pytest.fixture
+    def solved(self, monkeypatch):
+        # far-centre solves at n = 3..5, integer and coprime-rational, with
+        # the densities repair_point made
+        repaired = []
+
+        def spy(inst, dens):
+            out = repair_point(inst, dens)
+            repaired.append(out[1])
+            return out
+
+        monkeypatch.setattr(ellipsoid, "repair_point", spy)
+        rng = np.random.default_rng(1500)
+        runs = []
+        for n in (3, 4, 5):
+            for rational in (False, True):
+                mat = far_matrix(rng, n, rational)
+                inst, cint, scale = sdp_instance(mat)
+                repaired.clear()
+                res = solve(certified_ball(inst, cint), 1e-4 * scale)
+                from_repair = any(x is res.X for x in repaired)
+                runs.append((mat, inst, scale, res, from_repair))
+        return runs
+
+    def test_bracket_against_chi(self, solved):
+        for mat, inst, scale, res, _ in solved:
+            lo, hi = chi_bracket(mat)
+            assert res.lower_bound / scale <= hi + 1e-9
+            assert lo <= res.value / scale + 1e-9
+            assert res.value - res.lower_bound <= 1e-4 * scale
+            assert res.certs_dual >= 1
+
+    def test_witness_is_a_rank_one_density(self, solved):
+        dual = 0
+        for _, inst, _, res, from_repair in solved:
+            assert res.value == math.hypot(*inst.pencil_values(res.X))
+            if from_repair:
+                continue
+            # not a repaired density: the null vector's vv*
+            assert res.certs_dual > 0
+            dual += 1
+            x = res.X
+            lam = np.linalg.eigvalsh(x)
+            assert np.abs(x - x.conj().T).max() <= 1e-12
+            assert lam[0] >= -1e-12 and lam[-2] <= 1e-12
+            assert abs(np.trace(x) - 1.0) <= 1e-12
+        assert dual >= 1
+
+    def test_rayleigh_bound_skips_the_solve_at_chi_zero(self, monkeypatch):
+        # with chi = 0, lambda_min(cos t A + sin t B) <= 0 = lb at every t,
+        # and the pencil's least diagonal entry rules most solves out
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(x):
+            calls.append(x)
+            return eigh(x)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        rng = np.random.default_rng(1600)
+        falls = solves = 0
+        for n in (3, 4, 5):
+            inst, ball = make(inside_matrix(rng, n))
+            calls.clear()
+            rec = []
+            res = solve(ball, 1e-4, record=rec)
+            taken = sum(is_pencil(inst, m) for m in calls)
+            assert taken <= len(rec)
+            assert (res.lower_bound_dual is None) == (taken == 0)
+            if taken:
+                assert res.lower_bound_dual <= 0.0
+            assert res.lower_bound == 0.0 and res.value <= 1e-4
+            falls += len(rec)
+            solves += taken
+        assert solves < falls
