@@ -1,25 +1,24 @@
 #!/usr/bin/env python3
-"""Ellipsoid iteration growth against matrix size.
+"""How ellipsoid solves end, against matrix size.
 
 For each n the script draws a random Gaussian-integer C, shifts it to
-C - kI with k = ceil(||C||_F) + 1, so that chi >= 1, solves it at fixed
-eps, and reports iterations next to the n^4 log n model, with the solve's
-wall time and its microseconds per iteration; a bounded ratio column
-means the growth is compatible with that model.  (About the
-centre 0, random C with n >= 3 almost always have chi = 0, and those
-solves end as soon as the hull of the repaired centres holds a point
-within eps of 0, which says nothing of the volume bound.)  The n^4 log n
-model is the volume bound's worst case: the certificates, above all the
-rank-one density of the dual bound's eigenvector, now end most runs far
-below it (with --eps 1e-4 --seed 5 --trials 1, n = 5 ends at its first
-step), so a small ratio says the run was cut short by its
-certificates, not that the volume bound is loose.  Every value is
-cross-checked against the support-function search.
+C - kI with k = ceil(||C||_F) + 1, so that chi >= 1, and solves it at
+fixed eps.  Each row reports the value, the steps taken next to the
+volume bound's iteration cap, the number of eigen-solves of the dual
+pencil cos t A + sin t B (one per fall of the best certificate, plus the
+steps of its Newton ascent in t), the kind of certificate that holds the
+final value (feasible, spectral or dual; see `crawford.ellipsoid`), the
+solve's wall time and its microseconds per step.  With the ascent most
+of these solves end at their first step, closed by a rank-one density
+of the dual bound, so the step count says how soon the certificates met,
+not how fast the volume bound shrinks.  (About the centre 0, random C
+with n >= 3 almost always have chi = 0, and those solves end as soon as
+the hull of the repaired centres holds a point within eps of 0.)  Every
+value is cross-checked against the support-function search.
 """
 
 import argparse
 import csv
-import math
 import sys
 import time
 
@@ -59,8 +58,8 @@ def main() -> None:
         "each C - kI with k = ceil(||C||_F) + 1 (chi >= 1)"
     )
     print(
-        f"{'n':>3} {'d':>4} {'iters':>8} {'iters/(n^4 ln n)':>17} {'seconds':>8}"
-        f" {'us/iter':>8} {'|sdp-oracle|':>13}"
+        f"{'n':>3} {'d':>4} {'chi':>10} {'iters':>8} {'cap':>8} {'dual_solves':>11}"
+        f" {'closed_by':>9} {'seconds':>8} {'us/iter':>8} {'|sdp-oracle|':>13}"
     )
     for n in range(args.n_min, args.n_max + 1):
         for trial in range(args.trials):
@@ -75,10 +74,9 @@ def main() -> None:
             res = solve(ball, args.eps)
             dt = time.perf_counter() - t0
             us_per_iter = 1e6 * dt / res.iterations
-            model = n**4 * math.log(n + 1.0)
             line = (
-                f"{n:>3} {n * n:>4} {res.iterations:>8} "
-                f"{res.iterations / model:>17.2f} {dt:>8.3f} {us_per_iter:>8.1f}"
+                f"{n:>3} {n * n:>4} {res.value:>10.6f} {res.iterations:>8} {res.cap:>8}"
+                f" {res.dual_solves:>11} {res.closed_by:>9} {dt:>8.3f} {us_per_iter:>8.1f}"
             )
             gap = abs(res.value - chi_oracle(mat, args.eps))
             print(line + f" {gap:>13.2e}")
@@ -90,6 +88,9 @@ def main() -> None:
                 "trial": trial,
                 "dim": n * n,
                 "iterations": res.iterations,
+                "cap": res.cap,
+                "dual_solves": res.dual_solves,
+                "closed_by": res.closed_by,
                 "value": res.value,
                 "seconds": dt,
                 "us_per_iter": us_per_iter,

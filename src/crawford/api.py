@@ -85,13 +85,17 @@ def crawford(query: CrawfordQuery) -> CrawfordResult:
     spectrum of X.  lower_bound is the solver's certified lb over l: the
     larger of the objective's minimum over the ellipsoid and the dual
     bound lambda_min(cos t A + sin t B) at t = arg w of each new best
-    certificate, both capped by that certificate.  That eigen-solve is
+    certificate and along a Newton ascent on t from there, both capped by
+    that certificate.  The first eigen-solve, and with it the ascent, is
     skipped when the pencil's least diagonal entry, which bounds
     lambda_min from above, is already at most lb, so lower_bound_dual is
     the best dual bound over the solves actually taken, over l (None if
     none was taken).  certs_spectral counts the falls of the best
     certificate that came from spectral-cut centers, and certs_dual those
     to the rank-one density vv* of a solve's least eigenvector v.
+    dual_solves counts the pencil eigen-solves, ascent steps included, and
+    closed_by names the kind of certificate that holds the final value:
+    feasible, spectral or dual.
     """
     t_start = time.perf_counter()
     t_mat = query.matrix.translate(query.center)
@@ -149,6 +153,8 @@ def crawford(query: CrawfordQuery) -> CrawfordResult:
             ),
             certs_spectral=res.certs_spectral,
             certs_dual=res.certs_dual,
+            dual_solves=res.dual_solves,
+            closed_by=res.closed_by,
         )
 
     if query.method in (Method.ORACLE_SWEEP, Method.BOTH):

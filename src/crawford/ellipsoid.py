@@ -61,7 +61,8 @@ The solver keeps two bounds per run:
   lb         a certified lower bound, the largest of 0 and, over the
              iterations, min(best_cert, obj(center_k) - sqrt(g' P_k g))
              and min(best_cert, lambda_min(cos t A + sin t B)) at
-             t = arg w of each new best_cert's density.  The first is
+             t = arg w of each new best_cert's density and at each
+             iterate of the Newton ascent from there.  The first is
              valid because the cut rules never discard a feasible point
              with objective below the current best_cert; the second by
              weak duality, as |z| >= Re(e^{-it} z) >= lambda_min(cos t A +
@@ -70,13 +71,36 @@ The solver keeps two bounds per run:
 
 The objective's minimum over E lags well behind the optimum, so on its
 own lb closes the gap only as E shrinks onto it.  The dual bound is
-within eps of the optimum once t is near the optimal direction, which
-best_cert's density reaches about when its value does.  lambda_min is at
-most every diagonal entry Re(e^{-it} C_ii) of the pencil (a Rayleigh
-quotient), so when the least of them is already <= lb the eigen-solve
-cannot raise lb and is skipped, together with the null-vector
-certificate below; on chi = 0 inputs, where lb stays 0, that skips most
-of them.
+within eps of the optimum once t is near the optimal direction.
+best_cert's density reaches that direction only about when its value
+nears the optimum, so at each fall of best_cert the solver does not wait
+for E: it climbs f(t) = lambda_min(H(t)), H(t) = cos t A + sin t B, the
+paper's dual, by Newton's method on t, from the eigh(H) it took.  With v
+the least eigenvector, (lambda_k, q_k) the other eigenpairs and
+H'(t) = -sin t A + cos t B (so H'' = -H),
+
+  f'(t)  = v* H' v = Im(e^{-it} w(vv*)),
+  -f''(t) = lambda_0 + 2 sum_{k>=1} |q_k* H' v|^2 / (lambda_k - lambda_0)
+
+(Mengi & Overton, IMA J. Numer. Anal. 25(4), 2005, on such eigenvalue
+derivatives), and t <- t + f'/(-f'').  Each iterate takes one eigh at
+the new t and does exactly what the first solve does: lambda_0 raises lb
+to min(best_cert, lambda_0), and vv* is offered as a certificate (below).
+The ascent stops when the gap is <= eps, when lambda_0 fails to rise
+strictly above the last iterate's, when lambda_0 <= 0, or when
+lambda_1 - lambda_0 <= 0, a double eigenvalue where f has a kink and
+Newton's model does not hold; `_ASCENT_STEPS` is only a safety net.
+The simpler fixed point t <- arg w(vv*) is the same step with lambda_0
+as the curvature: it drops the positive sum, so it overshoots and at
+best converges linearly, and it saved only 1-14 % of the steps.  With
+the exact curvature the iterates converge quadratically near a smooth
+maximum, and most chi > 0 solves end at their first step.  lambda_min is
+at most every diagonal entry Re(e^{-it} C_ii) of the pencil (a Rayleigh
+quotient), so when the least of them at t = arg w is already <= lb the
+first eigen-solve cannot raise lb and is skipped, together with the
+null-vector certificate and the ascent; on chi = 0 inputs, where lb
+stays 0, that skips most of them, and lambda_0 <= 0 ends every ascent at
+its first solve.
 
 The candidates for best_cert are the repaired densities of two kinds of
 center and the rank-one densities of the dual bound.  Z(X, r) is
@@ -110,11 +134,12 @@ r = |sum lambda_i w(X_i)|.
              |w(vv*)| is close to the optimum.  vv* is a density, so it
              certifies |w(vv*)|, which is read off vv* with
              `pencil_values`, never off lambda_min.  It replaces best_cert
-             when lower; such a fall takes no second eigen-solve, and vv*
-             does not enter the hull search.
+             when lower, at the first solve and at each ascent iterate;
+             such a fall starts no ascent of its own, and vv* does not
+             enter the hull search.
 
 `solve`'s `record` collects best_cert at each fall, from any of the three
-kinds; a dual fall directly follows the fall whose eigen-solve gave it.
+kinds; dual falls directly follow the fall whose ascent gave them.
 
 Each step keeps the part of the ellipsoid E on the far side of a deep
 cut {x : g.(x - z) <= -depth} (Bland, Goldfarb & Todd, Oper. Res. 29(6),
@@ -159,6 +184,10 @@ from .sdp import SdpInstance, assemble_feasible_point
 
 # r = c + 1 + u_d / sqrt(3): the objective's gradient in the chart
 _RHO = 1.0 / math.sqrt(3.0)
+
+# a safety net on the eigen-solves of one Newton ascent in t; its stop
+# rules end it long before (at most 6 on far-centre instances)
+_ASCENT_STEPS = 32
 
 
 class ChartError(RuntimeError):
@@ -277,6 +306,8 @@ class SolveResult:
     lower_bound_dual: Optional[float]   # best lambda_min(cos t A + sin t B) taken
     certs_spectral: int                 # best_cert falls at spectral cuts
     certs_dual: int                     # best_cert falls to a dual null vector
+    dual_solves: int                    # eigen-solves of cos t A + sin t B
+    closed_by: str                      # feasible | spectral | dual: best_cert's kind
 
 
 def certified_ball(inst: SdpInstance, c_matrix: ComplexMatrix) -> CertifiedBall:
@@ -516,9 +547,13 @@ def solve(
     Deterministic.  `record`, if given, collects best_cert each time it
     falls, at a feasible or at a spectral-cut center or to the rank-one
     density of a dual bound's eigenvector, so its values decrease.
-    `lower_bound_dual` is the best lambda_min(cos t A + sin t B) over the
-    eigen-solves taken, None when the Rayleigh bound ruled out every one,
-    and `certs_dual` counts the rank-one falls.
+    At each fall a Newton ascent on t raises lambda_min(cos t A + sin t B)
+    (see the module docstring).  `lower_bound_dual` is the best such
+    lambda_min over the eigen-solves taken, ascent steps included, None
+    when the Rayleigh bound ruled out every one; `certs_dual` counts the
+    rank-one falls, `dual_solves` the eigen-solves, and `closed_by` names
+    the kind of certificate that holds the value: feasible, spectral or
+    dual.
     """
     if not (math.isfinite(eps) and eps > 0.0):
         raise ValueError("eps must be finite and positive")
@@ -549,38 +584,68 @@ def solve(
     n_feas = {"spectral": 0, "modulus": 0, "ceiling": 0}
     n_certs_spectral = 0
     n_certs_dual = 0
+    n_dual_solves = 0
+    # the kind of certificate that holds best_cert
+    closed_by = ""
     max_dist = 0.0
 
-    def fall(w, x):
-        nonlocal best_cert, best_x
+    def fall(w, x, kind):
+        nonlocal best_cert, best_x, closed_by
         best_cert = abs(w)
         best_x = x
+        closed_by = kind
         if record is not None:
             record.append(best_cert)
 
-    def certify(w, x):
+    def pencil(c, s):
+        # c A + s B, an n x n complex Hermitian matrix
+        return (np.array([c, s]) @ inst.pencil_flat).view(complex).reshape(n, n)
+
+    def certify(w, x, kind):
         # best_cert falls to |w| = |w(x)|; the dual slack at t = arg w
-        # raises lb, and its null vector v offers the density vv*
-        nonlocal lb, lb_dual, n_certs_dual
-        fall(w, x)
+        # raises lb, its null vector v offers the density vv*, and a Newton
+        # ascent on t repeats both while lambda_min keeps rising
+        nonlocal lb, lb_dual, n_certs_dual, n_dual_solves
+        fall(w, x, kind)
         if best_cert == 0.0:
             return
-        coef = np.array([w.real, w.imag]) / best_cert
-        pencil = (coef @ inst.pencil_flat).view(complex).reshape(n, n)
+        cos_t, sin_t = w.real / best_cert, w.imag / best_cert
+        h = pencil(cos_t, sin_t)
         # lambda_min <= min_i Re(e^{-it} C_ii), a Rayleigh quotient: when
         # that is already <= lb, the solve cannot raise lb
-        if pencil.diagonal().real.min() <= lb:
+        if h.diagonal().real.min() <= lb:
             return
-        lams, vecs = np.linalg.eigh(pencil)
-        lam = float(lams[0])
-        lb_dual = lam if lb_dual is None else max(lb_dual, lam)
-        v = vecs[:, 0]
-        xv = v[:, None] * v.conj()
-        wv = complex(*inst.pencil_values(xv))
-        if abs(wv) < best_cert:
-            fall(wv, xv)
-            n_certs_dual += 1
-        lb = max(lb, min(best_cert, lam))
+        lam_prev = 0.0
+        for _ in range(_ASCENT_STEPS):
+            lams, vecs = np.linalg.eigh(h)
+            n_dual_solves += 1
+            lam = float(lams[0])
+            lb_dual = lam if lb_dual is None else max(lb_dual, lam)
+            v = vecs[:, 0]
+            xv = v[:, None] * v.conj()
+            wv = complex(*inst.pencil_values(xv))
+            if abs(wv) < best_cert:
+                fall(wv, xv, "dual")
+                n_certs_dual += 1
+            lb = max(lb, min(best_cert, lam))
+            # stop at a closed gap, a lambda_min that did not rise above
+            # the last one (or 0), or a double lambda_min (a kink); at
+            # n = 1 there is no other eigenvalue to curve f
+            if best_cert - lb <= eps or lam <= lam_prev or n == 1:
+                return
+            gaps = lams[1:] - lam
+            if gaps[0] <= 0.0:
+                return
+            lam_prev = lam
+            # f(t) = lambda_min(H(t)), H = cos t A + sin t B, H' = -sin t A
+            # + cos t B: f' = v*H'v = Im(e^{-it} w(vv*)), and with H'' = -H,
+            # -f'' = lambda_0 + 2 sum_k |q_k* H'v|^2 / (lambda_k - lambda_0)
+            slope = cos_t * wv.imag - sin_t * wv.real
+            proj = vecs[:, 1:].conj().T @ (pencil(-sin_t, cos_t) @ v)
+            curv = lam + 2.0 * float((proj.real**2 + proj.imag**2) @ (1.0 / gaps))
+            t = math.atan2(sin_t, cos_t) + slope / curv
+            cos_t, sin_t = math.cos(t), math.sin(t)
+            h = pencil(cos_t, sin_t)
 
     def result(it):
         return SolveResult(
@@ -599,6 +664,8 @@ def solve(
             lower_bound_dual=lb_dual,
             certs_spectral=n_certs_spectral,
             certs_dual=n_certs_dual,
+            dual_solves=n_dual_solves,
+            closed_by=closed_by,
         )
 
     for it in range(1, cap + 1):
@@ -622,13 +689,13 @@ def solve(
                     # 0 lies in the triangle: keep the combination alone
                     kept = [(w, x)]
             if abs(w) < best_cert:
-                certify(w, x)
+                certify(w, x, "feasible")
         elif cut.clipped is not None and abs(cut.clipped) < best_cert:
             # the clipped density certifies r = |w(X+)| too; the value is
             # read off the repaired X, as for a feasible center
             w, x = repair_point(inst, cut.spectrum)
             if abs(w) < best_cert:
-                certify(w, x)
+                certify(w, x, "spectral")
                 n_certs_spectral += 1
 
         # the objective's gradient is e_d / sqrt(3): g'Pg is P's last

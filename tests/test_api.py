@@ -173,7 +173,13 @@ class TestStatsAndValidation:
         assert res.solver_stats["discrepancy"] <= 2 * EPS
 
     def test_sdp_stats_fields(self):
-        res = run(EXAMPLE)
+        # the worked example, and a chi = 0 input where the spectral-cut
+        # centres still certify (the example closes at its first step)
+        for mat, center in ((EXAMPLE, gr(0)), (COPRIME_DENOMINATORS, gr(1, 1))):
+            self.check_sdp_stats(mat, center)
+
+    def check_sdp_stats(self, mat, center):
+        res = run(mat, center=center)
         stats = res.solver_stats
         for key in ("iterations", "lower_bound", "epsilon_solver"):
             assert key in stats
@@ -182,21 +188,38 @@ class TestStatsAndValidation:
             res.chi - stats["lower_bound"], abs=1e-15
         )
         assert 0.0 <= stats["certified_gap"] <= EPS
-        # cuts by block, then the dual bound and certificate counts; the
+        # cuts by block, then the dual bound and certificate counts, the
+        # pencil eigen-solves and the kind of the final certificate; the
         # modulus and ceiling cuts are the steps that took no spectrum of X
         by_block = ["cuts_spectral", "cuts_modulus", "cuts_ceiling"]
-        assert list(stats)[-6:] == by_block + [
+        assert list(stats)[-8:] == by_block + [
             "lower_bound_dual", "certs_spectral", "certs_dual",
+            "dual_solves", "closed_by",
         ]
         assert stats["cuts_feasibility"] == sum(stats[k] for k in by_block)
         # the dual bound is a lower bound on chi and never above lb; each
-        # spectral certificate was a fall of best_cert at a spectral cut
-        assert stats["lower_bound_dual"] <= stats["lower_bound"] <= CHI_EXAMPLE + 1e-12
-        assert stats["lower_bound_dual"] == pytest.approx(CHI_EXAMPLE, abs=EPS)
+        # spectral certificate was a fall of best_cert at a spectral cut,
+        # and each rank-one certificate came from a pencil eigen-solve
+        assert stats["lower_bound_dual"] <= stats["lower_bound"] <= res.chi
         assert isinstance(stats["certs_spectral"], int)
-        assert 0 < stats["certs_spectral"] <= stats["cuts_spectral"]
-        # the dual eigenvector's rank-one density beats best_cert here
+        assert 0 <= stats["certs_spectral"] <= stats["cuts_spectral"]
         assert isinstance(stats["certs_dual"], int) and stats["certs_dual"] > 0
+        assert isinstance(stats["dual_solves"], int)
+        assert stats["certs_dual"] <= stats["dual_solves"]
+        assert stats["closed_by"] in ("feasible", "spectral", "dual")
+        if mat is EXAMPLE:
+            # the Newton ascent from the first centre's angle closes the
+            # gap on its rank-one densities, within the first step
+            assert stats["lower_bound"] <= CHI_EXAMPLE + 1e-12
+            assert stats["lower_bound_dual"] == pytest.approx(CHI_EXAMPLE, abs=EPS)
+            assert stats["closed_by"] == "dual"
+            assert stats["dual_solves"] >= 2
+        else:
+            # chi = 0: lambda_min <= 0 at every angle, so no ascent step
+            # follows a solve, and the spectral-cut centres still certify
+            assert stats["lower_bound"] == 0.0
+            assert stats["lower_bound_dual"] <= 0.0
+            assert 0 < stats["certs_spectral"]
 
     def test_oracle_stats_fields(self):
         res = run(EXAMPLE, method=Method.ORACLE_SWEEP)

@@ -174,6 +174,8 @@ class TestCmdChi:
             "lower_bound_dual",
             "certs_spectral",
             "certs_dual",
+            "dual_solves",
+            "closed_by",
         ]
         assert payload["setup_s"] >= 0.0 and payload["solve_s"] >= 0.0
         cuts = [payload[k] for k in ("cuts_spectral", "cuts_modulus", "cuts_ceiling")]
@@ -183,6 +185,9 @@ class TestCmdChi:
         assert isinstance(payload["certs_spectral"], int)
         assert 0 <= payload["certs_spectral"] <= payload["cuts_spectral"]
         assert isinstance(payload["certs_dual"], int) and payload["certs_dual"] >= 0
+        assert isinstance(payload["dual_solves"], int)
+        assert payload["certs_dual"] <= payload["dual_solves"]
+        assert payload["closed_by"] in ("feasible", "spectral", "dual")
         assert payload["method"] == "sdp"
         assert payload["lower_bound"] <= CHI_EXAMPLE <= payload["chi"]
         assert payload["certified_gap"] == pytest.approx(

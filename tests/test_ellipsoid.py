@@ -508,8 +508,10 @@ class TestDeepCutUpdate:
     def test_emptying_cut_sets_lower_bound_to_best(self, monkeypatch):
         # a cut with alpha >= 1 leaves no feasible point below best, so a
         # solve with a finite best takes best as its lower bound and stops;
-        # the patched cut is not a true one, so only that rule is checked
-        inst, ball = make(EXAMPLE)
+        # the patched cut is not a true one, so only that rule is checked.
+        # W(diag(2, -1)) = [-1, 2] holds 0, so the dual bound never closes
+        # the gap and the first centre's value 1/2 stays open until the cut
+        inst, ball = make(ComplexMatrix([[gr(2), gr(0)], [gr(0), gr(-1)]]))
         oracle = ellipsoid.separation_oracle
 
         def deep_after_first_feasible(chart, u, best_value):
@@ -1024,3 +1026,113 @@ class TestRankOneCertificate:
             falls += len(rec)
             solves += taken
         assert solves < falls
+
+
+def rotated(diag, c, s):
+    """Q diag(d) Q' for the rational Givens rotation Q = [[c, -s, 0],
+    [s, c, 0], [0, 0, 1]], c^2 + s^2 = 1: a unitary similarity, so the
+    numerical range is that of diag(d)."""
+    q = [[c, -s, 0], [s, c, 0], [0, 0, 1]]
+    return ComplexMatrix(
+        [
+            [sum((q[i][k] * q[j][k] * diag[k] for k in range(3)), gr(0)) for j in range(3)]
+            for i in range(3)
+        ]
+    )
+
+
+class TestDualAscent:
+    """At each fall of best_cert, a Newton ascent on t raises f(t) =
+    lambda_min(cos t A + sin t B) with the exact curvature, each iterate
+    raising lb and offering its rank-one density; it stops when the gap
+    closes or lambda_min does not rise."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("rational", [False, True])
+    def test_far_centres(self, n, rational):
+        rng = np.random.default_rng(1800 + 10 * n + rational)
+        mat = far_matrix(rng, n, rational)
+        inst, cint, scale = sdp_instance(mat)
+        res = solve(certified_ball(inst, cint), 1e-4 * scale)
+        lo, hi = chi_bracket(mat)
+        assert res.lower_bound / scale <= hi + 1e-9
+        assert lo <= res.value / scale + 1e-9
+        assert res.value - res.lower_bound <= 1e-4 * scale
+        assert res.dual_solves >= 2
+        assert res.certs_dual <= res.dual_solves
+        assert res.closed_by == "dual"
+        assert res.value == math.hypot(*inst.pencil_values(res.X))
+
+    def test_shifted_family_closes_in_a_few_steps(self):
+        # chi >= 1 about ceil(||C||_F) + 1: the ascent reaches the optimal
+        # angle from the first centre's, where a single solve at that
+        # angle needs the ellipsoid to bring it there (hundreds of steps)
+        rng = np.random.default_rng(1900)
+        for n in range(3, 9):
+            c = random_gaussian_integer(rng, n, -3, 3)
+            mat = c.translate(GaussianRational(frobenius_ceiling(c) + 1, 0))
+            inst, cint, _ = sdp_instance(mat)
+            res = solve(certified_ball(inst, cint), 1e-4)
+            assert res.iterations <= 50, n
+            assert res.closed_by == "dual"
+            lo, hi = chi_bracket(mat)
+            assert res.lower_bound <= hi + 1e-9 and lo <= res.value + 1e-9
+            assert res.value - res.lower_bound <= 1e-4
+
+    @pytest.mark.parametrize(
+        "diag",
+        [
+            [gr(2, 3), gr(2, -3), gr(5)],
+            # the first centre's angle, arg(3 + 2i), is off the kink
+            [gr(2, 3), gr(2, -3), gr(5, 6)],
+        ],
+        ids=["on_axis", "off_axis"],
+    )
+    @pytest.mark.parametrize("rotate", [False, True])
+    @pytest.mark.parametrize("eps", [1e-4, 1e-7])
+    def test_kinked_maximum(self, diag, rotate, eps):
+        # W is the triangle of the diagonal entries, and its nearest point
+        # to 0, namely 2, lies inside the edge from 2 - 3i to 2 + 3i: at
+        # t* = 0 lambda_min = 2 is double and f has a kink, where Newton's
+        # model does not hold
+        if rotate:
+            mat = rotated(diag, Fraction(3, 5), Fraction(4, 5))
+        else:
+            mat = ComplexMatrix(
+                [[diag[i] if i == j else gr(0) for j in range(3)] for i in range(3)]
+            )
+        inst, cint, scale = sdp_instance(mat)
+        assert scale == (25 if rotate else 1)
+        res = solve(certified_ball(inst, cint), eps * scale)
+        assert res.lower_bound / scale <= 2.0 <= res.value / scale + 1e-12
+        assert res.value - res.lower_bound <= eps * scale
+        assert res.lower_bound_dual <= 2.0 * scale + 1e-9
+
+    def test_no_ascent_at_chi_zero(self, monkeypatch):
+        # with chi = 0, lambda_min(cos t A + sin t B) <= 0 at every t, so
+        # every pencil solve is the first and last of its fall: no two
+        # pencil solves follow each other
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(x):
+            calls.append(x)
+            return eigh(x)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        rng = np.random.default_rng(2000)
+        total = 0
+        for n in (3, 3, 4, 4, 5, 5):
+            # about 0, where the Rayleigh bound skips fewer solves than
+            # about the trace centre of `inside_matrix`
+            mat = random_gaussian_integer(rng, n, -3, 3)
+            assert support_search(mat, 1e-6).chi == 0.0
+            inst, ball = make(mat)
+            calls.clear()
+            res = solve(ball, 1e-4)
+            pencil = [is_pencil(inst, m) for m in calls]
+            assert sum(pencil) == res.dual_solves
+            assert not any(a and b for a, b in zip(pencil, pencil[1:]))
+            assert res.value <= 1e-4 and res.lower_bound == 0.0
+            total += res.dual_solves
+        assert total > 0
