@@ -8,7 +8,9 @@ volume bound's iteration cap, the number of eigen-solves of the dual
 pencil cos t A + sin t B (one per fall of the best certificate, plus the
 steps of its Newton ascent in t), the kind of certificate that holds the
 final value (feasible, spectral or dual; see `crawford.ellipsoid`), the
-solve's wall time and its microseconds per step.  With the ascent most
+exact set-up's time in microseconds (`sdp_instance` and `certified_ball`,
+the ball's chart included), the solve's wall time and its microseconds
+per step.  With the ascent most
 of these solves end at their first step, closed by a rank-one density
 of the dual bound, so the step count says how soon the certificates met,
 not how fast the volume bound shrinks.  (About the centre 0, random C
@@ -59,7 +61,7 @@ def main() -> None:
     )
     print(
         f"{'n':>3} {'d':>4} {'chi':>10} {'iters':>8} {'cap':>8} {'dual_solves':>11}"
-        f" {'closed_by':>9} {'seconds':>8} {'us/iter':>8} {'|sdp-oracle|':>13}"
+        f" {'closed_by':>9} {'setup_us':>9} {'seconds':>8} {'us/iter':>8} {'|sdp-oracle|':>13}"
     )
     for n in range(args.n_min, args.n_max + 1):
         for trial in range(args.trials):
@@ -68,15 +70,18 @@ def main() -> None:
                 continue
             mat = c.translate(GaussianRational(frobenius_ceiling(c) + 1, 0))
             # mat has integer entries, so l = 1
+            t_setup = time.perf_counter()
             inst, mat, _ = sdp_instance(mat)
             ball = certified_ball(inst, mat)
             t0 = time.perf_counter()
+            setup_us = 1e6 * (t0 - t_setup)
             res = solve(ball, args.eps)
             dt = time.perf_counter() - t0
             us_per_iter = 1e6 * dt / res.iterations
             line = (
                 f"{n:>3} {n * n:>4} {res.value:>10.6f} {res.iterations:>8} {res.cap:>8}"
-                f" {res.dual_solves:>11} {res.closed_by:>9} {dt:>8.3f} {us_per_iter:>8.1f}"
+                f" {res.dual_solves:>11} {res.closed_by:>9} {setup_us:>9.1f}"
+                f" {dt:>8.3f} {us_per_iter:>8.1f}"
             )
             gap = abs(res.value - chi_oracle(mat, args.eps))
             print(line + f" {gap:>13.2e}")
@@ -92,6 +97,7 @@ def main() -> None:
                 "dual_solves": res.dual_solves,
                 "closed_by": res.closed_by,
                 "value": res.value,
+                "setup_us": setup_us,
                 "seconds": dt,
                 "us_per_iter": us_per_iter,
                 "oracle_gap": gap,

@@ -365,6 +365,10 @@ def main(argv=None) -> int:
         # EllipsoidCapExceeded, ChartError and crawford's bound check
         print(f"solver error: {e}", file=sys.stderr)
         return 3
+    except OverflowError as e:
+        # exact input is accepted at any size; the float solvers are not
+        print(f"solver error: a value exceeds the float64 range ({e})", file=sys.stderr)
+        return 3
     except OSError as e:
         print(f"io error: {e}", file=sys.stderr)
         return 4

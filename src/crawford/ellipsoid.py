@@ -174,12 +174,13 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from itertools import chain
 from typing import Optional
 
 import numpy as np
 
 from . import sdp
-from .linalg import ComplexMatrix, exact_dot
+from .linalg import ComplexMatrix
 from .sdp import SdpInstance, assemble_feasible_point
 
 # r = c + 1 + u_d / sqrt(3): the objective's gradient in the chart
@@ -315,28 +316,41 @@ def certified_ball(inst: SdpInstance, c_matrix: ComplexMatrix) -> CertifiedBall:
     feasible, inner radius 1/n inside the affine subspace, outer radius
     12 + 4*frob_ceiling, in its chart.
 
-    Every check is exact: the instance's A + iB is C entrywise, S - I is
-    PSD, and G satisfies all N + 4 constraints of `sdp.constraints`, with
-    <F, G> read off the two sparse lists."""
+    Every check is exact and runs in integers: the instance's A + iB is
+    C entrywise, S - I is PSD, and G satisfies all N + 4 constraints of
+    `sdp.constraints`, with <F, G> read off the two sparse lists.  D G is
+    integral for D the lcm of G's denominators (a divisor of n when C is
+    Gaussian-integer), so <F, G> = b is checked as <F, D G> = D b; for
+    such a C the entries of F that meet G's support, its diagonal and
+    S, are ints too."""
     n = inst.n
-    if c_matrix.n != n:
+    a, b, c = inst.a, inst.b, c_matrix
+    if c.n != n:
         raise ValueError("instance was not built from this matrix")
-    for ra, rb, rc in zip(inst.a.entries, inst.b.entries, c_matrix.entries):
-        for a, b, c in zip(ra, rb, rc):
-            # Re(A + iB) = Re A - Im B, Im(A + iB) = Im A + Re B
-            if a.re - b.im != c.re or a.im + b.re != c.im:
-                raise ValueError("instance was not built from this matrix")
+    # Re(A + iB) = Re A - Im B and Im(A + iB) = Im A + Re B, over the lcm
+    l = math.lcm(a.den, b.den, c.den)
+    sa, sb, sc = l // a.den, l // b.den, l // c.den
+    parts = (a.re, a.im, b.re, b.im, c.re, c.im)
+    for ar, ai, br, bi, cr, ci in zip(*(chain.from_iterable(x) for x in parts)):
+        if ar * sa - bi * sb != cr * sc or ai * sa + br * sb != ci * sc:
+            raise ValueError("instance was not built from this matrix")
     g = sdp.ball_center(inst)
-    entry = {(i, j): v for i, j, v in g}
+    d = math.lcm(*(v.denominator for _, _, v in g))
+    dg = {(i, j): v.numerator * (d // v.denominator) for i, j, v in g}
     k = 2 * n
-    # S - I PSD: diagonal and determinant conditions
-    s00, s01, s11 = entry[k, k] - 1, entry[k, k + 1], entry[k + 1, k + 1] - 1
+    # D (S - I) PSD: diagonal and determinant conditions
+    s00, s01, s11 = dg[k, k] - d, dg[k, k + 1], dg[k + 1, k + 1] - d
     if not (s00 >= 0 and s11 >= 0 and s00 * s11 - s01 * s01 >= 0):
         raise ValueError("S - I is not PSD; the ball center is not interior")
-    for num, (f, b) in enumerate(sdp.constraints(inst), start=1):
-        # an off-diagonal entry of the upper triangle counts twice
-        on = [(v if i == j else 2 * v, entry[i, j]) for i, j, v in f if (i, j) in entry]
-        if (exact_dot(*zip(*on)) if on else 0) != b:
+    # an off-diagonal entry of the upper triangle counts twice
+    weight = {ij: w if ij[0] == ij[1] else 2 * w for ij, w in dg.items()}
+    for num, (f, rhs) in enumerate(sdp.constraints(inst), start=1):
+        dot = 0
+        for i, j, v in f:
+            w = weight.get((i, j))
+            if w is not None:
+                dot += v * w
+        if dot != d * rhs:
             raise ValueError(f"the ball center violates constraint F_{num}")
     return CertifiedBall(
         center=g,

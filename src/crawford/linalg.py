@@ -1,9 +1,13 @@
 """Exact Gaussian-rational matrices, Hermitian splitting, and the real
 symmetric (hat) embedding used by the SDP construction.
 
-Everything in this module that touches matrix *construction* is exact
-(fractions.Fraction end to end).  Floating point only enters through the
-`to_complex` view.
+A matrix over Q[i] is stored as Gaussian-integer numerators P + iQ over
+one positive denominator l, reduced so that l is the lcm of the entries'
+denominators (the encoding of rational input in Groetschel, Lovasz &
+Schrijver 1988).  Every construction step runs on these Python ints, so
+it is exact; `GaussianRational` entries are a derived view.  Floating
+point only enters through `to_complex`, whose entries p / l are the
+correctly rounded values of the exact ones.
 """
 
 from __future__ import annotations
@@ -11,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from operator import add, neg, sub
 from typing import Iterable, Union
 
 import numpy as np
@@ -91,136 +97,169 @@ def _coerce(x) -> GaussianRational:
     raise TypeError(f"cannot coerce {x!r} to a Gaussian rational")
 
 
-def exact_sum(values) -> Fraction:
-    """Sum of Fractions, taken in integers over their common denominator."""
-    values = tuple(values)
-    l = math.lcm(*(v.denominator for v in values))
-    return Fraction(sum(v.numerator * (l // v.denominator) for v in values), l)
+def _exact(p: int, den: int):
+    """p / den exactly: an int when den divides p, else a Fraction."""
+    q, r = divmod(p, den)
+    return Fraction(p, den) if r else q
 
 
-def exact_dot(xs, ys) -> Fraction:
-    """Sum of x * y over pairs of Fractions, taken in integers over the
-    common denominator of the products."""
-    terms = [
-        (x.numerator * y.numerator, x.denominator * y.denominator)
-        for x, y in zip(xs, ys)
-    ]
-    l = math.lcm(*(d for _, d in terms))
-    return Fraction(sum(p * (l // d) for p, d in terms), l)
+def _combine(op, xs: tuple, ys: tuple) -> tuple:
+    """Entrywise op of two row-major tuples of int rows."""
+    return tuple(tuple(map(op, rx, ry)) for rx, ry in zip(xs, ys))
 
 
-ZERO = GaussianRational(0, 0)
-ONE = GaussianRational(1, 0)
+def _times(xs: tuple, f: int) -> tuple:
+    return tuple(tuple(v * f for v in row) for row in xs)
+
+
+def _negated(xs: tuple) -> tuple:
+    return tuple(tuple(map(neg, row)) for row in xs)
+
+
+def _transpose(xs: tuple) -> tuple:
+    return tuple(zip(*xs))
 
 
 @dataclass(frozen=True)
 class ComplexMatrix:
-    """Square matrix over Q[i].  Entries stored row-major as a tuple of
-    tuples of GaussianRational."""
+    """Square matrix over Q[i]: entry (i, j) is (re[i][j] + im[i][j] i) / den
+    with int numerators and den > 0, reduced (den and all numerators
+    coprime), so equal matrices compare and hash equal and den is the lcm
+    of the entries' denominators.  Built from rows of GaussianRational,
+    Fraction or int; `entries` and `[i, j]` give GaussianRational views."""
 
-    entries: tuple
+    re: tuple
+    im: tuple
+    den: int
 
     def __init__(self, rows: Iterable[Iterable]):
         rows = tuple(tuple(_coerce(x) for x in row) for row in rows)
         n = len(rows)
         if n == 0 or any(len(r) != n for r in rows):
             raise ValueError("matrix must be square and nonempty")
-        object.__setattr__(self, "entries", rows)
+        # reduced Fractions over their lcm: numerators and lcm are coprime
+        den = math.lcm(*(v.denominator for row in rows for x in row for v in (x.re, x.im)))
+        re = tuple(tuple(x.re.numerator * (den // x.re.denominator) for x in row) for row in rows)
+        im = tuple(tuple(x.im.numerator * (den // x.im.denominator) for x in row) for row in rows)
+        self._set(re, im, den)
+
+    def _set(self, re: tuple, im: tuple, den: int) -> None:
+        object.__setattr__(self, "re", re)
+        object.__setattr__(self, "im", im)
+        object.__setattr__(self, "den", den)
+
+    @classmethod
+    def _of(cls, re: tuple, im: tuple, den: int) -> "ComplexMatrix":
+        """The matrix (re + im i) / den for tuples of int rows and den > 0,
+        reduced."""
+        g = math.gcd(den, *chain.from_iterable(re), *chain.from_iterable(im))
+        if g > 1:
+            re = tuple(tuple(v // g for v in row) for row in re)
+            im = tuple(tuple(v // g for v in row) for row in im)
+            den //= g
+        out = object.__new__(cls)
+        out._set(re, im, den)
+        return out
 
     @property
     def n(self) -> int:
-        return len(self.entries)
+        return len(self.re)
+
+    @property
+    def entries(self) -> tuple:
+        """Row-major tuple of tuples of GaussianRational."""
+        n = self.n
+        return tuple(tuple(self[i, j] for j in range(n)) for i in range(n))
 
     @classmethod
     def identity(cls, n: int) -> "ComplexMatrix":
-        return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
+        eye = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        return cls._of(eye, ((0,) * n,) * n, 1)
 
     @classmethod
     def zeros(cls, n: int) -> "ComplexMatrix":
-        return cls([[ZERO] * n for _ in range(n)])
+        return cls._of(((0,) * n,) * n, ((0,) * n,) * n, 1)
 
     def __getitem__(self, ij) -> GaussianRational:
         i, j = ij
-        return self.entries[i][j]
+        return GaussianRational(
+            Fraction(self.re[i][j], self.den), Fraction(self.im[i][j], self.den)
+        )
+
+    def _binary(self, op, other: "ComplexMatrix") -> "ComplexMatrix":
+        if self.n != other.n:
+            raise ValueError("dimension mismatch")
+        den = math.lcm(self.den, other.den)
+        s, t = den // self.den, den // other.den
+        return ComplexMatrix._of(
+            _combine(op, _times(self.re, s), _times(other.re, t)),
+            _combine(op, _times(self.im, s), _times(other.im, t)),
+            den,
+        )
 
     def __add__(self, other: "ComplexMatrix") -> "ComplexMatrix":
-        self._check_shape(other)
-        return ComplexMatrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)]
-        )
+        return self._binary(add, other)
 
     def __sub__(self, other: "ComplexMatrix") -> "ComplexMatrix":
-        self._check_shape(other)
-        return ComplexMatrix(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)]
-        )
+        return self._binary(sub, other)
 
     def scale(self, factor) -> "ComplexMatrix":
+        """factor * self: with factor = (a + bi) / d, the numerators become
+        (aP - bQ) + (bP + aQ) i over d * den."""
         f = _coerce(factor)
-        return ComplexMatrix([[f * x for x in row] for row in self.entries])
+        d = math.lcm(f.re.denominator, f.im.denominator)
+        a, b = (v.numerator * (d // v.denominator) for v in (f.re, f.im))
+        pairs = [tuple(zip(rp, rq)) for rp, rq in zip(self.re, self.im)]
+        re = tuple(tuple(a * p - b * q for p, q in row) for row in pairs)
+        im = tuple(tuple(b * p + a * q for p, q in row) for row in pairs)
+        return ComplexMatrix._of(re, im, d * self.den)
+
+    def __neg__(self) -> "ComplexMatrix":
+        return ComplexMatrix._of(_negated(self.re), _negated(self.im), self.den)
 
     def adjoint(self) -> "ComplexMatrix":
-        n = self.n
-        return ComplexMatrix(
-            [[self.entries[j][i].conjugate() for j in range(n)] for i in range(n)]
-        )
+        return ComplexMatrix._of(_transpose(self.re), _negated(_transpose(self.im)), self.den)
 
     def denominator_lcm(self) -> int:
-        """lcm of the denominators of every entry's real and imaginary part."""
-        return math.lcm(
-            *(v.denominator for row in self.entries for x in row for v in (x.re, x.im))
-        )
-
-    def integer_parts(self, l: int) -> list:
-        """l*C as rows of (Re, Im) integer pairs, for l a multiple of
-        `denominator_lcm()`."""
-        return [
-            [tuple(v.numerator * (l // v.denominator) for v in (x.re, x.im)) for x in row]
-            for row in self.entries
-        ]
+        """lcm of the denominators of every entry's real and imaginary part:
+        the reduced `den`."""
+        return self.den
 
     def frobenius_sq(self) -> Fraction:
-        """Sum of |entry|^2, exact: ||l*C||_F^2 in integers, over l^2."""
-        l = self.denominator_lcm()
-        s = sum(p * p + q * q for row in self.integer_parts(l) for p, q in row)
-        return Fraction(s, l * l)
+        """Sum of |entry|^2, exact: ||P + iQ||_F^2 over den^2."""
+        s = sum(p * p for p in chain.from_iterable(self.re + self.im))
+        return Fraction(s, self.den * self.den)
 
     def is_zero(self) -> bool:
-        return all(x.is_zero() for row in self.entries for x in row)
+        return not any(chain.from_iterable(self.re + self.im))
 
     def is_hermitian(self) -> bool:
-        n = self.n
-        e = self.entries
-        # Fractions are in lowest terms with a positive denominator, so
-        # Im e_ij = -Im e_ji compares numerators and denominators as ints
-        return all(
-            e[i][j].re == e[j][i].re
-            and e[i][j].im.numerator == -e[j][i].im.numerator
-            and e[i][j].im.denominator == e[j][i].im.denominator
-            for i in range(n)
-            for j in range(i, n)
-        )
+        """P symmetric and Q antisymmetric."""
+        return self.re == _transpose(self.re) and self.im == _negated(_transpose(self.im))
 
     def to_complex(self) -> np.ndarray:
-        return np.array([[complex(x) for x in row] for row in self.entries], dtype=complex)
+        """The float view: each part p / den by int true division, which is
+        correctly rounded (the value of float(Fraction(p, den))) at any
+        size, and raises OverflowError beyond the float64 range."""
+        d, n = self.den, self.n
+        parts = chain.from_iterable(map(zip, self.re, self.im))
+        return np.array([v / d for pq in parts for v in pq]).view(complex).reshape(n, n)
 
     def translate(self, c: GaussianRational) -> "ComplexMatrix":
         """self - c * I."""
         c = _coerce(c)
-        n = self.n
-        return ComplexMatrix(
-            [
-                [
-                    self.entries[i][j] - c if i == j else self.entries[i][j]
-                    for j in range(n)
-                ]
-                for i in range(n)
-            ]
-        )
-
-    def _check_shape(self, other: "ComplexMatrix") -> None:
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
+        den = math.lcm(self.den, c.re.denominator, c.im.denominator)
+        s = den // self.den
+        shifted = []
+        for part, v in ((self.re, c.re), (self.im, c.im)):
+            cv = v.numerator * (den // v.denominator)
+            shifted.append(
+                tuple(
+                    tuple(p * s - cv if i == j else p * s for j, p in enumerate(row))
+                    for i, row in enumerate(part)
+                )
+            )
+        return ComplexMatrix._of(*shifted, den)
 
 
 @dataclass(frozen=True)
@@ -236,50 +275,40 @@ class HermitianPencil:
 
 
 def hermitian_split(c: ComplexMatrix) -> HermitianPencil:
-    """C = A + iB with A = (C + C*)/2 and B = (C - C*)/(2i), both Hermitian,
-    in one pass over the pairs i <= j.  With l C = P + iQ Gaussian-integer
-    (l the denominator lcm), each entry is one exact fraction over 2l:
+    """C = A + iB with A = (C + C*)/2 and B = (C - C*)/(2i), both Hermitian.
+    With C = (P + iQ) / l, both are Gaussian-integer over 2l:
 
-      A_ij = ((P_ij + P_ji) + (Q_ij - Q_ji) i) / 2l,
-      B_ij = ((Q_ij + Q_ji) + (P_ji - P_ij) i) / 2l,
-
-    and A_ji, B_ji are their conjugates."""
-    n = c.n
-    l = c.denominator_lcm()
-    lc = c.integer_parts(l)
-    a = [[None] * n for _ in range(n)]
-    b = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            (p, q), (r, s) = lc[i][j], lc[j][i]
-            # numerators over 2l of Re and Im of A_ij, then of B_ij
-            for h, re_num, im_num in ((a, p + r, q - s), (b, q + s, r - p)):
-                re, im, neg = (Fraction(v, 2 * l) for v in (re_num, im_num, -im_num))
-                h[i][j] = GaussianRational(re, im)
-                h[j][i] = GaussianRational(re, neg)
-    pencil = HermitianPencil(a=ComplexMatrix(a), b=ComplexMatrix(b))
+      2l A = (P + P') + (Q - Q') i,
+      2l B = (Q + Q') + (P' - P) i."""
+    p, q = c.re, c.im
+    pt, qt = _transpose(p), _transpose(q)
+    den = 2 * c.den
+    pencil = HermitianPencil(
+        a=ComplexMatrix._of(_combine(add, p, pt), _combine(sub, q, qt), den),
+        b=ComplexMatrix._of(_combine(add, q, qt), _combine(sub, pt, p), den),
+    )
     if not (pencil.a.is_hermitian() and pencil.b.is_hermitian()):
         raise ValueError("Hermitian split produced a non-Hermitian part")
     return pencil
 
 
-def hat_upper(h: ComplexMatrix):
-    """The upper triangle (i, j, v), i <= j, of the real symmetric
-    embedding [[Re H, -Im H], [Im H, Re H]] of a Hermitian n x n H, row by
-    row; v is a Fraction and zeros are included.  The one writer of the
-    hat layout: `hat_embed` and the SDP constraints read it."""
-    n = h.n
-    e = h.entries
+def hat_upper(h: ComplexMatrix) -> list:
+    """The nonzero upper-triangle entries (i, j, v), i <= j, of the real
+    symmetric embedding [[Re H, -Im H], [Im H, Re H]] of a Hermitian
+    n x n H, as a list row by row; v is exact, an int when integral and
+    else a Fraction.  The one writer of the hat layout: `hat_embed` and
+    the SDP constraints read it."""
+    n, d = h.n, h.den
+    re = [
+        [(j, _exact(p, d)) for j, p in enumerate(row[i:], i) if p] for i, row in enumerate(h.re)
+    ]
+    out = []
+    for i, row in enumerate(h.im):
+        out += [(i, j, v) for j, v in re[i]]
+        out += [(i, n + j, _exact(-q, d)) for j, q in enumerate(row) if q]
     for i in range(n):
-        row = e[i]
-        for j in range(i, n):
-            yield i, j, row[j].re
-        for j in range(n):
-            yield i, n + j, -row[j].im
-    for i in range(n):
-        row = e[i]
-        for j in range(i, n):
-            yield n + i, n + j, row[j].re
+        out += [(n + i, n + j, v) for j, v in re[i]]
+    return out
 
 
 def hat_embed(h: ComplexMatrix) -> np.ndarray:
@@ -291,9 +320,9 @@ def hat_embed(h: ComplexMatrix) -> np.ndarray:
     """
     if not h.is_hermitian():
         raise ValueError("hat embedding is defined for Hermitian input")
-    out = np.empty((2 * h.n, 2 * h.n), dtype=object)
+    out = np.full((2 * h.n, 2 * h.n), Fraction(0), dtype=object)
     for i, j, v in hat_upper(h):
-        out[i, j] = out[j, i] = v
+        out[i, j] = out[j, i] = Fraction(v)
     return out
 
 
@@ -315,14 +344,10 @@ def frobenius_ceiling(c: ComplexMatrix) -> int:
 def clear_denominators(c: ComplexMatrix):
     """Return (l*C, l) where l is the lcm of the denominators of the real
     and imaginary parts of every entry, so l*C is Gaussian-integer and
-    chi(C) = chi(l*C)/l.  At l = 1, C itself is returned.
+    chi(C) = chi(l*C)/l: C's numerators over 1.  At l = 1, C itself is
+    returned.
     """
-    l = c.denominator_lcm()
+    l = c.den
     if l == 1:
         return c, 1
-    scaled = c.scale(l)
-    for row in scaled.entries:
-        for x in row:
-            if x.re.denominator != 1 or x.im.denominator != 1:
-                raise ValueError("clearing the denominators left a fraction")
-    return scaled, l
+    return ComplexMatrix._of(c.re, c.im, 1), l

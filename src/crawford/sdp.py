@@ -24,7 +24,9 @@ Each kind of object has one representation:
   float points        Z(X, r) (`assemble_feasible_point`) is a dense
                       (2n+3) x (2n+3) array.
 
-Construction is exact (Fraction); floats appear only in exported files
+Construction is exact: it reads A and B off their Gaussian-integer
+numerators (`linalg.ComplexMatrix`), and every entry is an int, or a
+Fraction where it is not integral; floats appear only in exported files
 and in the solver-facing views.
 """
 
@@ -37,7 +39,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .linalg import ComplexMatrix, HermitianPencil, exact_sum, hat_upper
+from .linalg import ComplexMatrix, HermitianPencil, hat_upper
 
 
 def _block_position(n: int, i: int) -> Tuple[int, int]:
@@ -73,20 +75,11 @@ def annihilators(n: int) -> List[Sparse]:
     if n < 1:
         raise ValueError("n must be positive")
     k = 2 * n
-    out: List[Sparse] = []
-    for i in range(k):
-        for j in (k, k + 1, k + 2):
-            out.append(((i, j, 1),))
-    for i in (k, k + 1):
-        out.append(((i, k + 2, 1),))
-    for i in range(n):
-        out.append(((i, n + i, 1),))
-    for i in range(n):
-        for j in range(i + 1, n):
-            out.append(((i, n + j, 1), (j, n + i, 1)))
-    for i in range(n):
-        for j in range(i, n):
-            out.append(((i, j, 1), (n + i, n + j, -1)))
+    out: List[Sparse] = [((i, j, 1),) for i in range(k) for j in (k, k + 1, k + 2)]
+    out += [((i, k + 2, 1),) for i in (k, k + 1)]
+    out += [((i, n + i, 1),) for i in range(n)]
+    out += [((i, n + j, 1), (j, n + i, 1)) for i in range(n) for j in range(i + 1, n)]
+    out += [((i, j, 1), (n + i, n + j, -1)) for i in range(n) for j in range(i, n)]
     assert len(out) == n * n + 7 * n + 2
     return out
 
@@ -153,13 +146,9 @@ def constraints(inst: SdpInstance) -> List[Tuple[Sparse, int]]:
     constraints of the module docstring, whose big blocks are -Ahat, -Bhat
     and I_{2n}."""
     k = 2 * inst.n
-
-    def negated(h: ComplexMatrix) -> Sparse:
-        return tuple((i, j, -v) for i, j, v in hat_upper(h) if v)
-
     return [(f, 0) for f in annihilators(inst.n)] + [
-        (negated(inst.a) + ((k, k, 1), (k + 1, k + 1, -1)), 0),
-        (negated(inst.b) + ((k, k + 1, 1),), 0),
+        (tuple(hat_upper(-inst.a) + [(k, k, 1), (k + 1, k + 1, -1)]), 0),
+        (tuple(hat_upper(-inst.b) + [(k, k + 1, 1)]), 0),
         (tuple((i, i, 1) for i in range(k)), 2),
         (((k, k, 1), (k + 1, k + 1, 1), (k + 2, k + 2, 2)), 2 * (inst.frob_ceiling + 2)),
     ]
@@ -170,7 +159,8 @@ def ball_center(inst: SdpInstance) -> Sparse:
     with S = [[c + 1 + x, y], [y, c + 1 - x]] and x + iy = <A, I/n> +
     i<B, I/n> = (1/n) tr C."""
     n, k = inst.n, 2 * inst.n
-    x, y = (exact_sum(h[i, i].re for i in range(n)) / n for h in (inst.a, inst.b))
+    # tr A = Re tr C and tr B = Im tr C, each a sum of numerators over den
+    x, y = (Fraction(sum(h.re[i][i] for i in range(n)), n * h.den) for h in (inst.a, inst.b))
     r = inst.frob_ceiling + 1
     diag = Fraction(1, n)
     return tuple((i, i, diag) for i in range(k)) + (
@@ -281,9 +271,12 @@ def assemble_feasible_point(inst: SdpInstance, dens: np.ndarray, r: float) -> np
     """
     dens = np.asarray(dens, dtype=complex)
     x, y = inst.pencil_values(dens)
-    k = 2 * inst.n
+    n, k = inst.n, 2 * inst.n
     z = np.zeros((k + 3, k + 3))
-    z[:k, :k] = np.block([[dens.real, -dens.imag], [dens.imag, dens.real]])
+    # hat X = [[Re X, -Im X], [Im X, Re X]], a quadrant at a time
+    z[:n, :n] = z[n:k, n:k] = dens.real
+    z[n:k, :n] = dens.imag
+    z[:n, n:k] = -dens.imag
     z[k : k + 2, k : k + 2] = [[r + x, y], [y, r - x]]
     z[k + 2, k + 2] = inst.frob_ceiling + 2.0 - r
     return z

@@ -30,6 +30,10 @@ from helpers import (
 
 DATA = Path(__file__).parent / "data"
 
+# one entry of 10^160: exact input the CLI accepts, whose squared norm
+# exceeds the float64 range
+HUGE = ComplexMatrix([[gr(10**160), gr(1)], [gr(0), gr(2)]])
+
 # a 4x4 Gaussian-integer matrix with imaginary parts on and off the diagonal
 GAUSSIAN4 = ComplexMatrix(
     [
@@ -285,6 +289,25 @@ class TestExitCodes:
         assert main([command, p, "--center=-3-i", "--eps", "1e-4"]) == 3
         err = capsys.readouterr().err
         assert err.startswith("solver error: ") and expect in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["chi"], ["chi", "--method", "oracle"], ["verify"]],
+        ids=["sdp", "oracle", "verify"],
+    )
+    def test_entry_beyond_float_range_exits_3(self, tmp_path, capsys, argv):
+        # ||C||_F^2 = 10^320 + 5 is exact, but beyond float64: an honest
+        # solver diagnostic, never a traceback
+        p = write_matrix(tmp_path / "h.json", HUGE)
+        assert main(argv[:1] + [p] + argv[1:]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("solver error: ") and "float64 range" in err
+
+    def test_entry_beyond_float_range_exports(self, tmp_path, capsys):
+        p = write_matrix(tmp_path / "h.json", HUGE)
+        out = tmp_path / "h.dat-s"
+        assert main(["export", p, "--out", str(out)]) == 0
+        assert "1e+160" in out.read_text()
 
 
 class TestCmdExport:

@@ -118,6 +118,13 @@ class TestCertifiedBall:
         with pytest.raises(ValueError, match="not built from this matrix"):
             certified_ball(changed_a(inst, {(0, 1): 1, (1, 0): 1}), EXAMPLE)
 
+    def test_changed_offdiagonal_b_pair_rejected(self):
+        # a Hermitian change to B's imaginary parts: B stays Hermitian, its
+        # trace is unchanged, and only Re(A + iB) = Re A - Im B moves
+        inst, _ = make(EXAMPLE)
+        with pytest.raises(ValueError, match="not built from this matrix"):
+            certified_ball(changed_b(inst, {(0, 1): gr(0, 1), (1, 0): gr(0, -1)}), EXAMPLE)
+
     def test_broken_annihilator_rejected(self, monkeypatch):
         # E_00 - E_nn (the two Re blocks agree) meets G's diagonal; with
         # its -1 flipped, <F, G> = 2/n, not 0
@@ -137,6 +144,14 @@ def changed_a(inst, deltas):
     for (i, j), delta in deltas.items():
         rows[i][j] = rows[i][j] + delta
     return dataclasses.replace(inst, a=ComplexMatrix(rows))
+
+
+def changed_b(inst, deltas):
+    """inst with deltas[i, j] added to B_ij."""
+    rows = [list(row) for row in inst.b.entries]
+    for (i, j), delta in deltas.items():
+        rows[i][j] = rows[i][j] + delta
+    return dataclasses.replace(inst, b=ComplexMatrix(rows))
 
 
 class TestChart:

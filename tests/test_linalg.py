@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 from numbers import Rational
 
@@ -6,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crawford.api import sdp_instance
+from crawford.cli import load_matrix, save_matrix
 from crawford.ellipsoid import certified_ball
 from crawford.linalg import (
     ComplexMatrix,
@@ -15,7 +19,7 @@ from crawford.linalg import (
     hat_embed,
     hermitian_split,
 )
-from crawford.sdp import build_instance, constraints
+from crawford.sdp import annihilators, ball_center, build_instance, constraints
 from helpers import (
     COPRIME_DENOMINATORS,
     EXAMPLE,
@@ -274,3 +278,148 @@ class TestClearDenominators:
         for row in cint.entries:
             for x in row:
                 assert x.re.denominator == 1 and x.im.denominator == 1
+
+
+def big_coprime_rows(rnd: random.Random, n: int) -> list:
+    """n rows of entries a/p + (b/q) i with |a|, |b| <= 10^20 and p, q
+    drawn from the pairwise coprime 1, 2, 3, 5, 7."""
+
+    def part():
+        return Fraction(rnd.randint(-(10**20), 10**20), rnd.choice((1, 2, 3, 5, 7)))
+
+    return [[gr(part(), part()) for _ in range(n)] for _ in range(n)]
+
+
+class TestIntegerSetupMatchesFractionReference:
+    """translate -> clear_denominators -> hermitian_split ->
+    frobenius_ceiling -> build_instance -> ball_center / constraints, run
+    on integer numerators, against a reference that repeats every step
+    with Fraction arithmetic on GaussianRational entries."""
+
+    @staticmethod
+    def reference(entries: list, centre: GaussianRational):
+        n = len(entries)
+        rows = [[entries[i][j] - (centre if i == j else 0) for j in range(n)] for i in range(n)]
+        l = math.lcm(*(v.denominator for row in rows for x in row for v in (x.re, x.im)))
+        rows = [[x * l for x in row] for row in rows]
+        # A = (C + C*)/2 and B = (C - C*)/(2i) = (C - C*)(-i/2)
+        half, minus_half_i = gr(Fraction(1, 2)), gr(0, Fraction(-1, 2))
+        a = [[(rows[i][j] + rows[j][i].conjugate()) * half for j in range(n)] for i in range(n)]
+        b = [
+            [(rows[i][j] - rows[j][i].conjugate()) * minus_half_i for j in range(n)]
+            for i in range(n)
+        ]
+        frob_sq = sum(x.abs2() for row in rows for x in row)
+        ceiling = math.isqrt(math.floor(frob_sq))
+        while ceiling * ceiling < frob_sq:
+            ceiling += 1
+        return l, a, b, ceiling
+
+    @staticmethod
+    def reference_hat_negated(h) -> list:
+        n = len(h)
+        upper = [(i, j, h[i][j].re) for i in range(n) for j in range(i, n)]
+        out = []
+        for i in range(n):
+            out += [(i, j, v) for i2, j, v in upper if i2 == i]
+            out += [(i, n + j, -h[i][j].im) for j in range(n)]
+        out += [(n + i, n + j, v) for i, j, v in upper]
+        return [(i, j, -v) for i, j, v in out if v != 0]
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_setup_against_fraction_reference(self, n):
+        rnd = random.Random(1900 + n)
+        for _ in range(4):
+            entries = big_coprime_rows(rnd, n)
+            centre = gr(Fraction(rnd.randint(-99, 99), 4), Fraction(rnd.randint(-99, 99), 3))
+            l_ref, a_ref, b_ref, ceiling_ref = self.reference(entries, centre)
+            inst, _, l = sdp_instance(ComplexMatrix(entries).translate(centre))
+            assert l == l_ref
+            assert [list(row) for row in inst.a.entries] == a_ref
+            assert [list(row) for row in inst.b.entries] == b_ref
+            assert inst.frob_ceiling == ceiling_ref
+            want = np.array(
+                [[float(x.re), float(x.im)] for h in (a_ref, b_ref) for row in h for x in row]
+            ).reshape(2, -1)
+            assert inst.pencil_flat.tobytes() == want.tobytes()
+
+            k = 2 * n
+            tr = sum((a_ref[i][i] + b_ref[i][i] * GaussianRational(0, 1) for i in range(n)), gr(0))
+            x, y = tr.re / n, tr.im / n
+            r = ceiling_ref + 1
+            assert list(ball_center(inst)) == [(i, i, Fraction(1, n)) for i in range(k)] + [
+                (k, k, r + x), (k, k + 1, y), (k + 1, k + 1, r - x), (k + 2, k + 2, 1),
+            ]
+            cons = constraints(inst)
+            want_tails = [
+                (self.reference_hat_negated(a_ref) + [(k, k, 1), (k + 1, k + 1, -1)], 0),
+                (self.reference_hat_negated(b_ref) + [(k, k + 1, 1)], 0),
+                ([(i, i, 1) for i in range(k)], 2),
+                ([(k, k, 1), (k + 1, k + 1, 1), (k + 2, k + 2, 2)], 2 * (ceiling_ref + 2)),
+            ]
+            assert [(list(f), b) for f, b in cons] == [
+                (list(f), 0) for f in annihilators(n)
+            ] + want_tails
+
+
+class TestComplexMatrixValues:
+    """Numerators over one reduced denominator: equal values are equal
+    objects, whichever way they were built."""
+
+    def test_equal_values_compare_and_hash_equal(self):
+        half = ComplexMatrix([[gr(Fraction(1, 2))]])
+        built = [
+            half.scale(2),
+            ComplexMatrix([[gr(1)]]),
+            ComplexMatrix([[gr(Fraction(3, 3), Fraction(0, 5))]]),
+            half + half,
+            ComplexMatrix([[gr(Fraction(5, 2))]]).translate(gr(Fraction(3, 2))),
+            ComplexMatrix([[gr(0, Fraction(-1, 3))]]).scale(gr(0, 3)),
+        ]
+        for m in built:
+            assert m == built[0] and hash(m) == hash(built[0])
+            assert (m.re, m.im, m.den) == (((1,),), ((0,),), 1)
+        assert len(set(built)) == 1
+
+    def test_difference_with_itself_is_zero(self):
+        c = COPRIME_DENOMINATORS
+        assert c - c == ComplexMatrix.zeros(3)
+        assert (c - c).denominator_lcm() == 1
+
+    def test_denominator_lcm_is_reduced(self):
+        m = ComplexMatrix([[gr(Fraction(2, 4)), gr(0, Fraction(1, 3))], [gr(0), gr(5)]])
+        assert m.denominator_lcm() == 6
+        assert m.scale(2).denominator_lcm() == 3
+        assert m.scale(6).denominator_lcm() == 1
+        assert COPRIME_DENOMINATORS.denominator_lcm() == 21
+        assert ComplexMatrix([[gr(Fraction(6, 4))]]).denominator_lcm() == 2
+
+    def test_entries_view_round_trips(self):
+        rnd = random.Random(5)
+        for n in (1, 3, 5):
+            rows = big_coprime_rows(rnd, n)
+            c = ComplexMatrix(rows)
+            assert [list(row) for row in c.entries] == rows
+            assert ComplexMatrix(c.entries) == c
+            assert all(c[i, j] == c.entries[i][j] for i in range(n) for j in range(n))
+
+    def test_save_load_keeps_entries(self, tmp_path):
+        rnd = random.Random(6)
+        for n in (1, 2, 4):
+            rows = big_coprime_rows(rnd, n)
+            path = tmp_path / f"m{n}.json"
+            save_matrix(ComplexMatrix(rows), path)
+            loaded = load_matrix(path)
+            assert loaded == ComplexMatrix(rows)
+            assert [list(row) for row in loaded.entries] == rows
+
+    def test_to_complex_matches_fraction_floats(self):
+        # p / den by int division is float(Fraction(p, den)), also far
+        # beyond 2^53
+        rnd = random.Random(7)
+        for n in (1, 3, 6):
+            c = ComplexMatrix(big_coprime_rows(rnd, n)).scale(gr(10**40 + 1, 3))
+            want = np.array(
+                [[complex(float(x.re), float(x.im)) for x in row] for row in c.entries]
+            )
+            assert c.to_complex().tobytes() == want.tobytes()

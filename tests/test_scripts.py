@@ -50,20 +50,21 @@ def test_scaling_study_small(tmp_path):
         "scaling_study.py", "--n-max", "3", "--trials", "1", "--csv", str(table)
     )
     assert re.search(
-        r"^\s+n\s+d\s+chi\s+iters\s+cap\s+dual_solves\s+closed_by\s+seconds"
+        r"^\s+n\s+d\s+chi\s+iters\s+cap\s+dual_solves\s+closed_by\s+setup_us\s+seconds"
         r"\s+us/iter\s+\|sdp-oracle\|$",
         out,
         re.M,
     )
     rows = re.findall(
         r"^\s+(\d+)\s+(\d+)\s+(\S+)\s+(\d+)\s+(\d+)\s+(\d+)\s+(\w+)"
-        r"\s+(\S+)\s+(\S+)\s+(\S+)$",
+        r"\s+(\S+)\s+(\S+)\s+(\S+)\s+(\S+)$",
         out,
         re.M,
     )
     assert [(n, d) for n, d, *_ in rows] == [("2", "4"), ("3", "9")]
-    for _, _, chi, iterations, cap, solves, kind, seconds, us_per_iter, gap in rows:
+    for _, _, chi, iterations, cap, solves, kind, setup_us, seconds, us_per_iter, gap in rows:
         assert float(chi) >= 1.0
+        assert float(setup_us) > 0.0
         assert 0 < int(iterations) <= int(cap)
         assert int(solves) >= 1
         assert kind in ("feasible", "spectral", "dual")
@@ -73,13 +74,14 @@ def test_scaling_study_small(tmp_path):
         records = list(csv.DictReader(fh))
     assert list(records[0]) == [
         "n", "trial", "dim", "iterations", "cap", "dual_solves", "closed_by",
-        "value", "seconds", "us_per_iter", "oracle_gap",
+        "value", "setup_us", "seconds", "us_per_iter", "oracle_gap",
     ]
     assert [int(r["n"]) for r in records] == [2, 3]
-    for r, (_, _, chi, iterations, cap, solves, kind, *_) in zip(records, rows):
+    for r, (_, _, chi, iterations, cap, solves, kind, setup_us, *_) in zip(records, rows):
         assert (r["iterations"], r["cap"], r["dual_solves"], r["closed_by"]) == (
             iterations, cap, solves, kind,
         )
+        assert float(r["setup_us"]) == pytest.approx(float(setup_us), abs=0.05)
         assert float(r["value"]) == pytest.approx(float(chi), abs=1e-6)
         assert float(r["us_per_iter"]) == pytest.approx(
             1e6 * float(r["seconds"]) / int(r["iterations"])
