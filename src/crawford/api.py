@@ -88,14 +88,16 @@ def crawford(query: CrawfordQuery) -> CrawfordResult:
     certificate and along a Newton ascent on t from there, both capped by
     that certificate.  The first eigen-solve, and with it the ascent, is
     skipped when the pencil's least diagonal entry, which bounds
-    lambda_min from above, is already at most lb, so lower_bound_dual is
-    the best dual bound over the solves actually taken, over l (None if
-    none was taken).  certs_spectral counts the falls of the best
-    certificate that came from spectral-cut centers, and certs_dual those
-    to the rank-one density vv* of a solve's least eigenvector v.
-    dual_solves counts the pencil eigen-solves, ascent steps included, and
-    closed_by names the kind of certificate that holds the final value:
-    feasible, spectral or dual.
+    lambda_min from above, lies in (0, lb], so lower_bound_dual is the
+    best dual bound over the solves actually taken, over l (None if none
+    was taken).  certs_spectral counts the falls of the best certificate
+    that came from spectral-cut centers, and certs_dual those to the
+    rank-one density vv* of a solve's least eigenvector v, or, at a solve
+    with lambda_min <= 0, to the Wolfe step's point of the hull of the
+    fallen density and such vv* nearest 0 (how chi = 0 inputs close at
+    their first step).  dual_solves counts the pencil eigen-solves, of
+    Newton and of Wolfe steps, and closed_by names the kind of certificate
+    that holds the final value: feasible, spectral or dual.
     """
     t_start = time.perf_counter()
     t_mat = query.matrix.translate(query.center)

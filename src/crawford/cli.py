@@ -3,7 +3,7 @@
 Matrix files are JSON {"n": int, "entries": [[string, ...], ...]} where
 each entry string is a Gaussian rational: "2", "-4i", "3+i", "1/2-2/3i".
 
-Subcommands: chi (compute), export (write the SDP in SDPA sparse
+Commands: chi (compute), export (write the SDP in SDPA sparse
 format), range (sample the numerical-range boundary to CSV/SVG),
 verify (run both methods plus invariant spot checks).
 
@@ -256,23 +256,29 @@ def cmd_verify(matrix_path, config: RunConfig) -> int:
         chart = ball.chart
         rng = np.random.default_rng(config.seed)
         r_in = float(ball.inner_r)
-        k = 2 * chart.n                 # Z's blocks: 2n, 2 and 1
-        worst = math.inf
-        for _ in range(20):
-            w = rng.standard_normal(chart.dim)
-            w /= np.linalg.norm(w)
-            zb = chart.point(r_in * w)
-            lam = min(
-                float(np.linalg.eigvalsh(zb[:k, :k])[0]),
-                float(np.linalg.eigvalsh(zb[k : k + 2, k : k + 2])[0]),
-                float(zb[k + 2, k + 2]),
-            )
-            worst = min(worst, lam)
+        zs = np.array(
+            [
+                chart.point(r_in * (w / np.linalg.norm(w)))
+                for w in rng.standard_normal((20, chart.dim))
+            ]
+        )
+        # Z's blocks, 2n, 2 and 1, each one eigvalsh over the 20 points
+        k = 2 * chart.n
+        worst = min(
+            float(np.linalg.eigvalsh(zs[:, :k, :k]).min()),
+            float(np.linalg.eigvalsh(zs[:, k : k + 2, k : k + 2]).min()),
+            float(zs[:, k + 2, k + 2].min()),
+        )
         check("inner_ball", worst >= -1e-9, f"min eigenvalue {worst:.3g}")
-        if "max_feasible_distance" in stats:
-            d = stats["max_feasible_distance"]
-            big_r = stats["outer_R"]
-            check("outer_ball", d <= big_r + 1e-6, f"max distance {d:.6g} vs R {big_r:g}")
+        # the centres the solve visited, and the witness's Z(X*, |w(X*)|)
+        x, inst = result.witness_X, chart.inst
+        zx = sdp.assemble_feasible_point(inst, x, math.hypot(*inst.pencil_values(x)))
+        g = np.zeros_like(zx)
+        for i, j, v in ball.center:
+            g[i, j] = g[j, i] = float(v)
+        d = max(stats["max_feasible_distance"], float(np.linalg.norm(zx - g)))
+        big_r = float(ball.outer_R)
+        check("outer_ball", d <= big_r + 1e-6, f"max distance {d:.6g} vs R {big_r:g}")
 
         # chi(i c, i C) = chi(c, C) through a different SDP instance:
         # (A, B) becomes (-B, A)
@@ -300,29 +306,30 @@ def cmd_verify(matrix_path, config: RunConfig) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("matrix", help="matrix JSON file")
-    common.add_argument("--center", default="0", help="Gaussian rational c for chi(c, C)")
-    common.add_argument("--eps", type=float, default=1e-6, help="accuracy (default 1e-6)")
-    common.add_argument(
-        "--method", choices=[m.value for m in Method], default="sdp"
-    )
-    common.add_argument("--samples", type=int, default=360, help="boundary sample count")
-    common.add_argument("--json", action="store_true", help="machine-readable output")
-    common.add_argument("--out", default=None, help="output file path")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
+_COMMANDS = {
+    "chi": "compute chi(c, C)",
+    "export": "write the SDP instance (.dat-s)",
+    "range": "sample the numerical range boundary",
+    "verify": "cross-check both methods and invariants",
+}
 
+
+def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="crawford",
         description="Crawford number chi(c, C) via certified SDP / ellipsoid "
         "solving with a support-function cross-check",
+        epilog="commands: " + "; ".join(f"{k}: {v}" for k, v in _COMMANDS.items()),
     )
-    sub = ap.add_subparsers(dest="command", required=True)
-    sub.add_parser("chi", parents=[common], help="compute chi(c, C)")
-    sub.add_parser("export", parents=[common], help="write the SDP instance (.dat-s)")
-    sub.add_parser("range", parents=[common], help="sample the numerical range boundary")
-    sub.add_parser("verify", parents=[common], help="cross-check both methods and invariants")
+    ap.add_argument("command", choices=list(_COMMANDS), help="what to run (see below)")
+    ap.add_argument("matrix", help="matrix JSON file")
+    ap.add_argument("--center", default="0", help="Gaussian rational c for chi(c, C)")
+    ap.add_argument("--eps", type=float, default=1e-6, help="accuracy (default 1e-6)")
+    ap.add_argument("--method", choices=[m.value for m in Method], default="sdp")
+    ap.add_argument("--samples", type=int, default=360, help="boundary sample count")
+    ap.add_argument("--json", action="store_true", help="machine-readable output")
+    ap.add_argument("--out", default=None, help="output file path")
+    ap.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
     return ap
 
 

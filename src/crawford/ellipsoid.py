@@ -62,7 +62,7 @@ The solver keeps two bounds per run:
              iterations, min(best_cert, obj(center_k) - sqrt(g' P_k g))
              and min(best_cert, lambda_min(cos t A + sin t B)) at
              t = arg w of each new best_cert's density and at each
-             iterate of the Newton ascent from there.  The first is
+             later eigen-solve of the ascent from there.  The first is
              valid because the cut rules never discard a feasible point
              with objective below the current best_cert; the second by
              weak duality, as |z| >= Re(e^{-it} z) >= lambda_min(cos t A +
@@ -94,13 +94,29 @@ The simpler fixed point t <- arg w(vv*) is the same step with lambda_0
 as the curvature: it drops the positive sum, so it overshoots and at
 best converges linearly, and it saved only 1-14 % of the steps.  With
 the exact curvature the iterates converge quadratically near a smooth
-maximum, and most chi > 0 solves end at their first step.  lambda_min is
-at most every diagonal entry Re(e^{-it} C_ii) of the pencil (a Rayleigh
-quotient), so when the least of them at t = arg w is already <= lb the
-first eigen-solve cannot raise lb and is skipped, together with the
-null-vector certificate and the ascent; on chi = 0 inputs, where lb
-stays 0, that skips most of them, and lambda_0 <= 0 ends every ascent at
-its first solve.
+maximum, and most chi > 0 solves end at their first step.
+
+A solve with lambda_0 <= 0 cannot raise lb, but its v still gives the
+point w(vv*) of W(C) extreme in the direction -e^{it} (Johnson, SIAM J.
+Numer. Anal. 15, 1978): Re(e^{-it} w(vv*)) = lambda_0 <= 0 < |w|, so it
+lies on the far side of 0 from w.  While no Newton step has been taken,
+such a solve makes a Wolfe step instead: vv* joins the hull of the
+density that fell and the support points before it (`hull_step`, the
+main loop's planar min-norm step), the hull's point nearest 0 is
+repaired and offered as a certificate, and the next solve is at its
+angle.  Each step brings the hull nearer 0, and three support points
+around 0 give a combination with |w| near 1e-16, so chi = 0 solves close
+at their first centre with one or two solves.  A Wolfe step that does
+not lower best_cert ends the ascent; a solve with lambda_0 > 0 goes on
+with Newton steps.  `_ASCENT_STEPS` bounds both kinds of step.
+
+lambda_min is at most every diagonal entry Re(e^{-it} C_ii) of the pencil
+(a Rayleigh quotient), so when the least of them at t = arg w lies in
+(0, lb] the first eigen-solve cannot raise lb, and it is skipped,
+together with the null-vector certificate and the ascent.  A least
+diagonal <= 0 means a support point lies on the far side of 0, which a
+Wolfe step can use, so that solve is always taken; while lb = 0 none is
+skipped.
 
 The candidates for best_cert are the repaired densities of two kinds of
 center and the rank-one densities of the dual bound.  Z(X, r) is
@@ -115,10 +131,10 @@ r = |sum lambda_i w(X_i)|.
              the weights of the point of the hull of their w values
              nearest 0.  Points of weight 0 are dropped from the kept
              set; the combination is repaired, and its value is
-             recomputed from the repaired X.  When 0 lies in the hull, as
-             it does for chi = 0, best_cert falls below eps in a few
-             dozen steps instead of waiting for a single center that
-             close to 0;
+             recomputed from the repaired X (`hull_step`, which the
+             Wolfe steps of the dual bound share).  When 0 lies in the
+             hull, best_cert falls toward 0 without waiting for a single
+             center that close to 0;
   spectral   at an eigenvector cut the oracle has eigh(X), w(X) and
              vec(ww*) of the cut's eigenvector, so it reads w of the
              clipped density (X - sum lambda_k q_k q_k*) / (1 - sum
@@ -134,9 +150,12 @@ r = |sum lambda_i w(X_i)|.
              |w(vv*)| is close to the optimum.  vv* is a density, so it
              certifies |w(vv*)|, which is read off vv* with
              `pencil_values`, never off lambda_min.  It replaces best_cert
-             when lower, at the first solve and at each ascent iterate;
-             such a fall starts no ascent of its own, and vv* does not
-             enter the hull search.
+             when lower, at the first solve and at each Newton iterate.
+             At a Wolfe step the hull's nearest point, vv* or a repaired
+             combination of vv* with the fallen density and earlier
+             support points, is offered instead, its value read off the
+             repaired X.  Such a fall starts no ascent of its own, and
+             none of these densities enters the main loop's hull.
 
 `solve`'s `record` collects best_cert at each fall, from any of the three
 kinds; dual falls directly follow the fall whose ascent gave them.
@@ -186,13 +205,16 @@ from .sdp import SdpInstance, assemble_feasible_point
 # r = c + 1 + u_d / sqrt(3): the objective's gradient in the chart
 _RHO = 1.0 / math.sqrt(3.0)
 
-# a safety net on the eigen-solves of one Newton ascent in t; its stop
-# rules end it long before (at most 6 on far-centre instances)
+# a safety net on the eigen-solves of one ascent in t, Newton and Wolfe
+# steps alike; its stop rules end it long before (at most 6 on far-centre
+# instances, 2 at chi = 0)
 _ASCENT_STEPS = 32
 
 
 class ChartError(RuntimeError):
-    """Certificate repair met a point far off the chart; construction bug."""
+    """The chart or a certificate failed in float64: the chart's Cholesky
+    factor at entries too large for float64, or a repair that met a point
+    far off the chart (a construction bug)."""
 
 
 class EllipsoidCapExceeded(RuntimeError):
@@ -386,7 +408,17 @@ def build_chart(inst: SdpInstance) -> AffineChart:
     m = n * n - 1
     basis = _traceless_basis(n).reshape(m, n * n).view(float)
     ab = inst.pencil_flat @ basis.T
-    chol = np.linalg.cholesky(2.0 * (np.eye(m) + ab.T @ ab))
+    try:
+        chol = np.linalg.cholesky(2.0 * (np.eye(m) + ab.T @ ab))
+    except np.linalg.LinAlgError:
+        # ab'ab has rank 2 and entries up to max |ab|^2; once those pass
+        # about 2^52, rounding them loses the identity beside them
+        raise ChartError(
+            "the entries are too large for the float64 solver: the chart's "
+            "Gram matrix 2(I + ab'ab) is not positive definite in float64 "
+            f"(53-bit mantissa), with pencil inner products ab up to "
+            f"{float(np.abs(ab).max()):.3g}"
+        ) from None
     x_map = np.zeros((m + 1, 2 * n * n))
     x_map[:m] = np.linalg.solve(chol, basis)
     return AffineChart(
@@ -530,6 +562,24 @@ def nearest_point_weights(w) -> list:
     return min(candidates, key=lambda lam: abs(sum(l * p for l, p in zip(lam, w))))
 
 
+def hull_step(inst: SdpInstance, kept: list, point: tuple) -> tuple:
+    """One planar min-norm step: `point`, a density with its w, joins the
+    at most two `kept` ones, and the point of their hull nearest 0 is
+    taken.  Returns the new kept list (the densities of positive weight,
+    or the combination alone when 0 lies in their triangle) and that
+    point as (w, X).  w is linear in X, so a combination of densities is
+    feasible at r = |w(X)|; repair only rounds it, and w is read off the
+    repaired X, never off the planar arithmetic."""
+    points = kept + [point]
+    lam = nearest_point_weights([w for w, _ in points])
+    kept = [p for l, p in zip(lam, points) if l > 0.0]
+    if len(kept) == 1:
+        return kept, kept[0]
+    comb = sum(l * x for l, (_, x) in zip(lam, points) if l > 0.0)
+    w, x = repair_point(inst, comb)
+    return ([(w, x)] if len(kept) == 3 else kept), (w, x)
+
+
 def _shrink(z: np.ndarray, p_mat: np.ndarray, b: np.ndarray, alpha: float) -> None:
     """Replace E = {x : (x - z)' P^-1 (x - z) <= 1}, in place, by the
     smallest ellipsoid holding the part of E where
@@ -559,15 +609,17 @@ def solve(
     """Minimize <F_0, Z> over the ball's instance to certified accuracy eps.
 
     Deterministic.  `record`, if given, collects best_cert each time it
-    falls, at a feasible or at a spectral-cut center or to the rank-one
-    density of a dual bound's eigenvector, so its values decrease.
-    At each fall a Newton ascent on t raises lambda_min(cos t A + sin t B)
-    (see the module docstring).  `lower_bound_dual` is the best such
-    lambda_min over the eigen-solves taken, ascent steps included, None
-    when the Rayleigh bound ruled out every one; `certs_dual` counts the
-    rank-one falls, `dual_solves` the eigen-solves, and `closed_by` names
-    the kind of certificate that holds the value: feasible, spectral or
-    dual.
+    falls, at a feasible or at a spectral-cut center or to a density of
+    the dual bound's eigenvectors, so its values decrease.  At each fall
+    a Newton ascent on t raises lambda_min(cos t A + sin t B), or, while
+    lambda_min <= 0, Wolfe steps on the support points its eigenvectors
+    give bring the hull nearer 0 (see the module docstring).
+    `lower_bound_dual` is the best such lambda_min over the eigen-solves
+    taken, ascent steps included, None when the Rayleigh bound ruled out
+    every one; `certs_dual` counts the falls to vv* or to a Wolfe step's
+    hull point, `dual_solves` the eigen-solves of both kinds of step, and
+    `closed_by` names the kind of certificate that holds the value:
+    feasible, spectral or dual.
     """
     if not (math.isfinite(eps) and eps > 0.0):
         raise ValueError("eps must be finite and positive")
@@ -618,7 +670,10 @@ def solve(
     def certify(w, x, kind):
         # best_cert falls to |w| = |w(x)|; the dual slack at t = arg w
         # raises lb, its null vector v offers the density vv*, and a Newton
-        # ascent on t repeats both while lambda_min keeps rising
+        # ascent on t repeats both while lambda_min keeps rising.  While
+        # lambda_min <= 0, vv* is a support point of W(C) on the far side
+        # of 0, and a Wolfe step on the hull of x and those points takes
+        # its place
         nonlocal lb, lb_dual, n_certs_dual, n_dual_solves
         fall(w, x, kind)
         if best_cert == 0.0:
@@ -626,9 +681,11 @@ def solve(
         cos_t, sin_t = w.real / best_cert, w.imag / best_cert
         h = pencil(cos_t, sin_t)
         # lambda_min <= min_i Re(e^{-it} C_ii), a Rayleigh quotient: when
-        # that is already <= lb, the solve cannot raise lb
-        if h.diagonal().real.min() <= lb:
+        # that lies in (0, lb], the solve cannot raise lb; a least diagonal
+        # <= 0 is itself a point of W(C) beyond 0, where a Wolfe step helps
+        if 0.0 < h.diagonal().real.min() <= lb:
             return
+        hull = [(w, x)]
         lam_prev = 0.0
         for _ in range(_ASCENT_STEPS):
             lams, vecs = np.linalg.eigh(h)
@@ -638,6 +695,20 @@ def solve(
             v = vecs[:, 0]
             xv = v[:, None] * v.conj()
             wv = complex(*inst.pencil_values(xv))
+            if lam <= 0.0 and lam_prev == 0.0:
+                # no Newton step yet: Re(e^{-it} w(vv*)) = lambda_min <= 0
+                # < |w|, so the hull of the falls and vv* comes nearer 0,
+                # and the next solve is at the angle of its nearest point
+                hull, (w, x) = hull_step(inst, hull, (wv, xv))
+                if abs(w) >= best_cert:
+                    return
+                fall(w, x, "dual")
+                n_certs_dual += 1
+                if best_cert - lb <= eps:
+                    return
+                cos_t, sin_t = w.real / best_cert, w.imag / best_cert
+                h = pencil(cos_t, sin_t)
+                continue
             if abs(wv) < best_cert:
                 fall(wv, xv, "dual")
                 n_certs_dual += 1
@@ -688,20 +759,7 @@ def solve(
 
         if cut.kind != "feasibility":
             max_dist = max(max_dist, math.sqrt(z @ z))
-            points = kept + [repair_point(inst, cut.spectrum)]
-            lam = nearest_point_weights([w for w, _ in points])
-            kept = [p for l, p in zip(lam, points) if l > 0.0]
-            if len(kept) == 1:
-                w, x = kept[0]
-            else:
-                # w is linear in X, so the combination is feasible at
-                # r = |w(X)|; repair only rounds it, and the value is read
-                # off the repaired X, never off the planar arithmetic
-                comb = sum(l * x for l, (_, x) in zip(lam, points) if l > 0.0)
-                w, x = repair_point(inst, comb)
-                if len(kept) == 3:
-                    # 0 lies in the triangle: keep the combination alone
-                    kept = [(w, x)]
+            kept, (w, x) = hull_step(inst, kept, repair_point(inst, cut.spectrum))
             if abs(w) < best_cert:
                 certify(w, x, "feasible")
         elif cut.clipped is not None and abs(cut.clipped) < best_cert:

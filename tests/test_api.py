@@ -173,8 +173,8 @@ class TestStatsAndValidation:
         assert res.solver_stats["discrepancy"] <= 2 * EPS
 
     def test_sdp_stats_fields(self):
-        # the worked example, and a chi = 0 input where the spectral-cut
-        # centres still certify (the example closes at its first step)
+        # the worked example and a chi = 0 input, both closed at their
+        # first step, by a Newton ascent and by Wolfe steps
         for mat, center in ((EXAMPLE, gr(0)), (COPRIME_DENOMINATORS, gr(1, 1))):
             self.check_sdp_stats(mat, center)
 
@@ -215,11 +215,15 @@ class TestStatsAndValidation:
             assert stats["closed_by"] == "dual"
             assert stats["dual_solves"] >= 2
         else:
-            # chi = 0: lambda_min <= 0 at every angle, so no ascent step
-            # follows a solve, and the spectral-cut centres still certify
+            # chi = 0: lambda_min <= 0 at every angle, so each solve gives a
+            # support point of W beyond 0, and Wolfe steps on their hull
+            # with the first centre's density close the gap at that centre
             assert stats["lower_bound"] == 0.0
             assert stats["lower_bound_dual"] <= 0.0
-            assert 0 < stats["certs_spectral"]
+            assert stats["iterations"] == 1
+            assert stats["closed_by"] == "dual"
+            assert stats["certs_dual"] == stats["dual_solves"] <= 4
+            assert stats["certs_spectral"] == 0
 
     def test_oracle_stats_fields(self):
         res = run(EXAMPLE, method=Method.ORACLE_SWEEP)

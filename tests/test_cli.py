@@ -34,6 +34,20 @@ DATA = Path(__file__).parent / "data"
 # exceeds the float64 range
 HUGE = ComplexMatrix([[gr(10**160), gr(1)], [gr(0), gr(2)]])
 
+
+def large(k):
+    """A 3 x 3 Gaussian-integer matrix with entries of order k: from about
+    k = 10^8 the squared pencil inner products in the chart's Gram matrix
+    2(I + ab'ab) pass 2^53, and float64 rounding leaves it indefinite."""
+    return ComplexMatrix(
+        [
+            [gr(3 * k, -k), gr(2 * k, 7), gr(-5, k)],
+            [gr(k), gr(-4 * k, 2 * k), gr(1)],
+            [gr(0, -3 * k), gr(k, k), gr(2 * k, 5 * k)],
+        ]
+    )
+
+
 # a 4x4 Gaussian-integer matrix with imaginary parts on and off the diagonal
 GAUSSIAN4 = ComplexMatrix(
     [
@@ -303,6 +317,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("solver error: ") and "float64 range" in err
 
+    @pytest.mark.parametrize("command", ["chi", "verify"])
+    @pytest.mark.parametrize("k", [10**8, 10**12])
+    def test_large_entries_exit_3(self, tmp_path, capsys, command, k):
+        # the chart's Cholesky factor fails in float64; numpy's LinAlgError
+        # is a ValueError, which once made this a parse error (exit 2)
+        p = write_matrix(tmp_path / "l.json", large(k))
+        assert main([command, p, "--eps", "1e-4"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("solver error: ") and "too large for the float64" in err
+
     def test_entry_beyond_float_range_exports(self, tmp_path, capsys):
         p = write_matrix(tmp_path / "h.json", HUGE)
         out = tmp_path / "h.dat-s"
@@ -462,6 +486,64 @@ class TestCmdVerify:
         assert len(seen) == 1
         assert code == 5
         assert "rotation_identity: FAIL" in out
+
+    def test_inner_ball_matches_a_point_by_point_loop(self, tmp_path, capsys, monkeypatch):
+        # the check assembles its 20 points one at a time and takes each
+        # block's eigenvalues over all of them at once; the least one is
+        # the least of the per-point spectra
+        import numpy as np
+
+        from crawford import ellipsoid
+
+        points = []
+        point = ellipsoid.AffineChart.point
+
+        def spy(chart, u):
+            z = point(chart, u)
+            points.append((chart.n, z))
+            return z
+
+        monkeypatch.setattr(ellipsoid.AffineChart, "point", spy)
+        p = write_matrix(tmp_path / "c.json", GAUSSIAN4)
+        assert main(["verify", p, "--eps", "1e-4", "--seed", "7"]) == 0
+        out = capsys.readouterr().out
+        assert len(points) == 20
+        worst = min(
+            min(
+                float(np.linalg.eigvalsh(z[: 2 * n, : 2 * n])[0]),
+                float(np.linalg.eigvalsh(z[2 * n : 2 * n + 2, 2 * n : 2 * n + 2])[0]),
+                float(z[2 * n + 2, 2 * n + 2]),
+            )
+            for n, z in points
+        )
+        assert f"inner_ball: PASS (min eigenvalue {worst:.3g})" in out
+
+    def test_outer_ball_reads_the_witness(self, tmp_path, capsys, monkeypatch):
+        # chi = 0 closes at the ball centre, so the solve visits no other
+        # centre; the witness's Z(X*, |w(X*)|) still lies r - |w| from G,
+        # and a radius below that distance must fail the check with exit 5
+        from crawford import cli
+
+        solve = cli.crawford
+        radii = []
+
+        def shrunk(query):
+            res = solve(query)
+            assert res.solver_stats["max_feasible_distance"] == 0.0
+            radii.append(res.ball.outer_R)
+            ball = dataclasses.replace(res.ball, outer_R=Fraction(1, 10**3))
+            return dataclasses.replace(res, ball=ball)
+
+        p = write_matrix(tmp_path / "c.json", EXAMPLE_TILDE)
+        assert main(["verify", p, "--eps", "1e-4"]) == 0
+        out = capsys.readouterr().out
+        d = float(out.split("outer_ball: PASS (max distance ")[1].split()[0])
+        assert 1.0 < d <= 32
+        monkeypatch.setattr(cli, "crawford", shrunk)
+        assert main(["verify", p, "--eps", "1e-4"]) == 5
+        out = capsys.readouterr().out
+        assert f"outer_ball: FAIL (max distance {d:.6g} vs R 0.001)" in out
+        assert radii[0] == 32
 
     def test_one_set_up_and_one_chart_per_solve(self, tmp_path, capsys, monkeypatch):
         # verify solves three queries (the given one, its rotation and its

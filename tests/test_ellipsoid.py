@@ -49,6 +49,13 @@ def make(mat: ComplexMatrix):
     return inst, certified_ball(inst, mat)
 
 
+def diagonal(*entries):
+    n = len(entries)
+    return ComplexMatrix(
+        [[entries[i] if i == j else gr(0) for j in range(n)] for i in range(n)]
+    )
+
+
 class TestCertifiedBall:
     def test_reference_example(self):
         inst, ball = make(EXAMPLE)
@@ -524,9 +531,10 @@ class TestDeepCutUpdate:
         # a cut with alpha >= 1 leaves no feasible point below best, so a
         # solve with a finite best takes best as its lower bound and stops;
         # the patched cut is not a true one, so only that rule is checked.
-        # W(diag(2, -1)) = [-1, 2] holds 0, so the dual bound never closes
-        # the gap and the first centre's value 1/2 stays open until the cut
-        inst, ball = make(ComplexMatrix([[gr(2), gr(0)], [gr(0), gr(-1)]]))
+        # chi = 2 on the edge of W(diag(2 + 3i, 2 - 3i, 5 + 6i)) from 2 - 3i
+        # to 2 + 3i, a kink of the dual that the ascent from the first
+        # centre's angle does not reach, so the gap stays open until the cut
+        inst, ball = make(diagonal(gr(2, 3), gr(2, -3), gr(5, 6)))
         oracle = ellipsoid.separation_oracle
 
         def deep_after_first_feasible(chart, u, best_value):
@@ -1014,34 +1022,6 @@ class TestRankOneCertificate:
             assert abs(np.trace(x) - 1.0) <= 1e-12
         assert dual >= 1
 
-    def test_rayleigh_bound_skips_the_solve_at_chi_zero(self, monkeypatch):
-        # with chi = 0, lambda_min(cos t A + sin t B) <= 0 = lb at every t,
-        # and the pencil's least diagonal entry rules most solves out
-        calls = []
-        eigh = np.linalg.eigh
-
-        def counted(x):
-            calls.append(x)
-            return eigh(x)
-
-        monkeypatch.setattr(np.linalg, "eigh", counted)
-        rng = np.random.default_rng(1600)
-        falls = solves = 0
-        for n in (3, 4, 5):
-            inst, ball = make(inside_matrix(rng, n))
-            calls.clear()
-            rec = []
-            res = solve(ball, 1e-4, record=rec)
-            taken = sum(is_pencil(inst, m) for m in calls)
-            assert taken <= len(rec)
-            assert (res.lower_bound_dual is None) == (taken == 0)
-            if taken:
-                assert res.lower_bound_dual <= 0.0
-            assert res.lower_bound == 0.0 and res.value <= 1e-4
-            falls += len(rec)
-            solves += taken
-        assert solves < falls
-
 
 def rotated(diag, c, s):
     """Q diag(d) Q' for the rational Givens rotation Q = [[c, -s, 0],
@@ -1123,10 +1103,18 @@ class TestDualAscent:
         assert res.value - res.lower_bound <= eps * scale
         assert res.lower_bound_dual <= 2.0 * scale + 1e-9
 
-    def test_no_ascent_at_chi_zero(self, monkeypatch):
-        # with chi = 0, lambda_min(cos t A + sin t B) <= 0 at every t, so
-        # every pencil solve is the first and last of its fall: no two
-        # pencil solves follow each other
+
+class TestWolfeStep:
+    """While lambda_min(cos t A + sin t B) <= 0, the least eigenvector v
+    gives a support point w(vv*) of W(C) beyond 0, and a Wolfe step on the
+    hull of the fallen density and those points replaces the Newton step:
+    at chi = 0 the gap closes at the first centre."""
+
+    @staticmethod
+    def check(mat, eps, monkeypatch):
+        # each certificate, a hull point or vv*, has its value read off
+        # X, and the certificates fall strictly; at lb = 0 the Rayleigh
+        # bound skips no solve, and every pencil eigen-solve is counted
         calls = []
         eigh = np.linalg.eigh
 
@@ -1135,19 +1123,66 @@ class TestDualAscent:
             return eigh(x)
 
         monkeypatch.setattr(np.linalg, "eigh", counted)
+        inst, ball = make(mat)
+        rec = []
+        res = solve(ball, eps, record=rec)
+        monkeypatch.undo()
+        assert res.iterations == 1
+        assert res.value <= eps and res.lower_bound == 0.0
+        assert res.value == math.hypot(*inst.pencil_values(res.X))
+        assert all(b < a for a, b in zip(rec, rec[1:]))
+        assert sum(is_pencil(inst, m) for m in calls) == res.dual_solves <= 4
+        if rec[0] > 0.0:
+            assert res.dual_solves >= 1 and res.lower_bound_dual <= 0.0
+            assert res.closed_by == "dual" and res.certs_dual == len(rec) - 1
+        return inst, res
+
+    def test_chi_zero_closes_at_the_first_step(self, monkeypatch):
+        # the trace-centred family of `inside_matrix`, and random matrices
+        # about 0
+        for n in range(2, 7):
+            rng = np.random.default_rng(1100 + n)
+            for eps in (1e-3, 1e-6, 1e-8):
+                self.check(inside_matrix(rng, n), eps, monkeypatch)
         rng = np.random.default_rng(2000)
-        total = 0
         for n in (3, 3, 4, 4, 5, 5):
-            # about 0, where the Rayleigh bound skips fewer solves than
-            # about the trace centre of `inside_matrix`
             mat = random_gaussian_integer(rng, n, -3, 3)
             assert support_search(mat, 1e-6).chi == 0.0
-            inst, ball = make(mat)
-            calls.clear()
+            self.check(mat, 1e-4, monkeypatch)
+
+    @pytest.mark.parametrize(
+        "mat",
+        [
+            diagonal(gr(0), gr(1)),
+            diagonal(gr(0, 1), gr(0, -1), gr(1)),
+            diagonal(gr(2, 3), gr(2, -3), gr(-1)),
+        ],
+        ids=["vertex", "edge", "interior"],
+    )
+    @pytest.mark.parametrize("eps", [1e-4, 1e-8])
+    def test_boundary_of_w_closes_at_the_first_step(self, mat, eps, monkeypatch):
+        # 0 is a vertex of W, a point of an edge, or inside the triangle
+        # next to an edge
+        self.check(mat, eps, monkeypatch)
+
+    def test_witness_is_a_repaired_density(self, monkeypatch):
+        # 0 lies inside W, so the nearest point of the support points' hull
+        # is a combination of two or three of them, rounded by repair_point
+        repaired = []
+
+        def spy(inst, dens):
+            out = repair_point(inst, dens)
+            repaired.append(out[1])
+            return out
+
+        monkeypatch.setattr(ellipsoid, "repair_point", spy)
+        rng = np.random.default_rng(1600)
+        for n in (3, 4, 5):
+            repaired.clear()
+            inst, ball = make(inside_matrix(rng, n))
             res = solve(ball, 1e-4)
-            pencil = [is_pencil(inst, m) for m in calls]
-            assert sum(pencil) == res.dual_solves
-            assert not any(a and b for a, b in zip(pencil, pencil[1:]))
-            assert res.value <= 1e-4 and res.lower_bound == 0.0
-            total += res.dual_solves
-        assert total > 0
+            assert res.closed_by == "dual"
+            assert any(x is res.X for x in repaired)
+            assert np.linalg.eigvalsh(res.X)[0] >= -1e-12
+            assert abs(np.trace(res.X) - 1.0) <= 1e-12
+            assert res.value == math.hypot(*inst.pencil_values(res.X))
