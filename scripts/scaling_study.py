@@ -5,18 +5,19 @@ For each n the script draws a random Gaussian-integer C, shifts it to
 C - kI with k = ceil(||C||_F) + 1, so that chi >= 1, and solves it at
 fixed eps.  Each row reports the value, the steps taken next to the
 volume bound's iteration cap, the number of eigen-solves of the dual
-pencil cos t A + sin t B (one per fall of the best certificate, plus the
-steps of its Newton ascent in t), the kind of certificate that holds the
-final value (feasible, spectral or dual; see `crawford.ellipsoid`), the
-exact set-up's time in microseconds (`sdp_instance` and `certified_ball`,
-the ball's chart included), the solve's wall time and its microseconds
-per step.  With the ascent most
-of these solves end at their first step, closed by a rank-one density
-of the dual bound, so the step count says how soon the certificates met,
-not how fast the volume bound shrinks.  (About the centre 0, random C
-with n >= 3 almost always have chi = 0, and those solves end as soon as
-the hull of the repaired centres holds a point within eps of 0.)  Every
-value is cross-checked against the support-function search.
+pencil cos t A + sin t B (the steps of the ascent in t that follows each
+fall of the best certificate, Newton steps and Wolfe steps alike), the
+kind of certificate that holds the final value (feasible or dual; see
+`crawford.ellipsoid`), the exact set-up's time in microseconds
+(`sdp_instance` and `certified_ball`, the ball's chart included), the
+solve's wall time and its microseconds per step.  With the ascent these
+solves end at their first step, closed by a density of the dual
+bound's eigenvectors, so the step count says how soon the certificates
+met, not how fast the volume bound shrinks.  (About the centre 0,
+random C with n >= 3 almost always have chi = 0, and those solves end
+at their first step too, on Wolfe steps over the pencil's support
+points around 0.)  Every value is cross-checked against the
+support-function search.
 """
 
 import argparse

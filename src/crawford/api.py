@@ -84,20 +84,21 @@ def crawford(query: CrawfordQuery) -> CrawfordResult:
     sum is cuts_feasibility; cuts_modulus + cuts_ceiling steps took no
     spectrum of X.  lower_bound is the solver's certified lb over l: the
     larger of the objective's minimum over the ellipsoid and the dual
-    bound lambda_min(cos t A + sin t B) at t = arg w of each new best
-    certificate and along a Newton ascent on t from there, both capped by
-    that certificate.  The first eigen-solve, and with it the ascent, is
-    skipped when the pencil's least diagonal entry, which bounds
-    lambda_min from above, lies in (0, lb], so lower_bound_dual is the
-    best dual bound over the solves actually taken, over l (None if none
-    was taken).  certs_spectral counts the falls of the best certificate
-    that came from spectral-cut centers, and certs_dual those to the
-    rank-one density vv* of a solve's least eigenvector v, or, at a solve
-    with lambda_min <= 0, to the Wolfe step's point of the hull of the
-    fallen density and such vv* nearest 0 (how chi = 0 inputs close at
-    their first step).  dual_solves counts the pencil eigen-solves, of
-    Newton and of Wolfe steps, and closed_by names the kind of certificate
-    that holds the final value: feasible, spectral or dual.
+    bound lambda_min(cos t A + sin t B) at each eigen-solve of an ascent
+    on t from t = arg w of each new best certificate, both capped by
+    that certificate.  The ascent takes a Newton step where Newton's
+    model holds (lambda_min rose and is simple) and a Wolfe step on the
+    support points its eigenvectors gave elsewhere: at lambda_min <= 0,
+    at an overshoot or at a kink.  The first eigen-solve, and with it the
+    ascent, is skipped when the pencil's least diagonal entry, which
+    bounds lambda_min from above, lies in (0, lb], so lower_bound_dual is
+    the best dual bound over the solves actually taken, over l (None if
+    none was taken).  certs_dual counts the falls of the best certificate
+    to the rank-one density vv* of a Newton step's least eigenvector v,
+    or to a Wolfe step's point of the hull of the fallen density and such
+    vv* nearest 0.  dual_solves counts the pencil eigen-solves, of Newton
+    and of Wolfe steps, and closed_by names the kind of certificate that
+    holds the final value: feasible (a repaired center) or dual.
     """
     t_start = time.perf_counter()
     t_mat = query.matrix.translate(query.center)
@@ -153,7 +154,6 @@ def crawford(query: CrawfordQuery) -> CrawfordResult:
                 None if res.lower_bound_dual is None
                 else res.lower_bound_dual / scale
             ),
-            certs_spectral=res.certs_spectral,
             certs_dual=res.certs_dual,
             dual_solves=res.dual_solves,
             closed_by=res.closed_by,

@@ -165,7 +165,7 @@ def cmd_chi(matrix_path, config: RunConfig) -> int:
         for key in (
             "setup_s", "solve_s", "oracle_s",
             "cuts_spectral", "cuts_modulus", "cuts_ceiling",
-            "lower_bound_dual", "certs_spectral", "certs_dual",
+            "lower_bound_dual", "certs_dual",
             "dual_solves", "closed_by",
         ):
             if key in stats:

@@ -50,24 +50,29 @@ shrunk toward an optimum), so the run ends within
   cap = ceil(2 (d + 1) (1/2 ln det P_0 + d ln(3 ||F_0|| / (r_in eps)))) + 64,
 
 which is the R-ball's 2 d (d + 1) ln(3 R ||F_0|| / (r_in eps)) + 64 when
-P_0 = R^2 I (Bland, Goldfarb & Todd, Oper. Res. 29(6), 1981).
+P_0 = R^2 I (Bland, Goldfarb & Todd, Oper. Res. 29(6), 1981).  The
+log-determinant is read off the Cholesky diagonal:
+ln det P_0 = m ln kappa + 2 sum ln L_ii + ln q, with
+kappa = ((m + 1)/m)(1 - 1/n) and q = 3 (m + 1)(c + 1)^2 (ln q at n = 1).
 
 The solver keeps two bounds per run:
 
   best_cert  the lowest *certified* value: the objective r = |w(X)|,
-             w(X) = <A,X> + i<B,X>, of a repaired density X (clipped to
-             the PSD cone, trace rescaled to 1), so Z(X, r) is feasible
-             and r is a genuine upper bound on the optimum,
+             w(X) = <A,X> + i<B,X>, of a density X (a repaired one:
+             clipped to the PSD cone, trace rescaled to 1), so Z(X, r) is
+             feasible and r is a genuine upper bound on the optimum,
   lb         a certified lower bound, the largest of 0 and, over the
              iterations, min(best_cert, obj(center_k) - sqrt(g' P_k g))
-             and min(best_cert, lambda_min(cos t A + sin t B)) at
-             t = arg w of each new best_cert's density and at each
-             later eigen-solve of the ascent from there.  The first is
-             valid because the cut rules never discard a feasible point
-             with objective below the current best_cert; the second by
-             weak duality, as |z| >= Re(e^{-it} z) >= lambda_min(cos t A +
+             and min(best_cert, lambda_min(cos t A + sin t B)) at each
+             eigen-solve of the ascents below.  The first is valid
+             because the cut rules never discard a feasible point with
+             objective below the current best_cert; the second by weak
+             duality, as |z| >= Re(e^{-it} z) >= lambda_min(cos t A +
              sin t B) for every z = w(X) of a density X and every t (Rump,
-             Acta Numerica 19, 2010, on such a-posteriori bounds).
+             Acta Numerica 19, 2010, on such a-posteriori bounds).  A
+             certificate that falls a few ulps of rounding below a
+             lambda_min already taken pulls lb down with it, so
+             lb <= best_cert always.
 
 The objective's minimum over E lags well behind the optimum, so on its
 own lb closes the gap only as E shrinks onto it.  The dual bound is
@@ -75,90 +80,75 @@ within eps of the optimum once t is near the optimal direction.
 best_cert's density reaches that direction only about when its value
 nears the optimum, so at each fall of best_cert the solver does not wait
 for E: it climbs f(t) = lambda_min(H(t)), H(t) = cos t A + sin t B, the
-paper's dual, by Newton's method on t, from the eigh(H) it took.  With v
-the least eigenvector, (lambda_k, q_k) the other eigenpairs and
-H'(t) = -sin t A + cos t B (so H'' = -H),
+paper's dual, from t = arg w.  Each step takes one eigh(H(t)): lambda_0
+raises lb, and the least eigenvector v gives the density vv*, whose
+w(vv*) is the point of W(C) extreme in the direction -e^{it} (Johnson,
+SIAM J. Numer. Anal. 15, 1978), Re(e^{-it} w(vv*)) = lambda_0.  Each
+such support point w_k bounds f(s) <= Re(e^{-is} w_k) at every s.  The
+step is one of two kinds:
 
-  f'(t)  = v* H' v = Im(e^{-it} w(vv*)),
-  -f''(t) = lambda_0 + 2 sum_{k>=1} |q_k* H' v|^2 / (lambda_k - lambda_0)
+  Newton  where Newton's model holds: lambda_0 rose strictly above the
+          last solve's lambda_0, which is >= 0 (0 before the first
+          solve), n > 1, and lambda_1 > lambda_0.  vv* is offered and
+          kept as a support point (the last two are kept), and with
+          (lambda_k, q_k) the other eigenpairs and H'(t) = -sin t A +
+          cos t B (so H'' = -H),
 
-(Mengi & Overton, IMA J. Numer. Anal. 25(4), 2005, on such eigenvalue
-derivatives), and t <- t + f'/(-f'').  Each iterate takes one eigh at
-the new t and does exactly what the first solve does: lambda_0 raises lb
-to min(best_cert, lambda_0), and vv* is offered as a certificate (below).
-The ascent stops when the gap is <= eps, when lambda_0 fails to rise
-strictly above the last iterate's, when lambda_0 <= 0, or when
-lambda_1 - lambda_0 <= 0, a double eigenvalue where f has a kink and
-Newton's model does not hold; `_ASCENT_STEPS` is only a safety net.
-The simpler fixed point t <- arg w(vv*) is the same step with lambda_0
-as the curvature: it drops the positive sum, so it overshoots and at
-best converges linearly, and it saved only 1-14 % of the steps.  With
-the exact curvature the iterates converge quadratically near a smooth
-maximum, and most chi > 0 solves end at their first step.
+            f'(t)  = v* H' v = Im(e^{-it} w(vv*)),
+            -f''(t) = lambda_0 + 2 sum_{k>=1} |q_k* H' v|^2 / (lambda_k - lambda_0)
 
-A solve with lambda_0 <= 0 cannot raise lb, but its v still gives the
-point w(vv*) of W(C) extreme in the direction -e^{it} (Johnson, SIAM J.
-Numer. Anal. 15, 1978): Re(e^{-it} w(vv*)) = lambda_0 <= 0 < |w|, so it
-lies on the far side of 0 from w.  While no Newton step has been taken,
-such a solve makes a Wolfe step instead: vv* joins the hull of the
-density that fell and the support points before it (`hull_step`, the
-main loop's planar min-norm step), the hull's point nearest 0 is
-repaired and offered as a certificate, and the next solve is at its
-angle.  Each step brings the hull nearer 0, and three support points
-around 0 give a combination with |w| near 1e-16, so chi = 0 solves close
-at their first centre with one or two solves.  A Wolfe step that does
-not lower best_cert ends the ascent; a solve with lambda_0 > 0 goes on
-with Newton steps.  `_ASCENT_STEPS` bounds both kinds of step.
+          (Mengi & Overton, IMA J. Numer. Anal. 25(4), 2005, on such
+          eigenvalue derivatives), t <- t + f'/(-f'').  Near a smooth
+          maximum the iterates converge quadratically.  The simpler
+          fixed point t <- arg w(vv*) is the same step with lambda_0 as
+          the curvature; it drops the positive sum, so it overshoots and
+          at best converges linearly;
+  Wolfe   elsewhere: at lambda_0 <= 0, at an overshoot, or at a double
+          lambda_0, where f has a kink.  vv* joins the hull of the
+          support points, and its point nearest 0 is offered
+          (`hull_step`, Wolfe's planar min-norm point, Math. Programming
+          11, 1976).  The maximizer over s of min_k Re(e^{-is} w_k) lies
+          in the direction of that point, so this is Kelley's
+          cutting-plane step on the dual (J. SIAM 8(4), 1960): at a kink
+          the support points of the two branches span the flat edge of
+          W(C) that holds the nearest point, and at chi = 0 three of them
+          around 0 give a combination with |w| near 1e-16.  The next
+          solve is at the angle of best_cert's w, whether or not the step
+          lowered it: where Newton overshoots because -f'' = lambda_0 is
+          small (W(C) of a normal C is a segment, and the sum is 0), that
+          angle is the one left to try.
+
+The ascent ends when the gap is <= eps, or when a Wolfe step sends it to
+an angle it has already solved; `_ASCENT_STEPS` bounds its eigen-solves.
+Every measured solve, chi = 0 and chi > 0, kinked or near the boundary of
+W(C), ends at its first centre.
 
 lambda_min is at most every diagonal entry Re(e^{-it} C_ii) of the pencil
 (a Rayleigh quotient), so when the least of them at t = arg w lies in
 (0, lb] the first eigen-solve cannot raise lb, and it is skipped,
-together with the null-vector certificate and the ascent.  A least
-diagonal <= 0 means a support point lies on the far side of 0, which a
-Wolfe step can use, so that solve is always taken; while lb = 0 none is
-skipped.
+together with the ascent.  A least diagonal <= 0 means a support point
+lies on the far side of 0, which a Wolfe step can use, so that solve is
+always taken; while lb = 0 none is skipped.
 
-The candidates for best_cert are the repaired densities of two kinds of
-center and the rank-one densities of the dual bound.  Z(X, r) is
+The candidates for best_cert are densities of two kinds.  Z(X, r) is
 feasible exactly when X is a density and |w(X)| <= r <= c + 2, and w is
 linear in X, so every convex combination of densities X_i is feasible at
 r = |sum lambda_i w(X_i)|.
 
-  feasible   each PSD-feasible center is repaired (from the
-             eigendecomposition the oracle took) and offered, with at
-             most two kept densities, to the planar min-norm step
-             `nearest_point_weights` (Wolfe, Math. Programming 11, 1976):
-             the weights of the point of the hull of their w values
-             nearest 0.  Points of weight 0 are dropped from the kept
-             set; the combination is repaired, and its value is
-             recomputed from the repaired X (`hull_step`, which the
-             Wolfe steps of the dual bound share).  When 0 lies in the
-             hull, best_cert falls toward 0 without waiting for a single
-             center that close to 0;
-  spectral   at an eigenvector cut the oracle has eigh(X), w(X) and
-             vec(ww*) of the cut's eigenvector, so it reads w of the
-             clipped density (X - sum lambda_k q_k q_k*) / (1 - sum
-             lambda_k), over the negative eigenpairs, in closed form
-             (`Cut.clipped`).  Only when that value is below best_cert is
-             X repaired, and best_cert is read off the repaired X.  These
-             densities do not enter the hull search;
-  dual       the eigen-solve of the dual bound also gives a least
-             eigenvector v of H = cos t A + sin t B, a null vector of the
-             dual slack H - lambda_min I.  By complementary slackness an
-             optimal X lies in that null space at the optimal t, so vv*
-             is an optimum there, and near the optimal t its value
-             |w(vv*)| is close to the optimum.  vv* is a density, so it
-             certifies |w(vv*)|, which is read off vv* with
-             `pencil_values`, never off lambda_min.  It replaces best_cert
-             when lower, at the first solve and at each Newton iterate.
-             At a Wolfe step the hull's nearest point, vv* or a repaired
-             combination of vv* with the fallen density and earlier
-             support points, is offered instead, its value read off the
-             repaired X.  Such a fall starts no ascent of its own, and
-             none of these densities enters the main loop's hull.
+  feasible   each PSD-feasible center, repaired from the
+             eigendecomposition the oracle took;
+  dual       vv* at a Newton step, and the hull's nearest point at a
+             Wolfe step: vv* itself or a repaired combination of support
+             points.  v is a null vector of the dual slack H - lambda_min
+             I, and by complementary slackness an optimal X lies in that
+             null space at the optimal t, so vv* is an optimum there, and
+             near the optimal t its value |w(vv*)| is close to the
+             optimum.  Values are read off the density with
+             `pencil_values`, never off lambda_min or the planar
+             arithmetic.  A dual fall starts no ascent of its own.
 
-`solve`'s `record` collects best_cert at each fall, from any of the three
-kinds; dual falls directly follow the fall whose ascent gave them.
+`solve`'s `record` collects best_cert at each fall, of either kind; dual
+falls directly follow the fall whose ascent gave them.
 
 Each step keeps the part of the ellipsoid E on the far side of a deep
 cut {x : g.(x - z) <= -depth} (Bland, Goldfarb & Todd, Oper. Res. 29(6),
@@ -205,9 +195,9 @@ from .sdp import SdpInstance, assemble_feasible_point
 # r = c + 1 + u_d / sqrt(3): the objective's gradient in the chart
 _RHO = 1.0 / math.sqrt(3.0)
 
-# a safety net on the eigen-solves of one ascent in t, Newton and Wolfe
+# the only bound on the eigen-solves of one ascent in t, Newton and Wolfe
 # steps alike; its stop rules end it long before (at most 6 on far-centre
-# instances, 2 at chi = 0)
+# instances, 11 near the boundary of W(C))
 _ASCENT_STEPS = 32
 
 
@@ -274,17 +264,31 @@ class AffineChart:
         e[-1] = _RHO
         return e
 
+    def _initial_scales(self) -> tuple:
+        # P_0 = blockdiag(kappa L'L, q) with m = d - 1; at n = 1 (m = 0)
+        # P_0 = q alone
+        m = self.dim - 1
+        kappa = (m + 1) / m * (1.0 - 1.0 / self.n) if m else 1.0
+        return m, kappa, (m + 1) * 3.0 * (self.inst.frob_ceiling + 1) ** 2
+
     @cached_property
     def initial_shape(self) -> np.ndarray:
         """P_0 of E_0 = {u : u' P_0^-1 u <= 1}, the Loewner ellipsoid of
         the cylinder {||xi|| <= sqrt(1 - 1/n)} x {|u_d| <= sqrt(3)(c + 1)}
         that holds every feasible point (see the module docstring)."""
-        m = self.dim - 1
+        m, kappa, q = self._initial_scales()
         p0 = np.zeros((m + 1, m + 1))
-        if m:
-            p0[:m, :m] = (m + 1) / m * (1.0 - 1.0 / self.n) * (self.chol.T @ self.chol)
-        p0[m, m] = (m + 1) * 3.0 * (self.inst.frob_ceiling + 1) ** 2
+        p0[:m, :m] = kappa * (self.chol.T @ self.chol)
+        p0[m, m] = q
         return p0
+
+    @property
+    def initial_log_det(self) -> float:
+        """ln det P_0 = m ln kappa + 2 sum ln L_ii + ln q, read off the
+        Cholesky diagonal."""
+        m, kappa, q = self._initial_scales()
+        log_diag = float(np.log(self.chol.diagonal()).sum())
+        return m * math.log(kappa) + 2.0 * log_diag + math.log(q)
 
     def density(self, u: np.ndarray) -> np.ndarray:
         n = self.n
@@ -307,9 +311,8 @@ class Cut:
     min_eig: float                      # least eigenvalue of the block cut on
     objective: float
     depth: float                        # >= 0; 0 is a cut through z
-    spectrum: Optional[tuple] = None    # eigh(X), when it was taken
+    spectrum: Optional[tuple] = None    # eigh(X), at a PSD-feasible point
     block: Optional[str] = None         # feasibility: spectral | modulus | ceiling
-    clipped: Optional[complex] = None   # spectral: w of repair_point(eigh(X))
 
 
 @dataclass(frozen=True)
@@ -327,10 +330,9 @@ class SolveResult:
     lower_bound: float
     max_feasible_distance: float
     lower_bound_dual: Optional[float]   # best lambda_min(cos t A + sin t B) taken
-    certs_spectral: int                 # best_cert falls at spectral cuts
     certs_dual: int                     # best_cert falls to a dual null vector
     dual_solves: int                    # eigen-solves of cos t A + sin t B
-    closed_by: str                      # feasible | spectral | dual: best_cert's kind
+    closed_by: str                      # feasible | dual: best_cert's kind
 
 
 def certified_ball(inst: SdpInstance, c_matrix: ComplexMatrix) -> CertifiedBall:
@@ -443,9 +445,7 @@ def separation_oracle(chart: AffineChart, u: np.ndarray, best_value: float) -> C
     cut, with no spectrum of X.  Only when both hold is X's spectrum taken:
     lambda(hat X) = lambda(X), each twice, and v'(hat X)v = w*Xw for the
     matching complex w, so the big block needs only X.  The cut of a
-    PSD-feasible point carries eigh(X), for its repair; an eigenvector
-    cut carries it too, with `clipped`, the w that `repair_point` would
-    give its X."""
+    PSD-feasible point carries eigh(X), for its repair."""
     inst = chart.inst
     flat = chart.x_origin + u @ chart.x_map
     a, b = (inst.pencil_flat @ flat).tolist()
@@ -483,27 +483,13 @@ def separation_oracle(chart: AffineChart, u: np.ndarray, best_value: float) -> C
     if lam_x < -tol:
         w = qx[:, 0]
         ww = (w[:, None] * w.conj()).ravel().view(float)
-        # w(X+) of the clipped density X+ = (X - sum_k lam_k q_k q_k*) /
-        # (1 - sum_k lam_k) over the negative eigenpairs, read off the
-        # vec(ww*) the normal needs when lam_x is the only one
-        k = int(wx.searchsorted(0.0))
-        if k == 1:
-            da, db = (inst.pencil_flat @ ww).tolist()
-            da, db, tr = lam_x * da, lam_x * db, 1.0 - lam_x
-        else:
-            qn = qx[:, :k]
-            neg = ((qn * wx[:k]) @ qn.conj().T).ravel().view(float)
-            da, db = (inst.pencil_flat @ neg).tolist()
-            tr = 1.0 - float(wx[:k].sum())
         return Cut(
             kind="feasibility",
             normal=-(chart.x_map @ ww),
             min_eig=lam_x,
             objective=r,
             depth=max(0.0, -lam_x - tol),
-            spectrum=(wx, qx),
             block="spectral",
-            clipped=complex(a - da, b - db) / tr,
         )
 
     improving = r < best_value
@@ -562,15 +548,15 @@ def nearest_point_weights(w) -> list:
     return min(candidates, key=lambda lam: abs(sum(l * p for l, p in zip(lam, w))))
 
 
-def hull_step(inst: SdpInstance, kept: list, point: tuple) -> tuple:
+def hull_step(inst: SdpInstance, support: list, point: tuple) -> tuple:
     """One planar min-norm step: `point`, a density with its w, joins the
-    at most two `kept` ones, and the point of their hull nearest 0 is
-    taken.  Returns the new kept list (the densities of positive weight,
-    or the combination alone when 0 lies in their triangle) and that
-    point as (w, X).  w is linear in X, so a combination of densities is
-    feasible at r = |w(X)|; repair only rounds it, and w is read off the
-    repaired X, never off the planar arithmetic."""
-    points = kept + [point]
+    at most two `support` ones, and the point of their hull nearest 0 is
+    taken.  Returns the new support list (the densities of positive
+    weight, or the combination alone when 0 lies in their triangle) and
+    that point as (w, X).  w is linear in X, so a combination of
+    densities is feasible at r = |w(X)|; repair only rounds it, and w is
+    read off the repaired X, never off the planar arithmetic."""
+    points = support + [point]
     lam = nearest_point_weights([w for w, _ in points])
     kept = [p for l, p in zip(lam, points) if l > 0.0]
     if len(kept) == 1:
@@ -609,17 +595,16 @@ def solve(
     """Minimize <F_0, Z> over the ball's instance to certified accuracy eps.
 
     Deterministic.  `record`, if given, collects best_cert each time it
-    falls, at a feasible or at a spectral-cut center or to a density of
-    the dual bound's eigenvectors, so its values decrease.  At each fall
-    a Newton ascent on t raises lambda_min(cos t A + sin t B), or, while
-    lambda_min <= 0, Wolfe steps on the support points its eigenvectors
-    give bring the hull nearer 0 (see the module docstring).
-    `lower_bound_dual` is the best such lambda_min over the eigen-solves
-    taken, ascent steps included, None when the Rayleigh bound ruled out
-    every one; `certs_dual` counts the falls to vv* or to a Wolfe step's
-    hull point, `dual_solves` the eigen-solves of both kinds of step, and
-    `closed_by` names the kind of certificate that holds the value:
-    feasible, spectral or dual.
+    falls, at a feasible center or to a density of the dual bound's
+    eigenvectors, so its values decrease.  At each fall at a center one
+    ascent on t raises lambda_min(cos t A + sin t B): Newton steps where
+    its model holds, and elsewhere Wolfe steps on the support points its
+    eigenvectors give (see the module docstring).  `lower_bound_dual` is
+    the best such lambda_min over the eigen-solves taken, None when the
+    Rayleigh bound ruled out every one; `certs_dual` counts the falls to
+    vv* or to a Wolfe step's hull point, `dual_solves` the eigen-solves of
+    both kinds of step, and `closed_by` names the kind of certificate that
+    holds the value: feasible or dual.
     """
     if not (math.isfinite(eps) and eps > 0.0):
         raise ValueError("eps must be finite and positive")
@@ -628,7 +613,7 @@ def solve(
     n = chart.n
     d = chart.dim
     p_mat = chart.initial_shape.copy()
-    half_logdet = 0.5 * np.linalg.slogdet(p_mat)[1]
+    half_logdet = 0.5 * chart.initial_log_det
     # ||F_0||_F = 1: F_0 = diag(0, I_2 / 2, 0) for every instance
     cap = math.ceil(
         2 * (d + 1)
@@ -636,11 +621,10 @@ def solve(
     ) + 64
 
     z = np.zeros(d)
+    # best_cert = |best_w|, w = <A,X> + i<B,X> of its density best_x
+    best_w = 0j
     best_cert = math.inf
     best_x: Optional[np.ndarray] = None
-    # at most two repaired densities, with their w = <A,X> + i<B,X>, whose
-    # hull with the next repaired center is searched for a point nearer 0
-    kept: list = []
     # diagonal entries of a PSD matrix are nonnegative, so (u+w)/2 >= 0
     # on the whole cone; 0 is a certified lower bound from the start
     lb = 0.0
@@ -648,7 +632,6 @@ def solve(
     lb_dual: Optional[float] = None
     n_obj = 0
     n_feas = {"spectral": 0, "modulus": 0, "ceiling": 0}
-    n_certs_spectral = 0
     n_certs_dual = 0
     n_dual_solves = 0
     # the kind of certificate that holds best_cert
@@ -656,10 +639,11 @@ def solve(
     max_dist = 0.0
 
     def fall(w, x, kind):
-        nonlocal best_cert, best_x, closed_by
-        best_cert = abs(w)
-        best_x = x
-        closed_by = kind
+        nonlocal best_w, best_cert, best_x, closed_by, lb
+        best_w, best_cert, best_x, closed_by = w, abs(w), x, kind
+        # lb may stand at a lambda_min that this certificate undercuts by
+        # a few ulps of rounding
+        lb = min(lb, best_cert)
         if record is not None:
             record.append(best_cert)
 
@@ -668,12 +652,12 @@ def solve(
         return (np.array([c, s]) @ inst.pencil_flat).view(complex).reshape(n, n)
 
     def certify(w, x, kind):
-        # best_cert falls to |w| = |w(x)|; the dual slack at t = arg w
-        # raises lb, its null vector v offers the density vv*, and a Newton
-        # ascent on t repeats both while lambda_min keeps rising.  While
-        # lambda_min <= 0, vv* is a support point of W(C) on the far side
-        # of 0, and a Wolfe step on the hull of x and those points takes
-        # its place
+        # best_cert falls to |w| = |w(x)|, and an ascent on t from t = arg w
+        # follows: each eigen-solve of the pencil raises lb, and its least
+        # eigenvector v gives the support point vv*.  Where Newton's model
+        # holds, vv* is offered and Newton steps t; elsewhere a Wolfe step
+        # on the last support points and vv* is offered, and the next
+        # solve is at best_cert's angle, unless that angle was solved
         nonlocal lb, lb_dual, n_certs_dual, n_dual_solves
         fall(w, x, kind)
         if best_cert == 0.0:
@@ -685,51 +669,48 @@ def solve(
         # <= 0 is itself a point of W(C) beyond 0, where a Wolfe step helps
         if 0.0 < h.diagonal().real.min() <= lb:
             return
-        hull = [(w, x)]
+        support = [(w, x)]
+        solved = set()
         lam_prev = 0.0
         for _ in range(_ASCENT_STEPS):
+            solved.add((cos_t, sin_t))
             lams, vecs = np.linalg.eigh(h)
             n_dual_solves += 1
             lam = float(lams[0])
             lb_dual = lam if lb_dual is None else max(lb_dual, lam)
+            lb = max(lb, min(best_cert, lam))
             v = vecs[:, 0]
             xv = v[:, None] * v.conj()
             wv = complex(*inst.pencil_values(xv))
-            if lam <= 0.0 and lam_prev == 0.0:
-                # no Newton step yet: Re(e^{-it} w(vv*)) = lambda_min <= 0
-                # < |w|, so the hull of the falls and vv* comes nearer 0,
-                # and the next solve is at the angle of its nearest point
-                hull, (w, x) = hull_step(inst, hull, (wv, xv))
-                if abs(w) >= best_cert:
-                    return
-                fall(w, x, "dual")
-                n_certs_dual += 1
-                if best_cert - lb <= eps:
-                    return
-                cos_t, sin_t = w.real / best_cert, w.imag / best_cert
-                h = pencil(cos_t, sin_t)
-                continue
+            # Newton's model holds where lambda_min rose above the last one
+            # (or 0) and is simple; at n = 1 there is no other eigenvalue
+            # to curve f
+            newton = n > 1 and lam > lam_prev >= 0.0 and lams[1] > lam
+            lam_prev = lam
+            if newton:
+                support = [*support, (wv, xv)][-2:]
+            else:
+                support, (wv, xv) = hull_step(inst, support, (wv, xv))
             if abs(wv) < best_cert:
                 fall(wv, xv, "dual")
                 n_certs_dual += 1
-            lb = max(lb, min(best_cert, lam))
-            # stop at a closed gap, a lambda_min that did not rise above
-            # the last one (or 0), or a double lambda_min (a kink); at
-            # n = 1 there is no other eigenvalue to curve f
-            if best_cert - lb <= eps or lam <= lam_prev or n == 1:
+            if best_cert - lb <= eps:
                 return
-            gaps = lams[1:] - lam
-            if gaps[0] <= 0.0:
-                return
-            lam_prev = lam
-            # f(t) = lambda_min(H(t)), H = cos t A + sin t B, H' = -sin t A
-            # + cos t B: f' = v*H'v = Im(e^{-it} w(vv*)), and with H'' = -H,
-            # -f'' = lambda_0 + 2 sum_k |q_k* H'v|^2 / (lambda_k - lambda_0)
-            slope = cos_t * wv.imag - sin_t * wv.real
-            proj = vecs[:, 1:].conj().T @ (pencil(-sin_t, cos_t) @ v)
-            curv = lam + 2.0 * float((proj.real**2 + proj.imag**2) @ (1.0 / gaps))
-            t = math.atan2(sin_t, cos_t) + slope / curv
-            cos_t, sin_t = math.cos(t), math.sin(t)
+            if newton:
+                # f(t) = lambda_min(H(t)), H = cos t A + sin t B, H' = -sin t
+                # A + cos t B: f' = v*H'v = Im(e^{-it} w(vv*)), and with
+                # H'' = -H, -f'' = lambda_0 + 2 sum_k |q_k* H'v|^2 /
+                # (lambda_k - lambda_0)
+                slope = cos_t * wv.imag - sin_t * wv.real
+                proj = vecs[:, 1:].conj().T @ (pencil(-sin_t, cos_t) @ v)
+                gaps = lams[1:] - lam
+                curv = lam + 2.0 * float((proj.real**2 + proj.imag**2) @ (1.0 / gaps))
+                t = math.atan2(sin_t, cos_t) + slope / curv
+                cos_t, sin_t = math.cos(t), math.sin(t)
+            else:
+                cos_t, sin_t = best_w.real / best_cert, best_w.imag / best_cert
+                if (cos_t, sin_t) in solved:
+                    return
             h = pencil(cos_t, sin_t)
 
     def result(it):
@@ -747,7 +728,6 @@ def solve(
             lower_bound=lb,
             max_feasible_distance=max_dist,
             lower_bound_dual=lb_dual,
-            certs_spectral=n_certs_spectral,
             certs_dual=n_certs_dual,
             dual_solves=n_dual_solves,
             closed_by=closed_by,
@@ -759,16 +739,9 @@ def solve(
 
         if cut.kind != "feasibility":
             max_dist = max(max_dist, math.sqrt(z @ z))
-            kept, (w, x) = hull_step(inst, kept, repair_point(inst, cut.spectrum))
-            if abs(w) < best_cert:
-                certify(w, x, "feasible")
-        elif cut.clipped is not None and abs(cut.clipped) < best_cert:
-            # the clipped density certifies r = |w(X+)| too; the value is
-            # read off the repaired X, as for a feasible center
             w, x = repair_point(inst, cut.spectrum)
             if abs(w) < best_cert:
-                certify(w, x, "spectral")
-                n_certs_spectral += 1
+                certify(w, x, "feasible")
 
         # the objective's gradient is e_d / sqrt(3): g'Pg is P's last
         # diagonal entry over 3, and P g is P's last column over sqrt(3)

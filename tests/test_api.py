@@ -192,21 +192,17 @@ class TestStatsAndValidation:
         # pencil eigen-solves and the kind of the final certificate; the
         # modulus and ceiling cuts are the steps that took no spectrum of X
         by_block = ["cuts_spectral", "cuts_modulus", "cuts_ceiling"]
-        assert list(stats)[-8:] == by_block + [
-            "lower_bound_dual", "certs_spectral", "certs_dual",
-            "dual_solves", "closed_by",
+        assert list(stats)[-7:] == by_block + [
+            "lower_bound_dual", "certs_dual", "dual_solves", "closed_by",
         ]
         assert stats["cuts_feasibility"] == sum(stats[k] for k in by_block)
-        # the dual bound is a lower bound on chi and never above lb; each
-        # spectral certificate was a fall of best_cert at a spectral cut,
-        # and each rank-one certificate came from a pencil eigen-solve
+        # the dual bound is a lower bound on chi and never above lb, and
+        # each dual certificate came from a pencil eigen-solve
         assert stats["lower_bound_dual"] <= stats["lower_bound"] <= res.chi
-        assert isinstance(stats["certs_spectral"], int)
-        assert 0 <= stats["certs_spectral"] <= stats["cuts_spectral"]
         assert isinstance(stats["certs_dual"], int) and stats["certs_dual"] > 0
         assert isinstance(stats["dual_solves"], int)
         assert stats["certs_dual"] <= stats["dual_solves"]
-        assert stats["closed_by"] in ("feasible", "spectral", "dual")
+        assert stats["closed_by"] in ("feasible", "dual")
         if mat is EXAMPLE:
             # the Newton ascent from the first centre's angle closes the
             # gap on its rank-one densities, within the first step
@@ -223,7 +219,6 @@ class TestStatsAndValidation:
             assert stats["iterations"] == 1
             assert stats["closed_by"] == "dual"
             assert stats["certs_dual"] == stats["dual_solves"] <= 4
-            assert stats["certs_spectral"] == 0
 
     def test_oracle_stats_fields(self):
         res = run(EXAMPLE, method=Method.ORACLE_SWEEP)
@@ -384,8 +379,8 @@ def hermitian_instances(draw):
 
 class TestTwoSidedBracket:
     """lower_bound <= chi <= chi reported, and the gap is at most eps, on
-    chi > 0 inputs where both bounds move: best_cert at feasible and at
-    spectral-cut centres, lb through the dual bound."""
+    chi > 0 inputs where both bounds move: best_cert at feasible centres
+    and to the dual bound's densities, lb through the dual bound."""
 
     @settings(max_examples=30, deadline=None)
     @given(far_instances())

@@ -190,7 +190,6 @@ class TestCmdChi:
             "cuts_modulus",
             "cuts_ceiling",
             "lower_bound_dual",
-            "certs_spectral",
             "certs_dual",
             "dual_solves",
             "closed_by",
@@ -200,12 +199,10 @@ class TestCmdChi:
         assert all(isinstance(k, int) and k >= 0 for k in cuts)
         assert sum(cuts) < payload["iterations"]
         assert payload["lower_bound_dual"] <= payload["lower_bound"]
-        assert isinstance(payload["certs_spectral"], int)
-        assert 0 <= payload["certs_spectral"] <= payload["cuts_spectral"]
         assert isinstance(payload["certs_dual"], int) and payload["certs_dual"] >= 0
         assert isinstance(payload["dual_solves"], int)
         assert payload["certs_dual"] <= payload["dual_solves"]
-        assert payload["closed_by"] in ("feasible", "spectral", "dual")
+        assert payload["closed_by"] in ("feasible", "dual")
         assert payload["method"] == "sdp"
         assert payload["lower_bound"] <= CHI_EXAMPLE <= payload["chi"]
         assert payload["certified_gap"] == pytest.approx(

@@ -235,7 +235,7 @@ class TestInitialEllipsoid:
     every feasible point, and the cylinder's rim lies on its boundary.
     Points are mapped into the chart through its Jacobian, not through L."""
 
-    @pytest.fixture(scope="class", params=[1, 2, 3, 4, 5, 6])
+    @pytest.fixture(scope="class", params=range(1, 9))
     def charted(self, request):
         n = request.param
         c = random_gaussian_integer(np.random.default_rng(900 + n), n, -5, 5)
@@ -531,11 +531,11 @@ class TestDeepCutUpdate:
         # a cut with alpha >= 1 leaves no feasible point below best, so a
         # solve with a finite best takes best as its lower bound and stops;
         # the patched cut is not a true one, so only that rule is checked.
-        # chi = 2 on the edge of W(diag(2 + 3i, 2 - 3i, 5 + 6i)) from 2 - 3i
-        # to 2 + 3i, a kink of the dual that the ascent from the first
-        # centre's angle does not reach, so the gap stays open until the cut
+        # With no ascent steps the first centre's density is the only
+        # certificate, and the gap stays open until the cut
         inst, ball = make(diagonal(gr(2, 3), gr(2, -3), gr(5, 6)))
         oracle = ellipsoid.separation_oracle
+        monkeypatch.setattr(ellipsoid, "_ASCENT_STEPS", 0)
 
         def deep_after_first_feasible(chart, u, best_value):
             cut = oracle(chart, u, best_value)
@@ -549,10 +549,9 @@ class TestDeepCutUpdate:
         rec = []
         res = solve(ball, 1e-4, record=rec)
         assert res.iterations == 2
-        # the first feasible centre's fall may be followed by one to the
-        # dual slack's null vector; the best of them is the lower bound
-        assert len(rec) == 1 + res.certs_dual
-        assert all(b < a for a, b in zip(rec, rec[1:]))
+        assert res.dual_solves == res.certs_dual == 0
+        # the centre's density is I/3, with w = tr(C)/3 = 3 + 2i
+        assert rec == [pytest.approx(abs(3 + 2j), abs=1e-12)]
         assert res.lower_bound == res.value == rec[-1]
 
     def test_emptying_cut_without_best_raises(self, monkeypatch):
@@ -570,63 +569,6 @@ class TestDeepCutUpdate:
             solve(ball, 1e-4)
         assert info.value.iterations == 1
         assert info.value.lower_bound == 0.0
-
-
-class TestClippedValue:
-    """A spectral cut carries w of the density that `repair_point` makes
-    of its X, in closed form from the negative eigenpairs."""
-
-    @staticmethod
-    def spectral_cut(chart, rng, lams):
-        # a random X of trace 1 with spectrum lams, and r midway between
-        # |w(X)| and c + 2, so that only X is violated
-        inst = chart.inst
-        n = chart.n
-        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        q = np.linalg.qr(g)[0]
-        x = (q * np.asarray(lams, dtype=float)) @ q.conj().T
-        r = 0.5 * (math.hypot(*inst.pencil_values(x)) + inst.frob_ceiling + 2.0)
-        u = chart_coordinates(chart, assemble_feasible_point(inst, x, r))
-        assert np.allclose(chart.density(u), x, atol=1e-12)
-        return separation_oracle(chart, u, math.inf), x
-
-    @pytest.mark.parametrize(
-        "lams",
-        [
-            [-0.15, 0.45, 0.7],
-            [-0.05, 0.2, 0.35, 0.5],
-            [-0.1, -0.2, 0.5, 0.8],
-            [-0.05, -0.1, 0.25, 0.4, 0.5],
-        ],
-    )
-    def test_matches_repair(self, lams):
-        rng = np.random.default_rng(1400 + len(lams))
-        for _ in range(5):
-            mat = random_gaussian_integer(rng, len(lams), -3, 3)
-            if mat.is_zero():
-                continue
-            inst, ball = make(mat)
-            cut, x = self.spectral_cut(ball.chart, rng, lams)
-            assert (cut.kind, cut.block) == ("feasibility", "spectral")
-            assert cut.min_eig == pytest.approx(min(lams), abs=1e-12)
-            w, _ = repair_point(inst, np.linalg.eigh(x))
-            assert abs(cut.clipped - w) <= 1e-12
-            assert abs(cut.clipped - repair_point(inst, cut.spectrum)[0]) <= 1e-12
-
-    def test_only_spectral_cuts_carry_a_value(self):
-        inst, ball = make(EXAMPLE)
-        chart = ball.chart
-        cut = separation_oracle(chart, np.zeros(chart.dim), math.inf)
-        assert cut.kind == "feasible_improving" and cut.clipped is None
-        # a feasible cut faked into a spectral one cannot trigger a repair
-        faked = dataclasses.replace(
-            cut, kind="feasibility", block="spectral", depth=1e6
-        )
-        assert faked.clipped is None
-        u = np.zeros(chart.dim)
-        u[-1] = -(inst.frob_ceiling + 1.0) * math.sqrt(3.0)
-        cut = separation_oracle(chart, u, math.inf)
-        assert cut.block == "modulus" and cut.clipped is None
 
 
 class TestPsdTraceBound:
@@ -883,7 +825,7 @@ def inside_matrix(rng, n):
 
 
 class TestHullCertificate:
-    """chi = 0 ends as soon as the hull of the repaired centres holds a
+    """chi = 0 ends as soon as the hull of the support points holds a
     point within eps of 0; the witness is a density whose value is read
     off it, and the objective cut at best_cert keeps every optimum."""
 
@@ -1036,11 +978,22 @@ def rotated(diag, c, s):
     )
 
 
+def check_bracket(eps, res, scale, lo, hi):
+    """res, a solve at eps * scale, brackets chi in [lo, hi] to within
+    eps at its first step, with lower_bound <= value however the last
+    bits fall."""
+    assert res.lower_bound / scale <= hi + 1e-9 and lo <= res.value / scale + 1e-9
+    assert 0.0 <= res.certified_gap <= eps * scale
+    assert res.lower_bound <= res.value
+    assert res.iterations == 1
+    assert res.closed_by == "dual"
+
+
 class TestDualAscent:
-    """At each fall of best_cert, a Newton ascent on t raises f(t) =
-    lambda_min(cos t A + sin t B) with the exact curvature, each iterate
-    raising lb and offering its rank-one density; it stops when the gap
-    closes or lambda_min does not rise."""
+    """At each fall of best_cert, an ascent on t raises f(t) =
+    lambda_min(cos t A + sin t B): a Newton step with the exact curvature
+    where f is smooth and rose, a Wolfe step on the support points it
+    visited elsewhere, each solve raising lb and offering a density."""
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     @pytest.mark.parametrize("rational", [False, True])
@@ -1100,8 +1053,40 @@ class TestDualAscent:
         assert scale == (25 if rotate else 1)
         res = solve(certified_ball(inst, cint), eps * scale)
         assert res.lower_bound / scale <= 2.0 <= res.value / scale + 1e-12
-        assert res.value - res.lower_bound <= eps * scale
+        # the support points of both branches span the edge, so a Wolfe
+        # step lands on 2
+        check_bracket(eps, res, scale, 2.0, 2.0)
         assert res.lower_bound_dual <= 2.0 * scale + 1e-9
+        assert res.dual_solves <= 4
+
+    @pytest.mark.parametrize("eps", [1e-4, 1e-6, 1e-7, 1e-8])
+    def test_normal_two_by_two(self, eps):
+        # W of a normal C is the segment between its eigenvalues, and f is
+        # the least of two sinusoids with -f'' = lambda_0, small here: the
+        # Newton step overshoots the kink, and the Wolfe step on the two
+        # branches' support points is not lower than the best of them, so
+        # the ascent solves once more at that certificate's angle
+        c = ComplexMatrix([[gr(2, -3), gr(2, 2)], [gr(-2, -2), gr(-1)]])
+        mat = c.translate(GaussianRational(Fraction(2961, 1000), Fraction(-809, 200)))
+        inst, cint, scale = sdp_instance(mat)
+        res = solve(certified_ball(inst, cint), eps * scale)
+        check_bracket(eps, res, scale, *chi_bracket(mat))
+        assert res.dual_solves <= 4
+
+    def test_near_boundary_family(self):
+        # centres 1e-3 to 0.3 beyond a support line of W(C), where the
+        # least eigenvalue of the pencil is near-double at many angles
+        rng = np.random.default_rng(2100)
+        for _ in range(40):
+            n = int(rng.integers(2, 8))
+            c = random_gaussian_integer(rng, n, -3, 3)
+            dist = 10.0 ** rng.uniform(-3.0, math.log10(0.3))
+            eps = 10.0 ** -rng.uniform(4.0, 8.0)
+            mat = c.translate(outside_centre(c, rng.uniform(0.0, 2.0 * math.pi), dist, 10**4))
+            inst, cint, scale = sdp_instance(mat)
+            res = solve(certified_ball(inst, cint), eps * scale)
+            check_bracket(eps, res, scale, *chi_bracket(mat))
+            assert res.dual_solves <= 12
 
 
 class TestWolfeStep:

@@ -67,7 +67,7 @@ def test_scaling_study_small(tmp_path):
         assert float(setup_us) > 0.0
         assert 0 < int(iterations) <= int(cap)
         assert int(solves) >= 1
-        assert kind in ("feasible", "spectral", "dual")
+        assert kind in ("feasible", "dual")
         assert float(seconds) >= 0.0 and float(us_per_iter) > 0.0
         assert float(gap) <= 2e-3
     with open(table, newline="") as fh:
