@@ -3,13 +3,16 @@
 
 For each n the script draws a random Gaussian-integer C, shifts it to
 C - kI with k = ceil(||C||_F) + 1, so that chi >= 1, and solves it at
-fixed eps.  Each row reports the value, the steps taken next to the
+fixed eps as `crawford` does: the instance of (C - kI)/s, s the least
+power of two with s >= ||C - kI||_F (`scaled_instance`), at eps/s, so
+the caps are the ones `crawford` runs under.  Each row reports the
+value (times s), the steps taken next to the
 volume bound's iteration cap, the number of eigen-solves of the dual
 pencil cos t A + sin t B (the steps of the ascent in t that follows each
 fall of the best certificate, Newton steps and Wolfe steps alike), the
 kind of certificate that holds the final value (feasible or dual; see
 `crawford.ellipsoid`), the exact set-up's time in microseconds
-(`sdp_instance` and `certified_ball`, the ball's chart included), the
+(`scaled_instance` and `certified_ball`, the ball's chart included), the
 solve's wall time and its microseconds per step.  With the ascent these
 solves end at their first step, closed by a density of the dual
 bound's eigenvectors, so the step count says how soon the certificates
@@ -27,7 +30,7 @@ import time
 
 import numpy as np
 
-from crawford.api import sdp_instance
+from crawford.api import scaled_instance
 from crawford.ellipsoid import certified_ball, solve
 from crawford.linalg import ComplexMatrix, GaussianRational, frobenius_ceiling
 from crawford.oracle import chi_oracle
@@ -70,21 +73,22 @@ def main() -> None:
             if c.is_zero():
                 continue
             mat = c.translate(GaussianRational(frobenius_ceiling(c) + 1, 0))
-            # mat has integer entries, so l = 1
             t_setup = time.perf_counter()
-            inst, mat, _ = sdp_instance(mat)
-            ball = certified_ball(inst, mat)
+            inst, scaled, s = scaled_instance(mat)
+            ball = certified_ball(inst, scaled)
             t0 = time.perf_counter()
             setup_us = 1e6 * (t0 - t_setup)
-            res = solve(ball, args.eps)
+            # s is a power of two, so eps/s and value*s are exact
+            res = solve(ball, args.eps / float(s))
             dt = time.perf_counter() - t0
+            value = res.value * float(s)
             us_per_iter = 1e6 * dt / res.iterations
             line = (
-                f"{n:>3} {n * n:>4} {res.value:>10.6f} {res.iterations:>8} {res.cap:>8}"
+                f"{n:>3} {n * n:>4} {value:>10.6f} {res.iterations:>8} {res.cap:>8}"
                 f" {res.dual_solves:>11} {res.closed_by:>9} {setup_us:>9.1f}"
                 f" {dt:>8.3f} {us_per_iter:>8.1f}"
             )
-            gap = abs(res.value - chi_oracle(mat, args.eps))
+            gap = abs(value - chi_oracle(mat, args.eps))
             print(line + f" {gap:>13.2e}")
             if gap > 2 * args.eps:
                 print(f"cross-check failure at n={n}: gap {gap:g}", file=sys.stderr)
@@ -97,7 +101,7 @@ def main() -> None:
                 "cap": res.cap,
                 "dual_solves": res.dual_solves,
                 "closed_by": res.closed_by,
-                "value": res.value,
+                "value": value,
                 "setup_us": setup_us,
                 "seconds": dt,
                 "us_per_iter": us_per_iter,

@@ -1,5 +1,5 @@
-"""High-level entry point: chi(c, C) by translation, denominator
-clearing, SDP construction + ellipsoid solving, with the support-function
+"""High-level entry point: chi(c, C) by translation, scaling by a power
+of two, SDP construction + ellipsoid solving, with the support-function
 search available as an independent method and cross-check."""
 
 from __future__ import annotations
@@ -8,6 +8,7 @@ import enum
 import math
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -49,7 +50,7 @@ class CrawfordResult:
                                       # oracle path when chi clamps to 0
     method_used: Method
     solver_stats: dict
-    scale_factor: int
+    scale_factor: Fraction            # s of `scaled_instance`; 1 off the SDP route
     ball: Optional[ellipsoid.CertifiedBall]  # SDP route only, with its chart
 
 
@@ -60,18 +61,46 @@ def numerical_radius_upper(c: ComplexMatrix) -> float:
 
 def sdp_instance(t: ComplexMatrix):
     """The exact SDP instance for l*t, t with its denominators cleared:
-    (instance, l*t, l).  Its optimum is l chi(0, t)."""
+    (instance, l*t, l).  Its optimum is l chi(0, t).  `crawford export`
+    writes it; `crawford` solves `scaled_instance`."""
     cint, scale = clear_denominators(t)
     inst = sdp.build_instance(hermitian_split(cint), frobenius_ceiling(cint))
     return inst, cint, scale
 
 
+def scaled_instance(t: ComplexMatrix):
+    """The exact SDP instance `crawford` solves: t/s with ceiling 1, for s
+    = 2^k the least power of two with s^2 >= ||t||_F^2, so ||t/s||_F <= 1:
+    (instance, t/s, s).  Its optimum is chi(0, t)/s.  k starts from the
+    bit lengths of the exact squared norm num/den and is settled by
+    checking 4^k den >= num in integers."""
+    q = t.frobenius_sq()
+    num, den = q.numerator, q.denominator
+
+    def covers(k):
+        return (den << 2 * k) >= num if k >= 0 else den >= (num << -2 * k)
+
+    k = (num.bit_length() - den.bit_length()) // 2
+    while not covers(k):
+        k += 1
+    while covers(k - 1):
+        k -= 1
+    s = Fraction(2) ** k
+    ts = t.scale(1 / s)
+    return sdp.build_instance(hermitian_split(ts), 1), ts, s
+
+
 def crawford(query: CrawfordQuery) -> CrawfordResult:
     """Compute chi(center, C) to within epsilon.
 
-    SDP path: build the exact instance for the cleared-denominator
-    translate, solve with the ellipsoid method at accuracy l*epsilon,
-    divide by l.  Oracle path: certified support search at delta = epsilon.
+    SDP path: build the exact instance for the translate over s, the
+    least power of two with s >= ||C - cI||_F (`scaled_instance`, ceiling
+    1), solve it with the ellipsoid method at accuracy epsilon/s, and
+    multiply the value, the bounds and the nearest point by s, which is
+    exact in float.  The solved instance, and so the iteration cap, is
+    the same for C and 2^j C.  scale_factor is s, an exact Fraction that
+    may be below 1.  Oracle path: certified support search at
+    delta = epsilon.
     BOTH runs the two and reports the SDP value, with the oracle value
     and discrepancy in solver_stats.
 
@@ -82,7 +111,7 @@ def crawford(query: CrawfordQuery) -> CrawfordResult:
     route also counts its feasibility cuts by block: cuts_spectral (on
     X), cuts_modulus (the 2x2 block) and cuts_ceiling (the scalar), whose
     sum is cuts_feasibility; cuts_modulus + cuts_ceiling steps took no
-    spectrum of X.  lower_bound is the solver's certified lb over l: the
+    spectrum of X.  lower_bound is the solver's certified lb times s: the
     larger of the objective's minimum over the ellipsoid and the dual
     bound lambda_min(cos t A + sin t B) at each eigen-solve of an ascent
     on t from t = arg w of each new best certificate, both capped by
@@ -92,7 +121,7 @@ def crawford(query: CrawfordQuery) -> CrawfordResult:
     at an overshoot or at a kink.  The first eigen-solve, and with it the
     ascent, is skipped when the pencil's least diagonal entry, which
     bounds lambda_min from above, lies in (0, lb], so lower_bound_dual is
-    the best dual bound over the solves actually taken, over l (None if
+    the best dual bound over the solves actually taken, times s (None if
     none was taken).  certs_dual counts the falls of the best certificate
     to the rank-one density vv* of a Newton step's least eigenvector v,
     or to a Wolfe step's point of the hull of the fallen density and such
@@ -114,36 +143,45 @@ def crawford(query: CrawfordQuery) -> CrawfordResult:
             witness_X=np.eye(n, dtype=complex) / n,
             method_used=query.method,
             solver_stats={"short_circuit": "zero matrix", "iterations": 0},
-            scale_factor=1,
+            scale_factor=Fraction(1),
             ball=None,
         )
 
+    # raises OverflowError before any solve when ||C - cI||_F^2 is beyond
+    # the float64 range
+    bound = numerical_radius_upper(t_mat)
     stats: dict = {}
     chi_val = None
     nearest = None
     witness = None
-    scale = 1
+    scale = Fraction(1)
     ball = None
 
     if query.method in (Method.SDP_ELLIPSOID, Method.BOTH):
-        inst, cint, scale = sdp_instance(t_mat)
-        ball = ellipsoid.certified_ball(inst, cint)
+        inst, ts, scale = scaled_instance(t_mat)
+        ball = ellipsoid.certified_ball(inst, ts)
         t_setup = time.perf_counter()
-        res = ellipsoid.solve(ball, eps * scale)
+        # s is a power of two: float(s) and every product with it are exact
+        s = float(scale)
+        eps_s = eps / s if s else math.inf
+        if not 0.0 < eps_s < math.inf:
+            k = scale.numerator.bit_length() - scale.denominator.bit_length()
+            raise OverflowError(f"eps / s is {eps_s} at s = 2^{k}")
+        res = ellipsoid.solve(ball, eps_s)
         t_solve = time.perf_counter()
-        chi_val = res.value / scale
-        nearest = complex(*inst.pencil_values(res.X)) / scale
+        chi_val = res.value * s
+        nearest = complex(*inst.pencil_values(res.X)) * s
         witness = res.X
         stats.update(
             iterations=res.iterations,
             iteration_cap=res.cap,
             cuts_feasibility=res.cuts_feasibility,
             cuts_objective=res.cuts_objective,
-            lower_bound=res.lower_bound / scale,
-            certified_gap=res.certified_gap / scale,
+            lower_bound=res.lower_bound * s,
+            certified_gap=res.certified_gap * s,
             max_feasible_distance=res.max_feasible_distance,
             outer_R=float(ball.outer_R),
-            epsilon_solver=eps * scale,
+            epsilon_solver=eps_s,
             scale_factor=scale,
             setup_s=t_setup - t_start,
             solve_s=t_solve - t_setup,
@@ -152,7 +190,7 @@ def crawford(query: CrawfordQuery) -> CrawfordResult:
             cuts_ceiling=res.cuts_ceiling,
             lower_bound_dual=(
                 None if res.lower_bound_dual is None
-                else res.lower_bound_dual / scale
+                else res.lower_bound_dual * s
             ),
             certs_dual=res.certs_dual,
             dual_solves=res.dual_solves,
@@ -165,7 +203,6 @@ def crawford(query: CrawfordQuery) -> CrawfordResult:
         orc_stats = {"evaluations": search.grid_size, "theta": search.theta}
         if query.method is Method.ORACLE_SWEEP:
             chi_val = search.chi
-            scale = 1
             if search.chi > 0.0:
                 x = oracle.minimizing_witness(
                     *oracle.hermitian_parts(t_mat), search.theta
@@ -183,7 +220,6 @@ def crawford(query: CrawfordQuery) -> CrawfordResult:
             stats["discrepancy"] = abs(chi_val - search.chi)
         stats["oracle_s"] = time.perf_counter() - t_oracle
 
-    bound = numerical_radius_upper(t_mat)
     if chi_val > bound + eps:
         raise RuntimeError(
             f"reported chi {chi_val:.9g} exceeds the Frobenius bound "

@@ -1,8 +1,8 @@
-"""Deep-cut ellipsoid method for the block-diagonal SDP, run in an
-orthonormal chart of the affine constraint subspace, centred at the
-explicit strictly feasible point G = Z(I/n, c + 1) (`sdp.ball_center`,
-exact and sparse) and started from the Loewner ellipsoid of a cylinder
-that provably holds the feasible set.
+"""Deep-cut ellipsoid method for the block-diagonal SDP, run in a chart
+of the affine constraint subspace, centred at the explicit strictly
+feasible point G = Z(I/n, c + 1) (`sdp.ball_center`, exact and sparse)
+and started from the Loewner ellipsoid of a cylinder that provably holds
+the feasible set.
 
 The chart is closed-form.  Every equality-feasible point is
 Z(X, r) = diag(hat X, [[r + <A,X>, <B,X>], [<B,X>, r - <A,X>]], c + 2 - r)
@@ -13,15 +13,18 @@ Frobenius-orthonormal basis H_k of the traceless Hermitian matrices, and
 r = c + 1 + rho; xi = 0, rho = 0 is the ball center G.  A step
 (dX, dr) moves Z by
 
-  ||dZ||_F^2 = 2 ||dX||_F^2 + 2 <A,dX>^2 + 2 <B,dX>^2 + 3 dr^2,
+  ||dZ||_F^2 = 2 ||dX||_F^2 + 2 <A,dX>^2 + 2 <B,dX>^2 + 3 dr^2
+             <= 2 (1 + c^2) ||dxi||^2 + 3 dr^2,
 
-with no cross term, so u = (L' xi, sqrt(3) rho), where L L' =
-2 (I + a a' + b b') is the Cholesky factor of the xi part
-(a_k = <A, H_k>, b_k = <B, H_k>), has ||u|| = ||dZ||_F.  The chart is an
-isometry of R^d onto the affine subspace with 0 -> G, so the inner ball
-is the 1/n-ball in u, as in any orthonormal chart; the ellipsoid method
-is affine-invariant (Groetschel, Lovasz & Schrijver 1988).  The
-objective r = c + 1 + u_d / sqrt(3) depends on u_d alone.
+as <A,dX>^2 + <B,dX>^2 <= (||A||_F^2 + ||B||_F^2) ||dX||_F^2 =
+||C||_F^2 ||dX||_F^2 and c >= ||C||_F.  So u = (sigma xi, sqrt(3) rho),
+sigma = sqrt(2 (1 + c^2)), is a contraction, ||dZ||_F <= ||du||, and
+the 1/n-ball in u maps into the feasible 1/n-ball about G
+(`CertifiedBall.inner_r`).  `api.crawford` solves C/s with ||C/s||_F <= 1
+at c = 1, where sigma = 2.  The ellipsoid method is affine-invariant
+(Groetschel, Lovasz & Schrijver 1988), so the chart moves only the
+iteration cap, through that inner ball.  The objective
+r = c + 1 + u_d / sqrt(3) depends on u_d alone.
 
 E_0 holds every feasible point, and nothing larger is needed:
 
@@ -30,30 +33,30 @@ E_0 holds every feasible point, and nothing larger is needed:
   r   the 2x2 block is PSD, so r >= |<A,X> + i<B,X>| >= 0, and
       t = c + 2 - r >= 0, so 0 <= r <= c + 2 and |u_d| <= sqrt(3)(c + 1).
 
-With m = d - 1 and u_x = L' xi, that is the cylinder
-{u_x' (L'L)^-1 u_x <= 1 - 1/n} x {|u_d| <= sqrt(3)(c + 1)}, whose
+With m = d - 1 and u_x = sigma xi, that is the cylinder
+{||u_x||^2 <= sigma^2 (1 - 1/n)} x {|u_d| <= sqrt(3)(c + 1)}, whose
 minimum-volume (Loewner) ellipsoid centred at G is
 
-  P_0 = blockdiag(((m + 1)/m)(1 - 1/n) L'L, (m + 1) 3 (c + 1)^2):
+  P_0 = diag(kappa sigma^2 I_m, q),  kappa = ((m + 1)/m)(1 - 1/n),
+                                     q = 3 (m + 1)(c + 1)^2:
 
 for the unit cylinder, |x|^2/p + y^2/q <= 1 holds it iff 1/p + 1/q <= 1,
-and p^(m/2) q^(1/2) is least at p = (m + 1)/m, q = m + 1; an affine map
-carries that to P_0.  At n = 1 (m = 0) E_0 is the interval itself,
-P_0 = 3 (c + 1)^2.  The R-ball of `CertifiedBall.outer_R` holds the
-feasible set too, but with radius 12 + 4c in every direction.
+and p^(m/2) q^(1/2) is least at p = (m + 1)/m, q = m + 1; scaling the
+axes carries that to P_0.  At n = 1 (m = 0) E_0 is the interval itself,
+P_0 = 3 (c + 1)^2.  So ln det P_0 = m ln(kappa sigma^2) + ln q.  The
+R-ball of `CertifiedBall.outer_R` holds the feasible set too, but with
+radius 12 + 4c in every direction.
 
 Iteration cap: each step shrinks the volume of E by at least
-exp(-1/(2(d + 1))), and while the gap is open E keeps a ball of radius
-r_in eps / (3 ||F_0||) of near-optimal feasible points (the inner ball
-shrunk toward an optimum), so the run ends within
+exp(-1/(2(d + 1))).  At c = 1 the objective ranges over at most
+2 + 1/(n sqrt(3)) <= 3 on the inner ball, so shrinking that ball toward
+an optimum by min(1, eps/3) leaves a ball of near-optimal feasible
+points, which E keeps while the gap is open, and the run ends within
 
-  cap = ceil(2 (d + 1) (1/2 ln det P_0 + d ln(3 ||F_0|| / (r_in eps)))) + 64,
+  cap = ceil(2 (d + 1) (1/2 ln det P_0 + d ln(n max(1, 3/eps)))) + 64
 
-which is the R-ball's 2 d (d + 1) ln(3 R ||F_0|| / (r_in eps)) + 64 when
-P_0 = R^2 I (Bland, Goldfarb & Todd, Oper. Res. 29(6), 1981).  The
-log-determinant is read off the Cholesky diagonal:
-ln det P_0 = m ln kappa + 2 sum ln L_ii + ln q, with
-kappa = ((m + 1)/m)(1 - 1/n) and q = 3 (m + 1)(c + 1)^2 (ln q at n = 1).
+steps (Bland, Goldfarb & Todd, Oper. Res. 29(6), 1981).  Both terms are
+nonnegative, so the cap is at least 64 at every eps.
 
 The solver keeps two bounds per run:
 
@@ -202,9 +205,8 @@ _ASCENT_STEPS = 32
 
 
 class ChartError(RuntimeError):
-    """The chart or a certificate failed in float64: the chart's Cholesky
-    factor at entries too large for float64, or a repair that met a point
-    far off the chart (a construction bug)."""
+    """A certificate failed in float64: a repair that met a point far off
+    the chart (a construction bug)."""
 
 
 class EllipsoidCapExceeded(RuntimeError):
@@ -238,16 +240,16 @@ class CertifiedBall:
 
 @dataclass(frozen=True)
 class AffineChart:
-    """Orthonormal chart u -> Z(X, r) of the equality-feasible affine
-    subspace, u = 0 at G (see the module docstring).  Complex n x n
-    matrices are laid out as 2n^2 floats, as in `SdpInstance.pencil_flat`,
-    so <W, X> = Re tr(W* X) is a dot product."""
+    """Chart u -> Z(X, r) of the equality-feasible affine subspace, u = 0
+    at G, a contraction in the Frobenius norm (see the module docstring).
+    Complex n x n matrices are laid out as 2n^2 floats, as in
+    `SdpInstance.pencil_flat`, so <W, X> = Re tr(W* X) is a dot product."""
 
     inst: SdpInstance
     x_origin: np.ndarray                # (2n^2,): I/n
     x_map: np.ndarray                   # (d, 2n^2): u -> X - I/n; last row 0
     pencil_grad: np.ndarray             # (d, 2): gradients of <A,X>, <B,X>
-    chol: np.ndarray                    # (d-1, d-1): L, u_x = L' xi
+    sigma: float                        # sqrt(2 (1 + c^2)), u_x = sigma xi
 
     @property
     def n(self) -> int:
@@ -265,30 +267,25 @@ class AffineChart:
         return e
 
     def _initial_scales(self) -> tuple:
-        # P_0 = blockdiag(kappa L'L, q) with m = d - 1; at n = 1 (m = 0)
+        # P_0 = diag(kappa sigma^2 I_m, q) with m = d - 1; at n = 1 (m = 0)
         # P_0 = q alone
         m = self.dim - 1
         kappa = (m + 1) / m * (1.0 - 1.0 / self.n) if m else 1.0
-        return m, kappa, (m + 1) * 3.0 * (self.inst.frob_ceiling + 1) ** 2
+        return m, kappa * self.sigma**2, (m + 1) * 3.0 * (self.inst.frob_ceiling + 1) ** 2
 
     @cached_property
     def initial_shape(self) -> np.ndarray:
         """P_0 of E_0 = {u : u' P_0^-1 u <= 1}, the Loewner ellipsoid of
         the cylinder {||xi|| <= sqrt(1 - 1/n)} x {|u_d| <= sqrt(3)(c + 1)}
         that holds every feasible point (see the module docstring)."""
-        m, kappa, q = self._initial_scales()
-        p0 = np.zeros((m + 1, m + 1))
-        p0[:m, :m] = kappa * (self.chol.T @ self.chol)
-        p0[m, m] = q
-        return p0
+        m, p, q = self._initial_scales()
+        return np.diag(np.append(np.full(m, p), q))
 
     @property
     def initial_log_det(self) -> float:
-        """ln det P_0 = m ln kappa + 2 sum ln L_ii + ln q, read off the
-        Cholesky diagonal."""
-        m, kappa, q = self._initial_scales()
-        log_diag = float(np.log(self.chol.diagonal()).sum())
-        return m * math.log(kappa) + 2.0 * log_diag + math.log(q)
+        """ln det P_0 = m ln(kappa sigma^2) + ln q."""
+        m, p, q = self._initial_scales()
+        return m * math.log(p) + math.log(q)
 
     def density(self, u: np.ndarray) -> np.ndarray:
         n = self.n
@@ -404,31 +401,19 @@ def _traceless_basis(n: int) -> np.ndarray:
 
 
 def build_chart(inst: SdpInstance) -> AffineChart:
-    """The closed-form orthonormal chart of the d = n^2 dimensional
-    equality-feasible subspace, whitened once by a Cholesky factor."""
+    """The closed-form chart of the d = n^2 dimensional equality-feasible
+    subspace: the traceless basis over sigma = sqrt(2 (1 + c^2))."""
     n = inst.n
     m = n * n - 1
-    basis = _traceless_basis(n).reshape(m, n * n).view(float)
-    ab = inst.pencil_flat @ basis.T
-    try:
-        chol = np.linalg.cholesky(2.0 * (np.eye(m) + ab.T @ ab))
-    except np.linalg.LinAlgError:
-        # ab'ab has rank 2 and entries up to max |ab|^2; once those pass
-        # about 2^52, rounding them loses the identity beside them
-        raise ChartError(
-            "the entries are too large for the float64 solver: the chart's "
-            "Gram matrix 2(I + ab'ab) is not positive definite in float64 "
-            f"(53-bit mantissa), with pencil inner products ab up to "
-            f"{float(np.abs(ab).max()):.3g}"
-        ) from None
+    sigma = math.sqrt(2.0 * (1 + inst.frob_ceiling**2))
     x_map = np.zeros((m + 1, 2 * n * n))
-    x_map[:m] = np.linalg.solve(chol, basis)
+    x_map[:m] = _traceless_basis(n).reshape(m, n * n).view(float) / sigma
     return AffineChart(
         inst=inst,
         x_origin=np.eye(n, dtype=complex).ravel().view(float) / n,
         x_map=x_map,
         pencil_grad=x_map @ inst.pencil_flat.T,
-        chol=chol,
+        sigma=sigma,
     )
 
 
@@ -613,11 +598,11 @@ def solve(
     n = chart.n
     d = chart.dim
     p_mat = chart.initial_shape.copy()
-    half_logdet = 0.5 * chart.initial_log_det
-    # ||F_0||_F = 1: F_0 = diag(0, I_2 / 2, 0) for every instance
+    # E keeps the inner ball shrunk toward an optimum by min(1, eps/3)
     cap = math.ceil(
         2 * (d + 1)
-        * (half_logdet + d * math.log(3.0 / (float(ball.inner_r) * eps)))
+        * (0.5 * chart.initial_log_det
+           + d * math.log(max(1.0, 3.0 / eps) / float(ball.inner_r)))
     ) + 64
 
     z = np.zeros(d)

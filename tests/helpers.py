@@ -1,6 +1,7 @@
 """Shared fixtures-in-spirit for the test suite: the reference 2x2
 example with known chi, and random matrix generators."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -97,10 +98,12 @@ def chart_jacobian(chart):
 
 
 def chart_coordinates(chart, z):
-    """Chart coordinates of an equality-feasible z, through the
-    orthonormal Jacobian."""
+    """Chart coordinates of an equality-feasible z: the chart is affine
+    and one-to-one, so u solves J' u = z - point(0), here by least
+    squares."""
     origin = chart.point(np.zeros(chart.dim))
-    return chart_jacobian(chart) @ (z - origin).ravel()
+    jac = chart_jacobian(chart)
+    return np.linalg.lstsq(jac.T, (z - origin).ravel(), rcond=None)[0]
 
 
 def outside_centre(c: ComplexMatrix, theta: float, dist: float, den: int = 1):
@@ -113,6 +116,19 @@ def outside_centre(c: ComplexMatrix, theta: float, dist: float, den: int = 1):
     return GaussianRational(
         Fraction(round(z.real * den), den), Fraction(round(z.imag * den), den)
     )
+
+
+def near_boundary_draws(rng, count: int, den: int):
+    """count draws of (C, centre, eps): C Gaussian-integer with n = 2..7
+    and entries in [-3, 3], the centre 1e-3 to 0.3 beyond a support line
+    of W(C) and rounded to (Z + iZ)/den, eps in 1e-8..1e-4.  The least
+    eigenvalue of the pencil is near-double at many angles there."""
+    for _ in range(count):
+        n = int(rng.integers(2, 8))
+        c = random_gaussian_integer(rng, n, -3, 3)
+        dist = 10.0 ** rng.uniform(-3.0, math.log10(0.3))
+        eps = 10.0 ** -rng.uniform(4.0, 8.0)
+        yield c, outside_centre(c, rng.uniform(0.0, 2.0 * math.pi), dist, den), eps
 
 
 def chi_bracket(c: ComplexMatrix):

@@ -14,6 +14,7 @@ from crawford.api import (
     crawford,
     crawford_number,
     numerical_radius_upper,
+    scaled_instance,
     sdp_instance,
 )
 from crawford.linalg import ComplexMatrix, GaussianRational, hermitian_split
@@ -28,6 +29,7 @@ from helpers import (
     chi_bracket,
     gr,
     identity,
+    near_boundary_draws,
     outside_centre,
     random_gaussian_integer,
 )
@@ -159,16 +161,18 @@ class TestWitness:
 
 class TestStatsAndValidation:
     def test_scale_factor_for_rational_input(self):
+        # ||C||_F = 1/2 is itself a power of two
         c = ComplexMatrix([[gr(Fraction(1, 2))]])
         res = run(c)
-        assert res.scale_factor == 2
+        assert res.scale_factor == Fraction(1, 2)
+        assert res.solver_stats["scale_factor"] == Fraction(1, 2)
         assert res.chi == pytest.approx(0.5, abs=EPS)
 
     def test_coprime_denominators_match_oracle(self):
         # the product of all 18 denominators (21^9) made the solver hit its
-        # iteration cap with lower bound 0
+        # iteration cap with lower bound 0; ||C - (4 + i)I||_F^2 = 3319/49
         res = run(COPRIME_DENOMINATORS, center=gr(4, 1), method=Method.BOTH)
-        assert res.scale_factor == 21
+        assert res.scale_factor == 16
         assert res.solver_stats["lower_bound"] <= res.chi
         assert res.solver_stats["discrepancy"] <= 2 * EPS
 
@@ -271,11 +275,34 @@ class TestSetUp:
     @pytest.mark.parametrize("method", [Method.SDP_ELLIPSOID, Method.BOTH])
     def test_ball_charts_the_solved_instance(self, method):
         res = run(COPRIME_DENOMINATORS, center=gr(4, 1), method=method)
-        assert res.scale_factor == 21
+        assert res.scale_factor == 16
         chart = res.ball.chart
         assert chart.inst.n == 3
+        assert chart.inst.frob_ceiling == 1 and chart.sigma == 2.0
         value = math.hypot(*chart.inst.pencil_values(res.witness_X))
-        assert value == pytest.approx(res.chi * res.scale_factor, rel=1e-12)
+        assert value * 16 == pytest.approx(res.chi, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "mat, s",
+        [
+            (ComplexMatrix([[gr(Fraction(1, 2))]]), Fraction(1, 2)),
+            (identity(5).scale(Fraction(1, 5)), Fraction(1, 2)),
+            (identity(3).scale(Fraction(1, 3)), Fraction(1)),
+            (identity(1), Fraction(1)),
+            (identity(17), Fraction(8)),
+            (ComplexMatrix([[gr(8)]]), Fraction(8)),
+            (COPRIME_DENOMINATORS.translate(gr(4, 1)), Fraction(16)),
+            (ComplexMatrix([[gr(2**150, 1)]]), Fraction(2**151)),
+            (ComplexMatrix([[gr(Fraction(1, 2**400))]]), Fraction(1, 2**400)),
+        ],
+        ids=["half", "fifth", "third", "one", "seventeen", "eight", "coprime", "big", "tiny"],
+    )
+    def test_scale_factor_is_the_least_power_of_two(self, mat, s):
+        q = mat.frobenius_sq()
+        inst, scaled, scale = scaled_instance(mat)
+        assert scale == s and scaled == mat.scale(1 / s)
+        assert s * s >= q > s * s / 4
+        assert inst.frob_ceiling == 1
 
     def test_no_ball_on_the_oracle_route(self):
         res = run(EXAMPLE_TILDE, center=EXAMPLE_CENTER, method=Method.ORACLE_SWEEP)
@@ -332,6 +359,69 @@ class TestScaledInputs:
             assert lo >= 290.0
             res = crawford(CrawfordQuery(matrix=mat, epsilon=eps))
             assert_bracket(res, lo, hi, eps)
+
+
+class TestScaleInvariance:
+    """crawford solves C/s, s the least power of two with s >= ||C||_F, at
+    eps/s: the instance is ceiling 1 whatever the scale of C, so chi(kC)
+    follows k chi(C), the iteration cap stays put, and a coarse eps leaves
+    the cap positive.  The family: entries in [-3, 3] with the diagonal
+    shifted by -20, chi about 15 to 19."""
+
+    @pytest.fixture(scope="class", params=[(3, 0), (3, 1), (4, 0), (4, 1)])
+    def shifted(self, request):
+        n, j = request.param
+        rng = np.random.default_rng(2200 + n)
+        for _ in range(j + 1):
+            c = random_gaussian_integer(rng, n, -3, 3).translate(gr(20))
+        return c, chi_bracket(c)
+
+    def test_chi_scales_with_k(self, shifted):
+        c, (lo, hi) = shifted
+        eps = 1e-4
+        base = crawford(CrawfordQuery(matrix=c, epsilon=eps))
+        assert_bracket(base, lo, hi, eps)
+        d = c.n**2
+        for k in (1, 10**3, 10**6, 10**9):
+            res = crawford(CrawfordQuery(matrix=c.scale(k), epsilon=k * eps))
+            # both values lie in [chi, chi + eps] at their scale
+            assert abs(res.chi - k * base.chi) <= k * eps
+            assert res.solver_stats["lower_bound"] <= k * hi * (1.0 + 1e-12)
+            # s/||kC||_F lies in [1, 2), so eps/s moves by less than a
+            # factor of 2 against k eps: the cap by less than 2 (d + 1) d ln 2
+            cap = res.solver_stats["iteration_cap"]
+            assert 0 < cap
+            drift = abs(cap - base.solver_stats["iteration_cap"])
+            assert drift <= 2 * (d + 1) * d * math.log(2) + 1
+
+    def test_power_of_two_solves_the_same_instance(self, shifted):
+        c, _ = shifted
+        base = crawford(CrawfordQuery(matrix=c, epsilon=1e-4))
+        res = crawford(CrawfordQuery(matrix=c.scale(2**30), epsilon=2**30 * 1e-4))
+        assert res.scale_factor == 2**30 * base.scale_factor
+        assert res.ball.chart.inst == base.ball.chart.inst
+        assert res.chi == 2**30 * base.chi
+        assert res.solver_stats["iteration_cap"] == base.solver_stats["iteration_cap"]
+
+    @pytest.mark.parametrize("eps", [100.0, 1e4])
+    def test_coarse_eps_at_the_library(self, shifted, eps):
+        # eps = 100 >= 3n, and 10^4 >= 3n s, where eps/s >= 3n and the
+        # cap's shrink term d ln(n max(1, 3 s/eps)) is d ln n, not negative
+        c, (lo, hi) = shifted
+        res = crawford(CrawfordQuery(matrix=c, epsilon=eps))
+        assert res.solver_stats["iteration_cap"] >= 64
+        assert_bracket(res, lo, hi, eps)
+
+    def test_near_boundary_centres_on_a_fine_lattice(self):
+        # centres on (Z + iZ)/10^6; draw 88 of this stream once ended with
+        # "iteration cap -72 exceeded" at eps 8.3e-5
+        rng = np.random.default_rng(2100)
+        for k, (c, centre, eps) in enumerate(near_boundary_draws(rng, 89, 10**6)):
+            if k >= 6 and k != 88:
+                continue
+            res = crawford(CrawfordQuery(matrix=c, center=centre, epsilon=eps))
+            assert_bracket(res, *chi_bracket(c.translate(centre)), eps)
+            assert res.solver_stats["iteration_cap"] >= 64
 
 
 gaussian_ints = st.builds(GaussianRational, st.integers(-3, 3), st.integers(-3, 3))

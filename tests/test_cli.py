@@ -36,9 +36,8 @@ HUGE = ComplexMatrix([[gr(10**160), gr(1)], [gr(0), gr(2)]])
 
 
 def large(k):
-    """A 3 x 3 Gaussian-integer matrix with entries of order k: from about
-    k = 10^8 the squared pencil inner products in the chart's Gram matrix
-    2(I + ab'ab) pass 2^53, and float64 rounding leaves it indefinite."""
+    """A 3 x 3 Gaussian-integer matrix with entries of order k, chi = 0.
+    The solver sees it over s ~ 9k, so it needs eps/s of about 1e-4/(9k)."""
     return ComplexMatrix(
         [
             [gr(3 * k, -k), gr(2 * k, 7), gr(-5, k)],
@@ -47,6 +46,15 @@ def large(k):
         ]
     )
 
+
+# a 3x3 Gaussian-integer matrix with chi(10, C) about 5.95
+FINE = ComplexMatrix(
+    [
+        [gr(1, 2), gr(-3), gr(2, -1)],
+        [gr(0), gr(-2, 1), gr(0, 3)],
+        [gr(1), gr(-1, -1), gr(2)],
+    ]
+)
 
 # a 4x4 Gaussian-integer matrix with imaginary parts on and off the diagonal
 GAUSSIAN4 = ComplexMatrix(
@@ -301,6 +309,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("solver error: ") and expect in err
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "argv",
         [["chi"], ["chi", "--method", "oracle"], ["verify"]],
@@ -308,21 +317,58 @@ class TestExitCodes:
     )
     def test_entry_beyond_float_range_exits_3(self, tmp_path, capsys, argv):
         # ||C||_F^2 = 10^320 + 5 is exact, but beyond float64: an honest
-        # solver diagnostic, never a traceback
+        # solver diagnostic, never a traceback, and no numpy overflow
+        # warning before it (a warning is an error here)
         p = write_matrix(tmp_path / "h.json", HUGE)
         assert main(argv[:1] + [p] + argv[1:]) == 3
         err = capsys.readouterr().err
         assert err.startswith("solver error: ") and "float64 range" in err
+        assert err.count("\n") == 1 and err.endswith("\n")
 
     @pytest.mark.parametrize("command", ["chi", "verify"])
     @pytest.mark.parametrize("k", [10**8, 10**12])
     def test_large_entries_exit_3(self, tmp_path, capsys, command, k):
-        # the chart's Cholesky factor fails in float64; numpy's LinAlgError
-        # is a ValueError, which once made this a parse error (exit 2)
+        # entries of 10^8 and up once exited 3 when the chart's Cholesky
+        # factor failed in float64.  On C/s, 10^8 solves (eps/s ~ 1e-13);
+        # at 10^12 eps/s ~ 1e-17 is below float resolution, and the run
+        # still ends with an honest solver diagnostic
         p = write_matrix(tmp_path / "l.json", large(k))
-        assert main([command, p, "--eps", "1e-4"]) == 3
+        code = main([command, p, "--eps", "1e-4"])
+        out, err = capsys.readouterr()
+        if k == 10**8:
+            assert code == 0, err
+            assert command == "chi" or out.endswith("verify OK\n")
+        else:
+            assert code == 3
+            assert err.startswith("solver error: ") and err.count("\n") == 1
+
+    def test_tiny_entries(self, tmp_path, capsys):
+        # entries of 10^-200 and 10^-201: C/s is an instance of norm about
+        # 1 solved at eps/s, so chi = 10^-201 comes out to about eps/s
+        # relative (the cleared-denominator instance once gave a negative
+        # iteration cap); s = 2^-1100 is below the float64 range
+        tiny = ComplexMatrix(
+            [[gr(Fraction(1, 10**200)), gr(0)], [gr(0), gr(Fraction(1, 10**201))]]
+        )
+        p = write_matrix(tmp_path / "t.json", tiny)
+        assert main(["chi", p, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["chi"] == pytest.approx(1e-201, rel=1e-5)
+        p = write_matrix(tmp_path / "u.json", ComplexMatrix([[gr(Fraction(1, 2**1100))]]))
+        assert main(["chi", p]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("solver error: ") and "too large for the float64" in err
+        assert err.startswith("solver error: ") and "float64 range" in err
+
+    def test_centre_on_a_fine_lattice(self, tmp_path, capsys):
+        # the centre's denominator 10^9 once scaled the solved instance by
+        # 10^9 and failed the chart's Cholesky factor (exit 3); on C/s it
+        # only moves chi by about 1e-9
+        p = write_matrix(tmp_path / "m.json", FINE)
+        values = []
+        for centre in ("10", "10+1/1000000000i"):
+            assert main(["chi", p, "--center", centre, "--eps", "1e-4", "--json"]) == 0
+            values.append(json.loads(capsys.readouterr().out)["chi"])
+        assert values[0] == pytest.approx(5.9492213, abs=1e-4)
+        assert abs(values[1] - values[0]) <= 1e-4
 
     def test_entry_beyond_float_range_exports(self, tmp_path, capsys):
         p = write_matrix(tmp_path / "h.json", HUGE)
@@ -518,7 +564,9 @@ class TestCmdVerify:
     def test_outer_ball_reads_the_witness(self, tmp_path, capsys, monkeypatch):
         # chi = 0 closes at the ball centre, so the solve visits no other
         # centre; the witness's Z(X*, |w(X*)|) still lies r - |w| from G,
-        # and a radius below that distance must fail the check with exit 5
+        # and a radius below that distance must fail the check with exit 5.
+        # Both are read on the solved instance C/s, whose ceiling is 1, so
+        # R = 12 + 4
         from crawford import cli
 
         solve = cli.crawford
@@ -535,16 +583,43 @@ class TestCmdVerify:
         assert main(["verify", p, "--eps", "1e-4"]) == 0
         out = capsys.readouterr().out
         d = float(out.split("outer_ball: PASS (max distance ")[1].split()[0])
-        assert 1.0 < d <= 32
+        assert 1.0 < d <= 16
         monkeypatch.setattr(cli, "crawford", shrunk)
         assert main(["verify", p, "--eps", "1e-4"]) == 5
         out = capsys.readouterr().out
         assert f"outer_ball: FAIL (max distance {d:.6g} vs R 0.001)" in out
-        assert radii[0] == 32
+        assert radii[0] == 16
+
+    def test_scaling_identity_solves_a_different_instance(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # verify's third solve is chi(0, 3t) for t = C - cI: over its power
+        # of two s' that is 3t/s', not the t/s of the first solve, which a
+        # power-of-two factor would give back
+        from crawford import cli
+
+        solve = cli.crawford
+        seen = []
+
+        def spy(query):
+            res = solve(query)
+            seen.append((query, res))
+            return res
+
+        monkeypatch.setattr(cli, "crawford", spy)
+        p = write_matrix(tmp_path / "c.json", EXAMPLE_TILDE)
+        assert main(["verify", p, "--center=-3-i", "--eps", "1e-4"]) == 0
+        assert "scaling_identity: PASS" in capsys.readouterr().out
+        (q0, r0), _, (q2, r2) = seen
+        assert q2.matrix == q0.matrix.translate(q0.center).scale(3)
+        assert q2.center == gr(0)
+        assert (r0.scale_factor, r2.scale_factor) == (8, 32)
+        assert r2.ball.chart.inst != r0.ball.chart.inst
+        assert abs(r2.chi - 3 * r0.chi) <= 4e-4
 
     def test_one_set_up_and_one_chart_per_solve(self, tmp_path, capsys, monkeypatch):
         # verify solves three queries (the given one, its rotation and its
-        # double), and its inner-ball check reads the first one's ball
+        # triple), and its inner-ball check reads the first one's ball
         from crawford import ellipsoid, sdp
 
         calls = {"build_instance": 0, "build_chart": 0}
