@@ -1,37 +1,32 @@
 #!/usr/bin/env python3
 """How ellipsoid solves end, against matrix size.
 
-For each n the script draws a random Gaussian-integer C, shifts it to
-C - kI with k = ceil(||C||_F) + 1, so that chi >= 1, and solves it at
-fixed eps as `crawford` does: the instance of (C - kI)/s, s the least
-power of two with s >= ||C - kI||_F (`scaled_instance`), at eps/s, so
-the caps are the ones `crawford` runs under.  Each row reports the
-value (times s), the steps taken next to the
+For each n the script draws a random Gaussian-integer C and asks
+`crawford` for chi(k, C), k = ceil(||C||_F) + 1, so that chi >= 1, at
+fixed eps.  Each row reports the value, the steps taken next to the
 volume bound's iteration cap, the number of eigen-solves of the dual
-pencil cos t A + sin t B (the steps of the ascent in t that follows each
-fall of the best certificate, Newton steps and Wolfe steps alike), the
-kind of certificate that holds the final value (feasible or dual; see
-`crawford.ellipsoid`), the exact set-up's time in microseconds
-(`scaled_instance` and `certified_ball`, the ball's chart included), the
-solve's wall time and its microseconds per step.  With the ascent these
-solves end at their first step, closed by a density of the dual
+pencil cos t A + sin t B (the steps of the one ascent in t from the
+centre G's density, Newton steps and Wolfe steps alike), the kind of
+certificate that holds the final value (feasible or dual; see
+`crawford.ellipsoid`), the set-up's time in microseconds (`setup_s` of
+`solver_stats`: the translation, the Frobenius bound, `scaled_instance`
+and `certified_ball` with its chart), the solve's wall time and its
+microseconds per step, all read off `solver_stats`.  With the ascent
+these solves end at their first step, closed by a density of the dual
 bound's eigenvectors, so the step count says how soon the certificates
-met, not how fast the volume bound shrinks.  (About the centre 0,
-random C with n >= 3 almost always have chi = 0, and those solves end
-at their first step too, on Wolfe steps over the pencil's support
-points around 0.)  Every value is cross-checked against the
-support-function search.
+met, not how fast the volume bound shrinks.  (About the centre 0, random
+C with n >= 3 almost always have chi = 0, and those solves end at their
+first step too, on Wolfe steps over the pencil's support points around
+0.)  Every value is cross-checked against the support-function search.
 """
 
 import argparse
 import csv
 import sys
-import time
 
 import numpy as np
 
-from crawford.api import scaled_instance
-from crawford.ellipsoid import certified_ball, solve
+from crawford.api import CrawfordQuery, crawford
 from crawford.linalg import ComplexMatrix, GaussianRational, frobenius_ceiling
 from crawford.oracle import chi_oracle
 
@@ -72,23 +67,20 @@ def main() -> None:
             c = random_matrix(rng, n, -args.entry_bound, args.entry_bound)
             if c.is_zero():
                 continue
-            mat = c.translate(GaussianRational(frobenius_ceiling(c) + 1, 0))
-            t_setup = time.perf_counter()
-            inst, scaled, s = scaled_instance(mat)
-            ball = certified_ball(inst, scaled)
-            t0 = time.perf_counter()
-            setup_us = 1e6 * (t0 - t_setup)
-            # s is a power of two, so eps/s and value*s are exact
-            res = solve(ball, args.eps / float(s))
-            dt = time.perf_counter() - t0
-            value = res.value * float(s)
-            us_per_iter = 1e6 * dt / res.iterations
+            centre = GaussianRational(frobenius_ceiling(c) + 1, 0)
+            res = crawford(CrawfordQuery(matrix=c, center=centre, epsilon=args.eps))
+            stats = res.solver_stats
+            value = res.chi
+            iterations = stats["iterations"]
+            setup_us = 1e6 * stats["setup_s"]
+            dt = stats["solve_s"]
+            us_per_iter = 1e6 * dt / iterations
             line = (
-                f"{n:>3} {n * n:>4} {value:>10.6f} {res.iterations:>8} {res.cap:>8}"
-                f" {res.dual_solves:>11} {res.closed_by:>9} {setup_us:>9.1f}"
+                f"{n:>3} {n * n:>4} {value:>10.6f} {iterations:>8} {stats['iteration_cap']:>8}"
+                f" {stats['dual_solves']:>11} {stats['closed_by']:>9} {setup_us:>9.1f}"
                 f" {dt:>8.3f} {us_per_iter:>8.1f}"
             )
-            gap = abs(value - chi_oracle(mat, args.eps))
+            gap = abs(value - chi_oracle(c.translate(centre), args.eps))
             print(line + f" {gap:>13.2e}")
             if gap > 2 * args.eps:
                 print(f"cross-check failure at n={n}: gap {gap:g}", file=sys.stderr)
@@ -97,10 +89,10 @@ def main() -> None:
                 "n": n,
                 "trial": trial,
                 "dim": n * n,
-                "iterations": res.iterations,
-                "cap": res.cap,
-                "dual_solves": res.dual_solves,
-                "closed_by": res.closed_by,
+                "iterations": iterations,
+                "cap": stats["iteration_cap"],
+                "dual_solves": stats["dual_solves"],
+                "closed_by": stats["closed_by"],
                 "value": value,
                 "setup_us": setup_us,
                 "seconds": dt,

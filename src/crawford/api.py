@@ -106,28 +106,28 @@ def crawford(query: CrawfordQuery) -> CrawfordResult:
 
     solver_stats carries perf_counter phase timings in seconds: setup_s
     (translation through the certified ball and its chart) and solve_s
-    (the ellipsoid loop) on the SDP route, oracle_s (the support search
+    (the ascent and, if it leaves a gap, the ellipsoid loop) on the SDP
+    route, oracle_s (the support search
     and witness) on the oracle route; BOTH carries all three.  The SDP
     route also counts its feasibility cuts by block: cuts_spectral (on
     X), cuts_modulus (the 2x2 block) and cuts_ceiling (the scalar), whose
     sum is cuts_feasibility; cuts_modulus + cuts_ceiling steps took no
     spectrum of X.  lower_bound is the solver's certified lb times s: the
     larger of the objective's minimum over the ellipsoid and the dual
-    bound lambda_min(cos t A + sin t B) at each eigen-solve of an ascent
-    on t from t = arg w of each new best certificate, both capped by
-    that certificate.  The ascent takes a Newton step where Newton's
+    bound lambda_min(cos t A + sin t B) at each eigen-solve of the one
+    ascent on t, from t = arg w of the first certificate, the density I/n
+    of the strictly feasible centre G (w = tr(C - cI) / n over s), both capped by the
+    best certificate.  The ascent takes a Newton step where Newton's
     model holds (lambda_min rose and is simple) and a Wolfe step on the
     support points its eigenvectors gave elsewhere: at lambda_min <= 0,
-    at an overshoot or at a kink.  The first eigen-solve, and with it the
-    ascent, is skipped when the pencil's least diagonal entry, which
-    bounds lambda_min from above, lies in (0, lb], so lower_bound_dual is
-    the best dual bound over the solves actually taken, times s (None if
-    none was taken).  certs_dual counts the falls of the best certificate
-    to the rank-one density vv* of a Newton step's least eigenvector v,
-    or to a Wolfe step's point of the hull of the fallen density and such
+    at an overshoot or at a kink.  lower_bound_dual is the best dual
+    bound over its solves, times s, None only when tr(C - cI) = 0, which makes
+    the first certificate 0.  certs_dual counts the falls of the best
+    certificate to the rank-one density vv* of a Newton step's least
+    eigenvector v, or to a Wolfe step's point of the hull of I/n and such
     vv* nearest 0.  dual_solves counts the pencil eigen-solves, of Newton
     and of Wolfe steps, and closed_by names the kind of certificate that
-    holds the final value: feasible (a repaired center) or dual.
+    holds the final value: feasible (I/n or a repaired center) or dual.
     """
     t_start = time.perf_counter()
     t_mat = query.matrix.translate(query.center)

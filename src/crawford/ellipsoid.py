@@ -61,13 +61,14 @@ nonnegative, so the cap is at least 64 at every eps.
 The solver keeps two bounds per run:
 
   best_cert  the lowest *certified* value: the objective r = |w(X)|,
-             w(X) = <A,X> + i<B,X>, of a density X (a repaired one:
-             clipped to the PSD cone, trace rescaled to 1), so Z(X, r) is
-             feasible and r is a genuine upper bound on the optimum,
+             w(X) = <A,X> + i<B,X>, of a density X (G's I/n, or a
+             repaired one: clipped to the PSD cone, trace rescaled to 1),
+             so Z(X, r) is feasible and r is a genuine upper bound on the
+             optimum,
   lb         a certified lower bound, the largest of 0 and, over the
              iterations, min(best_cert, obj(center_k) - sqrt(g' P_k g))
              and min(best_cert, lambda_min(cos t A + sin t B)) at each
-             eigen-solve of the ascents below.  The first is valid
+             eigen-solve of the ascent below.  The first is valid
              because the cut rules never discard a feasible point with
              objective below the current best_cert; the second by weak
              duality, as |z| >= Re(e^{-it} z) >= lambda_min(cos t A +
@@ -80,10 +81,11 @@ The solver keeps two bounds per run:
 The objective's minimum over E lags well behind the optimum, so on its
 own lb closes the gap only as E shrinks onto it.  The dual bound is
 within eps of the optimum once t is near the optimal direction.
-best_cert's density reaches that direction only about when its value
-nears the optimum, so at each fall of best_cert the solver does not wait
-for E: it climbs f(t) = lambda_min(H(t)), H(t) = cos t A + sin t B, the
-paper's dual, from t = arg w.  Each step takes one eigh(H(t)): lambda_0
+A feasible centre's density reaches that direction only about when its
+value nears the optimum, so before its first step the solver does not
+wait for E: from G's density I/n, w = tr C / n, it climbs f(t) =
+lambda_min(H(t)), H(t) = cos t A + sin t B, the paper's dual, from
+t = arg w.  Each step takes one eigh(H(t)): lambda_0
 raises lb, and the least eigenvector v gives the density vv*, whose
 w(vv*) is the point of W(C) extreme in the direction -e^{it} (Johnson,
 SIAM J. Numer. Anal. 15, 1978), Re(e^{-it} w(vv*)) = lambda_0.  Each
@@ -121,25 +123,21 @@ step is one of two kinds:
           small (W(C) of a normal C is a segment, and the sum is 0), that
           angle is the one left to try.
 
-The ascent ends when the gap is <= eps, or when a Wolfe step sends it to
-an angle it has already solved; `_ASCENT_STEPS` bounds its eigen-solves.
-Every measured solve, chi = 0 and chi > 0, kinked or near the boundary of
-W(C), ends at its first centre.
-
-lambda_min is at most every diagonal entry Re(e^{-it} C_ii) of the pencil
-(a Rayleigh quotient), so when the least of them at t = arg w lies in
-(0, lb] the first eigen-solve cannot raise lb, and it is skipped,
-together with the ascent.  A least diagonal <= 0 means a support point
-lies on the far side of 0, which a Wolfe step can use, so that solve is
-always taken; while lb = 0 none is skipped.
+The ascent runs once, before the first step.  It ends when the gap is
+<= eps, or when a Wolfe step sends it to an angle it has already solved;
+`_ASCENT_STEPS` bounds its eigen-solves.  Nearly every solve, chi = 0 and
+chi > 0, kinked or near the boundary of W(C), then returns with G as its
+one centre; otherwise the deep-cut loop below runs from G, and nothing in
+it starts another ascent.
 
 The candidates for best_cert are densities of two kinds.  Z(X, r) is
 feasible exactly when X is a density and |w(X)| <= r <= c + 2, and w is
 linear in X, so every convex combination of densities X_i is feasible at
 r = |sum lambda_i w(X_i)|.
 
-  feasible   each PSD-feasible center, repaired from the
-             eigendecomposition the oracle took;
+  feasible   G's I/n, offered first, and each PSD-feasible center of
+             the loop, repaired from the eigendecomposition the oracle
+             took;
   dual       vv* at a Newton step, and the hull's nearest point at a
              Wolfe step: vv* itself or a repaired combination of support
              points.  v is a null vector of the dual slack H - lambda_min
@@ -148,10 +146,10 @@ r = |sum lambda_i w(X_i)|.
              near the optimal t its value |w(vv*)| is close to the
              optimum.  Values are read off the density with
              `pencil_values`, never off lambda_min or the planar
-             arithmetic.  A dual fall starts no ascent of its own.
+             arithmetic.
 
-`solve`'s `record` collects best_cert at each fall, of either kind; dual
-falls directly follow the fall whose ascent gave them.
+`solve`'s `record` collects best_cert at each fall, of either kind: G's
+first, then the ascent's dual falls, then the loop's feasible ones.
 
 Each step keeps the part of the ellipsoid E on the far side of a deep
 cut {x : g.(x - z) <= -depth} (Bland, Goldfarb & Todd, Oper. Res. 29(6),
@@ -173,8 +171,8 @@ Neither discards a feasible point with objective below best_cert, so
 every optimum stays in E.  When a cut leaves nothing of E
 (alpha = depth / sqrt(g' P g) >= 1), no feasible point has objective
 below best_cert, so best_cert is also a lower bound: lb becomes best_cert
-and the run returns.  Before any center was feasible there is no
-best_cert, and the run ends with EllipsoidCapExceeded.
+and the run returns.  G's density holds best_cert before the first cut,
+so such a cut always has a certificate to return.
 
 Termination: best_cert - lb <= eps, so the reported value is within eps
 of the true optimum in both directions (up to float evaluation noise).
@@ -198,9 +196,10 @@ from .sdp import SdpInstance, assemble_feasible_point
 # r = c + 1 + u_d / sqrt(3): the objective's gradient in the chart
 _RHO = 1.0 / math.sqrt(3.0)
 
-# the only bound on the eigen-solves of one ascent in t, Newton and Wolfe
+# the only bound on the eigen-solves of the ascent in t, Newton and Wolfe
 # steps alike; its stop rules end it long before (at most 6 on far-centre
-# instances, 11 near the boundary of W(C))
+# instances, 11 near the boundary of W(C), 21 on [[10^9, 1], [0, 2i]]
+# about 3)
 _ASCENT_STEPS = 32
 
 
@@ -211,12 +210,11 @@ class ChartError(RuntimeError):
 
 class EllipsoidCapExceeded(RuntimeError):
     """The run ended before the certified gap closed: the iteration cap
-    was hit, the ellipsoid degenerated, or a deep cut emptied it before
-    any center was feasible.
+    was hit, or the ellipsoid degenerated.
 
-    Carries best_cert, the best certified value (inf if none), the lower
-    bound and the iteration; usually means the requested epsilon is below
-    what float64 can certify here.
+    Carries best_cert, the best certified value (at most G's |tr C| / n),
+    the lower bound and the iteration; usually means the requested
+    epsilon is below what float64 can certify here.
     """
 
     def __init__(self, message, best, lower_bound, iterations):
@@ -315,7 +313,7 @@ class Cut:
 @dataclass(frozen=True)
 class SolveResult:
     value: float
-    X: np.ndarray                       # repaired density matrix, the witness
+    X: np.ndarray                       # density matrix, the witness
     iterations: int
     cap: int                            # iteration cap of the volume bound
     cuts_feasibility: int               # cuts_spectral + cuts_modulus + cuts_ceiling
@@ -579,17 +577,19 @@ def solve(
 ) -> SolveResult:
     """Minimize <F_0, Z> over the ball's instance to certified accuracy eps.
 
-    Deterministic.  `record`, if given, collects best_cert each time it
-    falls, at a feasible center or to a density of the dual bound's
-    eigenvectors, so its values decrease.  At each fall at a center one
-    ascent on t raises lambda_min(cos t A + sin t B): Newton steps where
-    its model holds, and elsewhere Wolfe steps on the support points its
-    eigenvectors give (see the module docstring).  `lower_bound_dual` is
-    the best such lambda_min over the eigen-solves taken, None when the
-    Rayleigh bound ruled out every one; `certs_dual` counts the falls to
-    vv* or to a Wolfe step's hull point, `dual_solves` the eigen-solves of
-    both kinds of step, and `closed_by` names the kind of certificate that
-    holds the value: feasible or dual.
+    Deterministic.  The first certificate is G's density I/n, with w =
+    tr C / n, and one ascent on t from t = arg w raises lambda_min(cos t A
+    + sin t B): Newton steps where its model holds, and elsewhere Wolfe
+    steps on the support points its eigenvectors give (see the module
+    docstring).  When it leaves the gap open, the deep-cut loop runs from
+    G, whose feasible centres offer their repaired densities.  `record`,
+    if given, collects best_cert each time it falls, so its values
+    decrease.  `lower_bound_dual` is the best such lambda_min over the
+    eigen-solves taken, None only when tr C = 0, which makes best_cert 0
+    at G; `certs_dual` counts the falls to vv* or to a Wolfe step's hull
+    point, `dual_solves` the eigen-solves of both kinds of step, and
+    `closed_by` names the kind of certificate that holds the value:
+    feasible or dual.
     """
     if not (math.isfinite(eps) and eps > 0.0):
         raise ValueError("eps must be finite and positive")
@@ -597,7 +597,6 @@ def solve(
     inst = chart.inst
     n = chart.n
     d = chart.dim
-    p_mat = chart.initial_shape.copy()
     # E keeps the inner ball shrunk toward an optimum by min(1, eps/3)
     cap = math.ceil(
         2 * (d + 1)
@@ -605,11 +604,10 @@ def solve(
            + d * math.log(max(1.0, 3.0 / eps) / float(ball.inner_r)))
     ) + 64
 
-    z = np.zeros(d)
     # best_cert = |best_w|, w = <A,X> + i<B,X> of its density best_x
     best_w = 0j
-    best_cert = math.inf
-    best_x: Optional[np.ndarray] = None
+    best_cert = 0.0
+    best_x = None
     # diagonal entries of a PSD matrix are nonnegative, so (u+w)/2 >= 0
     # on the whole cone; 0 is a certified lower bound from the start
     lb = 0.0
@@ -636,68 +634,6 @@ def solve(
         # c A + s B, an n x n complex Hermitian matrix
         return (np.array([c, s]) @ inst.pencil_flat).view(complex).reshape(n, n)
 
-    def certify(w, x, kind):
-        # best_cert falls to |w| = |w(x)|, and an ascent on t from t = arg w
-        # follows: each eigen-solve of the pencil raises lb, and its least
-        # eigenvector v gives the support point vv*.  Where Newton's model
-        # holds, vv* is offered and Newton steps t; elsewhere a Wolfe step
-        # on the last support points and vv* is offered, and the next
-        # solve is at best_cert's angle, unless that angle was solved
-        nonlocal lb, lb_dual, n_certs_dual, n_dual_solves
-        fall(w, x, kind)
-        if best_cert == 0.0:
-            return
-        cos_t, sin_t = w.real / best_cert, w.imag / best_cert
-        h = pencil(cos_t, sin_t)
-        # lambda_min <= min_i Re(e^{-it} C_ii), a Rayleigh quotient: when
-        # that lies in (0, lb], the solve cannot raise lb; a least diagonal
-        # <= 0 is itself a point of W(C) beyond 0, where a Wolfe step helps
-        if 0.0 < h.diagonal().real.min() <= lb:
-            return
-        support = [(w, x)]
-        solved = set()
-        lam_prev = 0.0
-        for _ in range(_ASCENT_STEPS):
-            solved.add((cos_t, sin_t))
-            lams, vecs = np.linalg.eigh(h)
-            n_dual_solves += 1
-            lam = float(lams[0])
-            lb_dual = lam if lb_dual is None else max(lb_dual, lam)
-            lb = max(lb, min(best_cert, lam))
-            v = vecs[:, 0]
-            xv = v[:, None] * v.conj()
-            wv = complex(*inst.pencil_values(xv))
-            # Newton's model holds where lambda_min rose above the last one
-            # (or 0) and is simple; at n = 1 there is no other eigenvalue
-            # to curve f
-            newton = n > 1 and lam > lam_prev >= 0.0 and lams[1] > lam
-            lam_prev = lam
-            if newton:
-                support = [*support, (wv, xv)][-2:]
-            else:
-                support, (wv, xv) = hull_step(inst, support, (wv, xv))
-            if abs(wv) < best_cert:
-                fall(wv, xv, "dual")
-                n_certs_dual += 1
-            if best_cert - lb <= eps:
-                return
-            if newton:
-                # f(t) = lambda_min(H(t)), H = cos t A + sin t B, H' = -sin t
-                # A + cos t B: f' = v*H'v = Im(e^{-it} w(vv*)), and with
-                # H'' = -H, -f'' = lambda_0 + 2 sum_k |q_k* H'v|^2 /
-                # (lambda_k - lambda_0)
-                slope = cos_t * wv.imag - sin_t * wv.real
-                proj = vecs[:, 1:].conj().T @ (pencil(-sin_t, cos_t) @ v)
-                gaps = lams[1:] - lam
-                curv = lam + 2.0 * float((proj.real**2 + proj.imag**2) @ (1.0 / gaps))
-                t = math.atan2(sin_t, cos_t) + slope / curv
-                cos_t, sin_t = math.cos(t), math.sin(t)
-            else:
-                cos_t, sin_t = best_w.real / best_cert, best_w.imag / best_cert
-                if (cos_t, sin_t) in solved:
-                    return
-            h = pencil(cos_t, sin_t)
-
     def result(it):
         return SolveResult(
             value=best_cert,
@@ -718,20 +654,79 @@ def solve(
             closed_by=closed_by,
         )
 
+    # G = Z(I/n, c + 1) is strictly feasible (`certified_ball`), so I/n
+    # is a density and needs no repair
+    x = np.eye(n, dtype=complex) / n
+    fall(complex(*inst.pencil_values(x)), x, "feasible")
+    if best_cert > 0.0:
+        # each eigen-solve of the pencil raises lb, and its least
+        # eigenvector v gives the support point vv*.  Where Newton's model
+        # holds, vv* is offered and Newton steps t; elsewhere a Wolfe step
+        # on the last support points and vv* is offered, and the next
+        # solve is at best_cert's angle, unless that angle was solved
+        cos_t, sin_t = best_w.real / best_cert, best_w.imag / best_cert
+        support = [(best_w, best_x)]
+        solved = set()
+        lam_prev = 0.0
+        for _ in range(_ASCENT_STEPS):
+            solved.add((cos_t, sin_t))
+            lams, vecs = np.linalg.eigh(pencil(cos_t, sin_t))
+            n_dual_solves += 1
+            lam = float(lams[0])
+            lb_dual = lam if lb_dual is None else max(lb_dual, lam)
+            lb = max(lb, min(best_cert, lam))
+            v = vecs[:, 0]
+            xv = v[:, None] * v.conj()
+            wv = complex(*inst.pencil_values(xv))
+            # Newton's model holds where lambda_min rose above the last one
+            # (or 0) and is simple; at n = 1 there is no other eigenvalue
+            # to curve f
+            newton = n > 1 and lam > lam_prev >= 0.0 and lams[1] > lam
+            lam_prev = lam
+            if newton:
+                support = [*support, (wv, xv)][-2:]
+            else:
+                support, (wv, xv) = hull_step(inst, support, (wv, xv))
+            if abs(wv) < best_cert:
+                fall(wv, xv, "dual")
+                n_certs_dual += 1
+            if best_cert - lb <= eps:
+                break
+            if newton:
+                # f(t) = lambda_min(H(t)), H = cos t A + sin t B, H' = -sin t
+                # A + cos t B: f' = v*H'v = Im(e^{-it} w(vv*)), and with
+                # H'' = -H, -f'' = lambda_0 + 2 sum_k |q_k* H'v|^2 /
+                # (lambda_k - lambda_0)
+                slope = cos_t * wv.imag - sin_t * wv.real
+                proj = vecs[:, 1:].conj().T @ (pencil(-sin_t, cos_t) @ v)
+                gaps = lams[1:] - lam
+                curv = lam + 2.0 * float((proj.real**2 + proj.imag**2) @ (1.0 / gaps))
+                t = math.atan2(sin_t, cos_t) + slope / curv
+                cos_t, sin_t = math.cos(t), math.sin(t)
+            else:
+                cos_t, sin_t = best_w.real / best_cert, best_w.imag / best_cert
+                if (cos_t, sin_t) in solved:
+                    break
+    # G is the first centre: at G the objective's minimum over E_0 is
+    # c + 1 - (c + 1) sqrt(d) <= 0, so only the ascent can have raised lb
+    if best_cert - lb <= eps:
+        return result(1)
+
+    z = np.zeros(d)
+    p_mat = chart.initial_shape.copy()
     for it in range(1, cap + 1):
         cut = separation_oracle(chart, z, best_cert)
-        obj_center = cut.objective
 
         if cut.kind != "feasibility":
             max_dist = max(max_dist, math.sqrt(z @ z))
             w, x = repair_point(inst, cut.spectrum)
             if abs(w) < best_cert:
-                certify(w, x, "feasible")
+                fall(w, x, "feasible")
 
         # the objective's gradient is e_d / sqrt(3): g'Pg is P's last
         # diagonal entry over 3, and P g is P's last column over sqrt(3)
         gpg_obj = float(p_mat[-1, -1]) * _RHO * _RHO
-        lb = max(lb, min(best_cert, obj_center - math.sqrt(max(gpg_obj, 0.0))))
+        lb = max(lb, min(best_cert, cut.objective - math.sqrt(max(gpg_obj, 0.0))))
         if best_cert - lb <= eps:
             return result(it)
 
@@ -754,12 +749,6 @@ def solve(
         if alpha >= 1.0:
             # the cut leaves nothing of E: no feasible point has objective
             # below best_cert, so best_cert bounds the optimum from below
-            if best_cert == math.inf:
-                raise EllipsoidCapExceeded(
-                    f"deep cut emptied the ellipsoid at iteration {it} before "
-                    f"any center was feasible; certified lower bound {lb:.9g}",
-                    best_cert, lb, it,
-                )
             lb = best_cert
             return result(it)
         _shrink(z, p_mat, pg / root, alpha)

@@ -361,6 +361,20 @@ class TestScaledInputs:
             assert_bracket(res, lo, hi, eps)
 
 
+class TestLoopAfterTheAscent:
+    def test_huge_entry_closes_in_the_loop(self):
+        # the one ascent from G leaves a gap on this matrix, and the
+        # deep-cut loop closes it from G, whose density already holds
+        # best_cert: its first cut is a deep objective cut (218 steps when
+        # the loop's first cut at G was a central one)
+        mat = ComplexMatrix([[gr(10**150), gr(1)], [gr(0), gr(0, 2)]])
+        res = crawford(CrawfordQuery(matrix=mat))
+        stats = res.solver_stats
+        assert abs(res.chi - 2.0) <= 1e-6
+        assert stats["lower_bound"] <= 2.0 <= res.chi + 1e-12
+        assert 1 < stats["iterations"] < 218
+
+
 class TestScaleInvariance:
     """crawford solves C/s, s the least power of two with s >= ||C||_F, at
     eps/s: the instance is ceiling 1 whatever the scale of C, so chi(kC)

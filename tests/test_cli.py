@@ -291,7 +291,9 @@ class TestExitCodes:
         self, tmp_path, capsys, monkeypatch, command, failure
     ):
         # a ChartError out of the repair, or crawford's check that chi
-        # stays below ||C||_F + eps, is a solver diagnostic, not a traceback
+        # stays below ||C||_F + eps, is a solver diagnostic, not a traceback.
+        # The ascent closes this example without a repair, so with no
+        # ascent steps the loop's first step repairs the centre G
         from crawford import api, ellipsoid
 
         if failure == "chart":
@@ -299,6 +301,7 @@ class TestExitCodes:
             def broken(inst, dens):
                 raise ellipsoid.ChartError("repair collapsed the trace; point was garbage")
 
+            monkeypatch.setattr(ellipsoid, "_ASCENT_STEPS", 0)
             monkeypatch.setattr(ellipsoid, "repair_point", broken)
             expect = "repair collapsed the trace"
         else:

@@ -542,48 +542,49 @@ class TestDeepCutUpdate:
         assert all(q(u) <= 1.0 + 1e-9 for u in inside + touching)
         assert all(q(u) >= 1.0 - 1e-9 for u in touching)
 
-    def test_emptying_cut_sets_lower_bound_to_best(self, monkeypatch):
-        # a cut with alpha >= 1 leaves no feasible point below best, so a
-        # solve with a finite best takes best as its lower bound and stops;
-        # the patched cut is not a true one, so only that rule is checked.
-        # With no ascent steps the first centre's density is the only
-        # certificate, and the gap stays open until the cut
-        inst, ball = make(diagonal(gr(2, 3), gr(2, -3), gr(5, 6)))
-        oracle = ellipsoid.separation_oracle
-        monkeypatch.setattr(ellipsoid, "_ASCENT_STEPS", 0)
-
-        def deep_after_first_feasible(chart, u, best_value):
-            cut = oracle(chart, u, best_value)
-            if best_value < math.inf:
-                cut = dataclasses.replace(
-                    cut, kind="feasibility", block="spectral", depth=1e6
-                )
-            return cut
-
-        monkeypatch.setattr(ellipsoid, "separation_oracle", deep_after_first_feasible)
-        rec = []
-        res = solve(ball, 1e-4, record=rec)
-        assert res.iterations == 2
-        assert res.dual_solves == res.certs_dual == 0
-        # the centre's density is I/3, with w = tr(C)/3 = 3 + 2i
-        assert rec == [pytest.approx(abs(3 + 2j), abs=1e-12)]
-        assert res.lower_bound == res.value == rec[-1]
-
-    def test_emptying_cut_without_best_raises(self, monkeypatch):
-        inst, ball = make(EXAMPLE)
+    @staticmethod
+    def always_deep(monkeypatch):
+        # no ascent steps, so G's density I/n is the only certificate and
+        # the gap stays open; then every cut empties the ellipsoid.  The
+        # patched cut is not a true one, so only the emptying rule is
+        # checked
         oracle = ellipsoid.separation_oracle
 
-        def always_deep(chart, u, best_value):
+        def deep(chart, u, best_value):
             cut = oracle(chart, u, best_value)
             return dataclasses.replace(
                 cut, kind="feasibility", block="spectral", depth=1e6
             )
 
-        monkeypatch.setattr(ellipsoid, "separation_oracle", always_deep)
-        with pytest.raises(EllipsoidCapExceeded) as info:
-            solve(ball, 1e-4)
-        assert info.value.iterations == 1
-        assert info.value.lower_bound == 0.0
+        monkeypatch.setattr(ellipsoid, "_ASCENT_STEPS", 0)
+        monkeypatch.setattr(ellipsoid, "separation_oracle", deep)
+
+    def test_emptying_cut_sets_lower_bound_to_best(self, monkeypatch):
+        # a cut with alpha >= 1 leaves no feasible point below best, so the
+        # solve takes best as its lower bound and stops; G's density is a
+        # certificate before the loop, so that is its first step
+        inst, ball = make(diagonal(gr(2, 3), gr(2, -3), gr(5, 6)))
+        self.always_deep(monkeypatch)
+        rec = []
+        res = solve(ball, 1e-4, record=rec)
+        assert res.iterations == 1
+        assert res.dual_solves == res.certs_dual == 0
+        assert res.lower_bound_dual is None
+        # G's density is I/3, with w = tr(C)/3 = 3 + 2i
+        assert rec == [pytest.approx(abs(3 + 2j), abs=1e-12)]
+        assert res.lower_bound == res.value == rec[-1]
+        assert res.closed_by == "feasible"
+
+    def test_emptying_cut_at_g_returns_its_density(self, monkeypatch):
+        # the loop's first cut already has G's certificate to fall back on
+        inst, ball = make(EXAMPLE)
+        self.always_deep(monkeypatch)
+        res = solve(ball, 1e-4)
+        trace = np.trace(EXAMPLE.to_complex())
+        assert res.iterations == 1
+        assert res.lower_bound == res.value
+        assert res.value == pytest.approx(abs(trace) / inst.n, abs=1e-12)
+        assert np.array_equal(res.X, np.eye(inst.n) / inst.n)
 
 
 class TestPsdTraceBound:
@@ -711,6 +712,29 @@ class TestSolve:
             raise EllipsoidCapExceeded("test", best=2.0, lower_bound=1.0, iterations=5)
         except EllipsoidCapExceeded as e:
             assert e.best == 2.0 and e.lower_bound == 1.0 and e.iterations == 5
+
+
+class TestEllipsoidAlone:
+    """With no ascent steps, G's density is the only certificate before
+    the loop, and the paper's deep-cut ellipsoid method closes the gap on
+    its own, certified by the repaired feasible centres."""
+
+    @pytest.mark.parametrize("shifted", [False, True], ids=["example", "shifted"])
+    def test_runs_to_closure(self, shifted, monkeypatch):
+        mat = EXAMPLE
+        if shifted:
+            c = random_gaussian_integer(np.random.default_rng(700), 3, -3, 3)
+            # chi >= 1 about the centre ceil(||C||_F) + 1
+            mat = c.translate(gr(frobenius_ceiling(c) + 1))
+        lo, hi = chi_bracket(mat)
+        monkeypatch.setattr(ellipsoid, "_ASCENT_STEPS", 0)
+        inst, ball = make(mat)
+        res = solve(ball, 1e-4)
+        assert res.lower_bound <= hi + 1e-9 and lo <= res.value + 1e-9
+        assert res.certified_gap <= 1e-4
+        assert 1 < res.iterations <= res.cap
+        assert res.closed_by == "feasible"
+        assert res.dual_solves == 0 and res.lower_bound_dual is None
 
 
 class TestRepair:
@@ -883,8 +907,9 @@ class TestHullCertificate:
             assert res.value == math.hypot(*inst.pencil_values(res.X))
 
     def test_witness_is_a_repaired_density(self, monkeypatch):
-        # every certificate, a single centre's or a combination's, comes
-        # out of repair_point: clipped to the PSD cone, trace rescaled to 1
+        # every certificate is G's density I/n or comes out of
+        # repair_point, a single centre's or a combination's: clipped to
+        # the PSD cone, trace rescaled to 1
         repaired = []
 
         def spy(inst, dens):
@@ -898,7 +923,12 @@ class TestHullCertificate:
             repaired.clear()
             inst, ball = make(inside_matrix(rng, n))
             res = solve(ball, 1e-4)
-            assert any(x is res.X for x in repaired)
+            assert np.array_equal(res.X, np.eye(n) / n) or any(
+                x is res.X for x in repaired
+            )
+            assert np.linalg.eigvalsh(res.X)[0] >= -1e-12
+            assert abs(np.trace(res.X) - 1.0) <= 1e-12
+            assert res.value == abs(complex(*inst.pencil_values(res.X)))
 
 
 def far_matrix(rng, n, rational):
@@ -1110,8 +1140,8 @@ class TestWolfeStep:
     @staticmethod
     def check(mat, eps, monkeypatch):
         # each certificate, a hull point or vv*, has its value read off
-        # X, and the certificates fall strictly; at lb = 0 the Rayleigh
-        # bound skips no solve, and every pencil eigen-solve is counted
+        # X, and the certificates fall strictly; every pencil eigen-solve
+        # is counted
         calls = []
         eigh = np.linalg.eigh
 
