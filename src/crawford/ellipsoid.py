@@ -244,9 +244,6 @@ class AffineChart:
     `SdpInstance.pencil_flat`, so <W, X> = Re tr(W* X) is a dot product."""
 
     inst: SdpInstance
-    x_origin: np.ndarray                # (2n^2,): I/n
-    x_map: np.ndarray                   # (d, 2n^2): u -> X - I/n; last row 0
-    pencil_grad: np.ndarray             # (d, 2): gradients of <A,X>, <B,X>
     sigma: float                        # sqrt(2 (1 + c^2)), u_x = sigma xi
 
     @property
@@ -255,7 +252,32 @@ class AffineChart:
 
     @property
     def dim(self) -> int:
-        return self.x_map.shape[0]
+        """d = n^2: n^2 - 1 traceless coordinates and the last, rho's."""
+        return self.n * self.n
+
+    # The dense maps are built on first use: only the deep-cut loop and
+    # verify's inner-ball check read them, and a solve that the ascent
+    # closes never does.
+
+    @cached_property
+    def x_origin(self) -> np.ndarray:
+        """(2n^2,): I/n."""
+        n = self.n
+        return np.eye(n, dtype=complex).ravel().view(float) / n
+
+    @cached_property
+    def x_map(self) -> np.ndarray:
+        """(d, 2n^2): u -> X - I/n, the traceless basis over sigma; the
+        last row, rho's, is 0."""
+        n, m = self.n, self.dim - 1
+        out = np.zeros((m + 1, 2 * n * n))
+        out[:m] = _traceless_basis(n).reshape(m, n * n).view(float) / self.sigma
+        return out
+
+    @cached_property
+    def pencil_grad(self) -> np.ndarray:
+        """(d, 2): the gradients of <A,X> and <B,X> in u."""
+        return self.x_map @ self.inst.pencil_flat.T
 
     @cached_property
     def objective_grad(self) -> np.ndarray:
@@ -338,10 +360,10 @@ def certified_ball(inst: SdpInstance, c_matrix: ComplexMatrix) -> CertifiedBall:
     Every check is exact and runs in integers: the instance's A + iB is
     C entrywise, S - I is PSD, and G satisfies all N + 4 constraints of
     `sdp.constraints`, with <F, G> read off the two sparse lists.  D G is
-    integral for D the lcm of G's denominators (a divisor of n when C is
-    Gaussian-integer), so <F, G> = b is checked as <F, D G> = D b; for
-    such a C the entries of F that meet G's support, its diagonal and
-    S, are ints too."""
+    integral for D the lcm of G's denominators, and each row is int
+    numerators F_num over its denominator den, F = F_num / den, so
+    <F, G> = b is checked as <F_num, D G> = D den b.  The chart is built
+    here, but its dense maps only on first use."""
     n = inst.n
     a, b, c = inst.a, inst.b, c_matrix
     if c.n != n:
@@ -363,13 +385,13 @@ def certified_ball(inst: SdpInstance, c_matrix: ComplexMatrix) -> CertifiedBall:
         raise ValueError("S - I is not PSD; the ball center is not interior")
     # an off-diagonal entry of the upper triangle counts twice
     weight = {ij: w if ij[0] == ij[1] else 2 * w for ij, w in dg.items()}
-    for num, (f, rhs) in enumerate(sdp.constraints(inst), start=1):
+    for num, (f, den, rhs) in enumerate(sdp.constraints(inst), start=1):
         dot = 0
-        for i, j, v in f:
+        for i, j, p in f:
             w = weight.get((i, j))
             if w is not None:
-                dot += v * w
-        if dot != d * rhs:
+                dot += p * w
+        if dot != d * den * rhs:
             raise ValueError(f"the ball center violates constraint F_{num}")
     return CertifiedBall(
         center=g,
@@ -400,19 +422,9 @@ def _traceless_basis(n: int) -> np.ndarray:
 
 def build_chart(inst: SdpInstance) -> AffineChart:
     """The closed-form chart of the d = n^2 dimensional equality-feasible
-    subspace: the traceless basis over sigma = sqrt(2 (1 + c^2))."""
-    n = inst.n
-    m = n * n - 1
-    sigma = math.sqrt(2.0 * (1 + inst.frob_ceiling**2))
-    x_map = np.zeros((m + 1, 2 * n * n))
-    x_map[:m] = _traceless_basis(n).reshape(m, n * n).view(float) / sigma
-    return AffineChart(
-        inst=inst,
-        x_origin=np.eye(n, dtype=complex).ravel().view(float) / n,
-        x_map=x_map,
-        pencil_grad=x_map @ inst.pencil_flat.T,
-        sigma=sigma,
-    )
+    subspace: the traceless basis over sigma = sqrt(2 (1 + c^2)), whose
+    dense maps `AffineChart` builds on first use."""
+    return AffineChart(inst=inst, sigma=math.sqrt(2.0 * (1 + inst.frob_ceiling**2)))
 
 
 def separation_oracle(chart: AffineChart, u: np.ndarray, best_value: float) -> Cut:

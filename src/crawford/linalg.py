@@ -97,12 +97,6 @@ def _coerce(x) -> GaussianRational:
     raise TypeError(f"cannot coerce {x!r} to a Gaussian rational")
 
 
-def _exact(p: int, den: int):
-    """p / den exactly: an int when den divides p, else a Fraction."""
-    q, r = divmod(p, den)
-    return Fraction(p, den) if r else q
-
-
 def _combine(op, xs: tuple, ys: tuple) -> tuple:
     """Entrywise op of two row-major tuples of int rows."""
     return tuple(tuple(map(op, rx, ry)) for rx, ry in zip(xs, ys))
@@ -293,21 +287,19 @@ def hermitian_split(c: ComplexMatrix) -> HermitianPencil:
 
 
 def hat_upper(h: ComplexMatrix) -> list:
-    """The nonzero upper-triangle entries (i, j, v), i <= j, of the real
+    """The nonzero upper-triangle entries (i, j, p), i <= j, of the real
     symmetric embedding [[Re H, -Im H], [Im H, Re H]] of a Hermitian
-    n x n H, as a list row by row; v is exact, an int when integral and
-    else a Fraction.  The one writer of the hat layout: `hat_embed` and
-    the SDP constraints read it."""
-    n, d = h.n, h.den
-    re = [
-        [(j, _exact(p, d)) for j, p in enumerate(row[i:], i) if p] for i, row in enumerate(h.re)
-    ]
+    n x n H, as a list row by row; p is an int numerator over h.den, so
+    the entry is p / h.den.  The one writer of the hat layout: `hat_embed`
+    and the SDP constraints read it."""
+    n = h.n
+    re = [[(j, p) for j, p in enumerate(row[i:], i) if p] for i, row in enumerate(h.re)]
     out = []
     for i, row in enumerate(h.im):
-        out += [(i, j, v) for j, v in re[i]]
-        out += [(i, n + j, _exact(-q, d)) for j, q in enumerate(row) if q]
+        out += [(i, j, p) for j, p in re[i]]
+        out += [(i, n + j, -q) for j, q in enumerate(row) if q]
     for i in range(n):
-        out += [(n + i, n + j, v) for j, v in re[i]]
+        out += [(n + i, n + j, p) for j, p in re[i]]
     return out
 
 
@@ -321,8 +313,8 @@ def hat_embed(h: ComplexMatrix) -> np.ndarray:
     if not h.is_hermitian():
         raise ValueError("hat embedding is defined for Hermitian input")
     out = np.full((2 * h.n, 2 * h.n), Fraction(0), dtype=object)
-    for i, j, v in hat_upper(h):
-        out[i, j] = out[j, i] = Fraction(v)
+    for i, j, p in hat_upper(h):
+        out[i, j] = out[j, i] = Fraction(p, h.den)
     return out
 
 

@@ -21,13 +21,16 @@ Each kind of object has one representation:
                       ball center G (`ball_center`) are `Sparse` lists of
                       upper-triangle (i, j, v) entries, written here
                       and read by the SDPA export and the ball certificate;
+                      a constraint row holds int numerators over one row
+                      denominator;
   float points        Z(X, r) (`assemble_feasible_point`) is a dense
                       (2n+3) x (2n+3) array.
 
 Construction is exact: it reads A and B off their Gaussian-integer
-numerators (`linalg.ComplexMatrix`), and every entry is an int, or a
-Fraction where it is not integral; floats appear only in exported files
-and in the solver-facing views.
+numerators (`linalg.ComplexMatrix`), so every constraint entry is an int
+over its row's denominator, a.den for F_{N+1}, b.den for F_{N+2} and 1
+for every other row; floats appear only in exported files and in the
+solver-facing views.
 """
 
 from __future__ import annotations
@@ -52,10 +55,14 @@ def _block_position(n: int, i: int) -> Tuple[int, int]:
     return 3, 0
 
 
-# One constraint matrix: upper-triangle entries (i, j, v), i <= j, of a
+# One sparse matrix: upper-triangle entries (i, j, v), i <= j, of a
 # symmetric (2n+3) x (2n+3) matrix with v at (i, j) and (j, i); v is an
 # int or a Fraction.
 Sparse = Tuple[Tuple[int, int, object], ...]
+
+# One constraint <F, Z> = b as (entries, den, b): F is the Sparse matrix of
+# int numerators `entries` over the positive int den.
+Row = Tuple[Sparse, int, int]
 
 
 def annihilators(n: int) -> List[Sparse]:
@@ -141,16 +148,21 @@ def objective(n: int) -> Sparse:
     return ((k, k, Fraction(1, 2)), (k + 1, k + 1, Fraction(1, 2)))
 
 
-def constraints(inst: SdpInstance) -> List[Tuple[Sparse, int]]:
-    """F_1 .. F_{N+4} with their b: the annihilators, then the four
-    constraints of the module docstring, whose big blocks are -Ahat, -Bhat
-    and I_{2n}."""
+def constraints(inst: SdpInstance) -> List[Row]:
+    """F_1 .. F_{N+4} as (entries, den, b) rows: the annihilators, then the
+    four constraints of the module docstring, whose big blocks are -Ahat
+    over a.den, -Bhat over b.den and I_{2n}."""
     k = 2 * inst.n
-    return [(f, 0) for f in annihilators(inst.n)] + [
-        (tuple(hat_upper(-inst.a) + [(k, k, 1), (k + 1, k + 1, -1)]), 0),
-        (tuple(hat_upper(-inst.b) + [(k, k + 1, 1)]), 0),
-        (tuple((i, i, 1) for i in range(k)), 2),
-        (((k, k, 1), (k + 1, k + 1, 1), (k + 2, k + 2, 2)), 2 * (inst.frob_ceiling + 2)),
+    da, db = inst.a.den, inst.b.den
+
+    def minus_hat(h):
+        return [(i, j, -p) for i, j, p in hat_upper(h)]
+
+    return [(f, 1, 0) for f in annihilators(inst.n)] + [
+        (tuple(minus_hat(inst.a) + [(k, k, da), (k + 1, k + 1, -da)]), da, 0),
+        (tuple(minus_hat(inst.b) + [(k, k + 1, db)]), db, 0),
+        (tuple((i, i, 1) for i in range(k)), 1, 2),
+        (((k, k, 1), (k + 1, k + 1, 1), (k + 2, k + 2, 2)), 1, 2 * (inst.frob_ceiling + 2)),
     ]
 
 
@@ -191,19 +203,22 @@ def export_sdpa(inst: SdpInstance, path) -> List[int]:
     """
     n = inst.n
     cons = constraints(inst)
-    lines = [str(len(cons)), "3", f"{2 * n} 2 1", " ".join(_fmt(b) for _, b in cons)]
-    for matno, f in enumerate([objective(n)] + [f for f, _ in cons]):
-        for i, j, v in f:
+    lines = [str(len(cons)), "3", f"{2 * n} 2 1", " ".join(_fmt(b) for *_, b in cons)]
+    # a constraint entry p / den is int true division, correctly rounded:
+    # the float64 value of the exact entry
+    mats = [(objective(n), 1)] + [(f, den) for f, den, _ in cons]
+    for matno, (f, den) in enumerate(mats):
+        for i, j, p in f:
             (bi, li), (bj, lj) = _block_position(n, i), _block_position(n, j)
             if bi == bj:
-                lines.append(f"{matno} {bi} {li + 1} {lj + 1} {_fmt(v)}")
+                lines.append(f"{matno} {bi} {li + 1} {lj + 1} {_fmt(p / den)}")
     data = "\n".join(lines) + "\n"
     try:
         with open(path, "w", newline="\n") as fh:
             fh.write(data)
     except OSError as e:
         raise OSError(f"cannot write SDPA file {path}: {e}") from e
-    return [b for _, b in cons]
+    return [b for *_, b in cons]
 
 
 @dataclass(frozen=True)

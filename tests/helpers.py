@@ -73,6 +73,12 @@ def densify(entries, m, dtype=float):
     return out
 
 
+def exact_entries(f, den):
+    """A constraint row's entries (i, j, p) over its denominator den as
+    exact values: (i, j, Fraction(p, den))."""
+    return [(i, j, Fraction(p, den)) for i, j, p in f]
+
+
 def blocks(z):
     """The diagonal blocks (Y, [[u, v], [v, w]], t) of a (2n+3) x (2n+3)
     Z with block sizes (2n, 2, 1)."""
@@ -82,11 +88,14 @@ def blocks(z):
 
 def dense_constraints(inst):
     """(F_i, b_i) for i = 1..N+4 of `sdp.constraints` as full float
-    matrices."""
+    matrices, each entry its numerator over the row's denominator."""
     from crawford.sdp import constraints
 
     m = inst.ambient_dim
-    return [(densify(f, m), float(b)) for f, b in constraints(inst)]
+    return [
+        (densify(((i, j, p / den) for i, j, p in f), m), float(b))
+        for f, den, b in constraints(inst)
+    ]
 
 
 def chart_jacobian(chart):

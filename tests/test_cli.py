@@ -622,10 +622,11 @@ class TestCmdVerify:
 
     def test_one_set_up_and_one_chart_per_solve(self, tmp_path, capsys, monkeypatch):
         # verify solves three queries (the given one, its rotation and its
-        # triple), and its inner-ball check reads the first one's ball
+        # triple), and its inner-ball check reads the first one's ball: the
+        # one dense chart map, built from the traceless basis, that it needs
         from crawford import ellipsoid, sdp
 
-        calls = {"build_instance": 0, "build_chart": 0}
+        calls = {"build_instance": 0, "build_chart": 0, "_traceless_basis": 0}
 
         def count(module, name):
             fn = getattr(module, name)
@@ -638,12 +639,13 @@ class TestCmdVerify:
 
         count(sdp, "build_instance")
         count(ellipsoid, "build_chart")
+        count(ellipsoid, "_traceless_basis")
         p = write_matrix(tmp_path / "c.json", EXAMPLE_TILDE)
         code = main(["verify", p, "--center=-3-i", "--eps", "1e-4"])
         out = capsys.readouterr().out
         assert code == 0, out
         assert "inner_ball: PASS" in out
-        assert calls == {"build_instance": 3, "build_chart": 3}
+        assert calls == {"build_instance": 3, "build_chart": 3, "_traceless_basis": 1}
 
     def test_seeded_random_passes(self, tmp_path, capsys):
         import numpy as np

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from crawford import ellipsoid, sdp
-from crawford.api import sdp_instance
+from crawford.api import CrawfordQuery, crawford, sdp_instance
 from crawford.ellipsoid import (
     EllipsoidCapExceeded,
     _shrink,
@@ -99,8 +99,8 @@ class TestCertifiedBall:
     def test_shifted_tail_rhs_rejected(self, k, monkeypatch):
         inst, _ = make(EXAMPLE)
         cons = sdp.constraints(inst)
-        f, b = cons[inst.N + k]
-        cons[inst.N + k] = (f, b + Fraction(1, inst.n))
+        f, den, b = cons[inst.N + k]
+        cons[inst.N + k] = (f, den, b + Fraction(1, inst.n))
         monkeypatch.setattr(sdp, "constraints", lambda _: cons)
         with pytest.raises(ValueError, match=rf"violates constraint F_{inst.N + k + 1}$"):
             certified_ball(inst, EXAMPLE)
@@ -111,10 +111,11 @@ class TestCertifiedBall:
         with pytest.raises(ValueError, match="not built from this matrix"):
             certified_ball(changed_a(inst, {(1, 1): 1}), EXAMPLE)
         cons = sdp.constraints(inst)
-        f, b = cons[inst.N]
-        (i, j, v), rest = f[0], f[1:]
+        f, den, b = cons[inst.N]
+        (i, j, p), rest = f[0], f[1:]
         assert (i, j) == (0, 0)
-        cons[inst.N] = (((0, 0, v - 1),) + rest, b)
+        # the entry p / den lowered by 1
+        cons[inst.N] = (((0, 0, p - den),) + rest, den, b)
         monkeypatch.setattr(sdp, "constraints", lambda _: cons)
         with pytest.raises(ValueError, match=rf"violates constraint F_{inst.N + 1}$"):
             certified_ball(inst, EXAMPLE)
@@ -139,8 +140,8 @@ class TestCertifiedBall:
         inst, _ = make(EXAMPLE)
         n = inst.n
         cons = sdp.constraints(inst)
-        num = cons.index((((0, 0, 1), (n, n, -1)), 0))
-        cons[num] = (((0, 0, 1), (n, n, 1)), 0)
+        num = cons.index((((0, 0, 1), (n, n, -1)), 1, 0))
+        cons[num] = (((0, 0, 1), (n, n, 1)), 1, 0)
         monkeypatch.setattr(sdp, "constraints", lambda _: cons)
         with pytest.raises(ValueError, match=rf"violates constraint F_{num + 1}$"):
             certified_ball(inst, EXAMPLE)
@@ -729,12 +730,45 @@ class TestEllipsoidAlone:
         lo, hi = chi_bracket(mat)
         monkeypatch.setattr(ellipsoid, "_ASCENT_STEPS", 0)
         inst, ball = make(mat)
+        assert "x_map" not in ball.chart.__dict__
         res = solve(ball, 1e-4)
+        # the loop built the chart's dense map on its first step
+        assert "x_map" in ball.chart.__dict__
         assert res.lower_bound <= hi + 1e-9 and lo <= res.value + 1e-9
         assert res.certified_gap <= 1e-4
         assert 1 < res.iterations <= res.cap
         assert res.closed_by == "feasible"
         assert res.dual_solves == 0 and res.lower_bound_dual is None
+
+
+class TestLazyChart:
+    """The chart's dense maps are built on first use, so a solve that the
+    ascent closes builds none of them."""
+
+    def test_ascent_closed_solve_builds_no_dense_map(self):
+        c = random_gaussian_integer(np.random.default_rng(701), 4, -3, 3)
+        res = crawford(CrawfordQuery(matrix=c, center=outside_centre(c, 0.7, 2.0), epsilon=1e-4))
+        assert res.solver_stats["iterations"] == 1
+        assert res.solver_stats["closed_by"] == "dual"
+        built = res.ball.chart.__dict__
+        assert not {"x_origin", "x_map", "pencil_grad", "initial_shape"} & built.keys()
+
+    def test_first_use_builds_the_traceless_basis_once(self, monkeypatch):
+        calls = []
+        basis = ellipsoid._traceless_basis
+
+        def counted(n):
+            calls.append(n)
+            return basis(n)
+
+        monkeypatch.setattr(ellipsoid, "_traceless_basis", counted)
+        inst, ball = make(EXAMPLE)
+        chart = ball.chart
+        assert calls == [] and chart.dim == 4
+        x_map = chart.x_map
+        assert calls == [2] and x_map.shape == (4, 8) and not x_map[-1].any()
+        assert chart.point(np.ones(4)).shape == (inst.ambient_dim,) * 2
+        assert chart.x_map is x_map and calls == [2]
 
 
 class TestRepair:

@@ -1,14 +1,13 @@
 import math
 import random
 from fractions import Fraction
-from numbers import Rational
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from crawford.api import sdp_instance
+from crawford.api import scaled_instance, sdp_instance
 from crawford.cli import load_matrix, save_matrix
 from crawford.ellipsoid import certified_ball
 from crawford.linalg import (
@@ -25,6 +24,7 @@ from helpers import (
     EXAMPLE,
     EXAMPLE_TILDE,
     densify,
+    exact_entries,
     gr,
     random_gaussian_integer,
 )
@@ -140,11 +140,13 @@ class TestExactSetupMatchesReference:
             inst = build_instance(pen, k)
             cons = constraints(inst)
             size, h = inst.ambient_dim, 2 * m.n
-            tails = [densify(f, size, object) for f, _ in cons[inst.N :]]
-            assert np.array_equal(tails[0][:h, :h], -reference_hat(a_ref))
-            assert np.array_equal(tails[1][:h, :h], -reference_hat(b_ref))
-            assert all(isinstance(v, Rational) for f, _ in cons for _, _, v in f)
-            assert [b for _, b in cons[inst.N :]] == [0, 0, 2, 2 * (k + 2)]
+            # each row is int numerators over its denominator
+            assert all(type(p) is int for f, _, _ in cons for _, _, p in f)
+            assert [den for _, den, _ in cons] == [1] * inst.N + [pen.a.den, pen.b.den, 1, 1]
+            exact = [densify(exact_entries(f, den), size, object) for f, den, _ in cons]
+            assert np.array_equal(exact[inst.N][:h, :h], -reference_hat(a_ref))
+            assert np.array_equal(exact[inst.N + 1][:h, :h], -reference_hat(b_ref))
+            assert [b for *_, b in cons[inst.N :]] == [0, 0, 2, 2 * (k + 2)]
             ball = certified_ball(inst, m)
             tr = sum((m[i, i] for i in range(m.n)), GaussianRational(0))
             x, y = tr.re / m.n, tr.im / m.n
@@ -153,8 +155,37 @@ class TestExactSetupMatchesReference:
                 g[h : h + 2, h : h + 2],
                 np.array([[k + 1 + x, y], [y, k + 1 - x]], dtype=object),
             )
-            for f, b in cons:
-                assert (densify(f, size, object) * g).sum() == b
+            for f, (_, _, b) in zip(exact, cons):
+                assert (f * g).sum() == b
+
+
+class TestIntegerRows:
+    """Every row of `sdp.constraints` is int numerators over one row
+    denominator, and divided by it equals the Fraction reference built
+    from `hat_embed`, entry for entry and in the same order."""
+
+    @pytest.mark.parametrize("form", [scaled_instance, sdp_instance])
+    @settings(max_examples=40, deadline=None)
+    @given(c=coprime_matrices)
+    def test_rows_equal_the_fraction_reference(self, form, c):
+        assume(not c.is_zero())
+        inst = form(c)[0]
+        k = 2 * inst.n
+
+        def negated_upper(h):
+            # the nonzero upper triangle, row by row: hat_upper's order
+            return [(i, j, -h[i, j]) for i in range(k) for j in range(i, k) if h[i, j]]
+
+        want = [(list(f), 0) for f in annihilators(inst.n)] + [
+            (negated_upper(hat_embed(inst.a)) + [(k, k, 1), (k + 1, k + 1, -1)], 0),
+            (negated_upper(hat_embed(inst.b)) + [(k, k + 1, 1)], 0),
+            ([(i, i, 1) for i in range(k)], 2),
+            ([(k, k, 1), (k + 1, k + 1, 1), (k + 2, k + 2, 2)], 2 * (inst.frob_ceiling + 2)),
+        ]
+        cons = constraints(inst)
+        assert [den for _, den, _ in cons] == [1] * inst.N + [inst.a.den, inst.b.den, 1, 1]
+        assert all(type(p) is int for f, _, _ in cons for _, _, p in f)
+        assert [(exact_entries(f, den), b) for f, den, b in cons] == want
 
 
 class TestHatEmbed:
@@ -357,7 +388,7 @@ class TestIntegerSetupMatchesFractionReference:
                 ([(i, i, 1) for i in range(k)], 2),
                 ([(k, k, 1), (k + 1, k + 1, 1), (k + 2, k + 2, 2)], 2 * (ceiling_ref + 2)),
             ]
-            assert [(list(f), b) for f, b in cons] == [
+            assert [(exact_entries(f, den), b) for f, den, b in cons] == [
                 (list(f), 0) for f in annihilators(n)
             ] + want_tails
 

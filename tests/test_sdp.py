@@ -21,6 +21,7 @@ from helpers import (
     blocks,
     dense_constraints,
     densify,
+    exact_entries,
     gr,
     random_density,
     random_hermitian_gaussian_integer,
@@ -149,9 +150,9 @@ class TestBuildInstance:
         assert inst.block_sizes == (4, 2, 1)
         cons = constraints(inst)
         assert len(cons) == inst.m
-        assert [f for f, _ in cons[: inst.N]] == annihilators(2)
-        assert all(b == 0 for _, b in cons[: inst.N])
-        tails = [(densify(f, 7, object), b) for f, b in cons[inst.N :]]
+        assert [f for f, _, _ in cons[: inst.N]] == annihilators(2)
+        assert all(den == 1 and b == 0 for _, den, b in cons[: inst.N])
+        tails = [(densify(exact_entries(f, den), 7, object), b) for f, den, b in cons[inst.N :]]
         assert len(tails) == 4
         f1, b1 = tails[0]
         assert np.array_equal(f1[:4, :4], -hat_embed(inst.a))
@@ -289,7 +290,7 @@ class TestExportSdpa:
         inst = example_instance()
         path = tmp_path / "b.dat-s"
         b = export_sdpa(inst, path)
-        assert b == [b for _, b in constraints(inst)]
+        assert b == [b for *_, b in constraints(inst)]
         assert np.array_equal(read_sdpa(path).b, [float(v) for v in b])
 
 
