@@ -73,9 +73,12 @@ def scaled_instance(t: ComplexMatrix):
     = 2^k the least power of two with s^2 >= ||t||_F^2, so ||t/s||_F <= 1:
     (instance, t/s, s).  Its optimum is chi(0, t)/s.  k starts from the
     bit lengths of the exact squared norm num/den and is settled by
-    checking 4^k den >= num in integers."""
+    checking 4^k den >= num in integers.  The zero matrix has no least
+    such s: ValueError."""
     q = t.frobenius_sq()
     num, den = q.numerator, q.denominator
+    if num == 0:
+        raise ValueError("zero matrix: chi is 0, no instance to build")
 
     def covers(k):
         return (den << 2 * k) >= num if k >= 0 else den >= (num << -2 * k)

@@ -164,8 +164,9 @@ cut {x : g.(x - z) <= -depth} (Bland, Goldfarb & Todd, Oper. Res. 29(6),
                whichever is lower, when either is violated, and X's
                eigenvector cut, the only one that needs eigh(X), only
                when both hold,
-  objective    the level set obj <= best_cert, depth = obj(z) - best_cert
-               (0 on an improving step, a central cut).
+  objective    at a PSD-feasible centre, the level set obj <= best_cert,
+               depth = max(0, obj(z) - best_cert) (0 on an improving
+               step, a central cut).
 
 Neither discards a feasible point with objective below best_cert, so
 every optimum stays in E.  When a cut leaves nothing of E
@@ -323,7 +324,7 @@ class Cut:
     """The halfspace {x : normal.(x - z) <= -depth} that keeps every
     feasible chart point with objective below the current best_cert."""
 
-    kind: str                           # feasible_improving | feasibility | objective
+    kind: str                           # feasibility | objective (PSD-feasible)
     normal: np.ndarray                  # chart coordinates
     min_eig: float                      # least eigenvalue of the block cut on
     objective: float
@@ -428,10 +429,10 @@ def build_chart(inst: SdpInstance) -> AffineChart:
 
 
 def separation_oracle(chart: AffineChart, u: np.ndarray, best_value: float) -> Cut:
-    """Classify the chart point u, Z = Z(X, r): PSD and improving, PSD but
-    not improving (objective cut along the gradient of r at depth
-    r - best_value), or not PSD (cut along the gradient of a violated
-    block's v'Zv at depth -lambda_min - tol).  PSD tolerance is
+    """Classify the chart point u, Z = Z(X, r): PSD (objective cut along
+    the gradient of r at depth max(0, r - best_value), a central cut when
+    r improves on best_value), or not PSD (cut along the gradient of a
+    violated block's v'Zv at depth -lambda_min - tol).  PSD tolerance is
     tol = 1e-9 (1 + ||Z||_F).
 
     X is read once, as its flat layout.  The 2x2 and scalar blocks come
@@ -487,13 +488,12 @@ def separation_oracle(chart: AffineChart, u: np.ndarray, best_value: float) -> C
             block="spectral",
         )
 
-    improving = r < best_value
     return Cut(
-        kind="feasible_improving" if improving else "objective",
+        kind="objective",
         normal=chart.objective_grad,
         min_eig=min(lam_x, lam_t, t),
         objective=r,
-        depth=0.0 if improving else r - best_value,
+        depth=max(0.0, r - best_value),
         spectrum=(wx, qx),
     )
 
@@ -576,9 +576,10 @@ def _shrink(z: np.ndarray, p_mat: np.ndarray, b: np.ndarray, alpha: float) -> No
     sigma = 2.0 * tau / (1.0 + alpha)
     step = tau * b
     z -= step
-    # sigma b, written over tau b
-    np.multiply(b, sigma, out=step)
-    p_mat -= step[:, None] * b
+    # sqrt(sigma) b on both sides, written over tau b: entries (i, j) and
+    # (j, i) multiply the same two floats, so P stays exactly symmetric
+    np.multiply(b, math.sqrt(sigma), out=step)
+    p_mat -= step[:, None] * step
     p_mat *= d * d * (1.0 - alpha * alpha) / (d * d - 1.0)
 
 
@@ -764,8 +765,6 @@ def solve(
             lb = best_cert
             return result(it)
         _shrink(z, p_mat, pg / root, alpha)
-        if it % 50 == 0:
-            p_mat = 0.5 * (p_mat + p_mat.T)
 
     raise EllipsoidCapExceeded(
         f"iteration cap {cap} exceeded (volume bound exhausted); "

@@ -304,6 +304,12 @@ class TestSetUp:
         assert s * s >= q > s * s / 4
         assert inst.frob_ceiling == 1
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_zero_matrix_has_no_scaled_instance(self, n):
+        # every power of two covers ||0||_F^2 = 0, so there is no least one
+        with pytest.raises(ValueError, match="zero matrix"):
+            scaled_instance(ComplexMatrix.zeros(n))
+
     def test_no_ball_on_the_oracle_route(self):
         res = run(EXAMPLE_TILDE, center=EXAMPLE_CENTER, method=Method.ORACLE_SWEEP)
         assert res.ball is None

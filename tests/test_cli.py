@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from crawford.cli import (
     MatrixParseError,
-    RunConfig,
     format_gaussian,
     load_matrix,
     main,
@@ -158,13 +157,32 @@ class TestMatrixFiles:
             load_matrix(p)
 
 
-class TestRunConfig:
-    def test_epsilon_window(self):
-        with pytest.raises(ValueError):
-            RunConfig(epsilon=0.0)
-        with pytest.raises(ValueError):
-            RunConfig(epsilon=1.0)
-        assert RunConfig(epsilon=0.5).epsilon == 0.5
+@pytest.mark.parametrize("command", ["chi", "verify", "export", "range"])
+class TestInputChecks:
+    """main checks eps before it dispatches and each command parses the
+    centre after it reads the matrix, so a bad eps outranks a missing file
+    and a missing file outranks a bad centre."""
+
+    @pytest.mark.parametrize("eps", ["0", "1"])
+    def test_epsilon_window(self, tmp_path, capsys, command, eps):
+        p = write_matrix(tmp_path / "c.json", IDENTITY2)
+        assert main([command, p, "--eps", eps]) == 2
+        assert "epsilon must lie in (0, 1)" in capsys.readouterr().err
+
+    def test_bad_center(self, tmp_path, capsys, command):
+        p = write_matrix(tmp_path / "c.json", IDENTITY2)
+        assert main([command, p, "--center", "nope"]) == 2
+        assert "cannot parse Gaussian rational 'nope'" in capsys.readouterr().err
+
+    def test_missing_file_before_bad_center(self, tmp_path, capsys, command):
+        absent = str(tmp_path / "absent.json")
+        assert main([command, absent, "--center", "nope"]) == 4
+        assert capsys.readouterr().err.startswith("io error: ")
+
+    def test_bad_eps_before_missing_file(self, tmp_path, capsys, command):
+        absent = str(tmp_path / "absent.json")
+        assert main([command, absent, "--eps", "0"]) == 2
+        assert "epsilon must lie in (0, 1)" in capsys.readouterr().err
 
 
 class TestCmdChi:

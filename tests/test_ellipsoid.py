@@ -317,7 +317,7 @@ class TestSeparationOracle:
         inst, ball = make(EXAMPLE)
         chart = build_chart(inst)
         cut = separation_oracle(chart, np.zeros(chart.dim), math.inf)
-        assert cut.kind == "feasible_improving"
+        assert cut.kind == "objective" and cut.depth == 0.0
         assert cut.min_eig >= 0.0
 
     def test_center_not_improving_gives_objective_cut(self):
@@ -434,7 +434,7 @@ class TestCheapBlocksFirst:
         chart = build_chart(inst)
         cut = separation_oracle(chart, np.zeros(chart.dim), math.inf)
         assert eigh_calls == [(inst.n, inst.n)]
-        assert cut.kind == "feasible_improving"
+        assert cut.kind == "objective" and cut.depth == 0.0
         assert cut.block is None and cut.spectrum is not None
 
 
@@ -739,6 +739,24 @@ class TestEllipsoidAlone:
         assert 1 < res.iterations <= res.cap
         assert res.closed_by == "feasible"
         assert res.dual_solves == 0 and res.lower_bound_dual is None
+
+    def test_shape_stays_exactly_symmetric(self, monkeypatch):
+        # the loop never re-symmetrizes P, so every update must keep it so
+        c = random_gaussian_integer(np.random.default_rng(700), 3, -3, 3)
+        mat = c.translate(gr(frobenius_ceiling(c) + 1))
+        shrink = ellipsoid._shrink
+        asymmetric = []
+
+        def spy(z, p_mat, b, alpha):
+            shrink(z, p_mat, b, alpha)
+            asymmetric.append(not np.array_equal(p_mat, p_mat.T))
+
+        monkeypatch.setattr(ellipsoid, "_ASCENT_STEPS", 0)
+        monkeypatch.setattr(ellipsoid, "_shrink", spy)
+        _, ball = make(mat)
+        res = solve(ball, 1e-4)
+        assert len(asymmetric) == res.iterations - 1 > 100
+        assert not any(asymmetric)
 
 
 class TestLazyChart:

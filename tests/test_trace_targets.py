@@ -1,8 +1,12 @@
 """perfbench's tracer patches program functions by module and attribute
 name, and a traced run fails on the first one that is gone.  This test
 resolves every target against the package on the test path, so a rename
-that breaks `perfbench/run.py --trace 1` fails here first."""
+that breaks `perfbench/run.py --trace 1` fails here first.  It also reads
+the benchmark's runner and its tests, without running them, and resolves
+every `crawford` name they use, so a deletion that would end a benchmark
+run as `run_failed` fails here instead."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -11,6 +15,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
+# the files that call the package, besides the tracer
+BENCH_CALLERS = [ROOT / "perfbench" / "child.py", ROOT / "perfbench" / "test_perfbench.py"]
 
 
 def _targets():
@@ -33,3 +39,74 @@ def test_trace_target_resolves(spec, attr):
     if cls:
         owner = getattr(owner, cls)
     assert callable(getattr(owner, attr))
+
+
+def _dotted(node):
+    """"a.b.c" for a chain of attributes on a name, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    return ".".join([node.id, *reversed(parts)])
+
+
+def _bench_names():
+    """Every crawford.* name the callers use, through `from crawford.m
+    import x` or an attribute chain on the package or on a name bound to
+    part of it (`self.cf = crawford`, `api = self.cf.api`)."""
+    names = set()
+    for path in BENCH_CALLERS:
+        tree = ast.parse(path.read_text(), str(path))
+        aliases = {"crawford": "crawford"}
+
+        def resolve(dotted):
+            for alias, target in aliases.items():
+                if dotted == alias or dotted.startswith(alias + "."):
+                    return target + dotted[len(alias):]
+            return None
+
+        assigns = [
+            (_dotted(n.targets[0]), _dotted(n.value))
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Assign) and len(n.targets) == 1
+        ]
+        grown = True
+        while grown:
+            grown = False
+            for target, value in assigns:
+                full = value and resolve(value)
+                if target and full and target not in aliases:
+                    aliases[target] = full
+                    grown = True
+        for n in ast.walk(tree):
+            if isinstance(n, ast.ImportFrom) and (n.module or "").startswith("crawford"):
+                names.update(f"{n.module}.{a.name}" for a in n.names)
+            elif isinstance(n, ast.Attribute) and (dotted := _dotted(n)):
+                full = resolve(dotted)
+                if full:
+                    names.add(full)
+    return sorted(names)
+
+
+def test_bench_scan_sees_the_calls():
+    assert {
+        "crawford.api.CrawfordQuery",
+        "crawford.api.crawford",
+        "crawford.linalg.GaussianRational",
+        "crawford.ellipsoid.EllipsoidCapExceeded",
+        "crawford.cli.main",
+        "crawford.cli.load_matrix",
+        "crawford.cli.parse_gaussian",
+        "crawford.sdp.read_sdpa",
+    } <= set(_bench_names())
+
+
+@pytest.mark.parametrize("name", _bench_names())
+def test_bench_name_resolves(name):
+    obj = importlib.import_module("crawford")
+    path = "crawford"
+    for part in name.split(".")[1:]:
+        path += "." + part
+        obj = getattr(obj, part) if hasattr(obj, part) else importlib.import_module(path)
