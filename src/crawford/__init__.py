@@ -37,10 +37,7 @@ from .linalg import (
     hat_upper,
     hermitian_split,
 )
-from .oracle import (
-    chi_oracle,
-    sample_boundary,
-)
+from .oracle import sample_boundary
 from .sdp import (
     SdpInstance,
     annihilators,
@@ -71,7 +68,6 @@ __all__ = [
     "build_chart",
     "build_instance",
     "certified_ball",
-    "chi_oracle",
     "clear_denominators",
     "constraints",
     "crawford",

@@ -4,6 +4,7 @@ search available as an independent method and cross-check."""
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import math
 import time
@@ -93,44 +94,41 @@ def scaled_instance(t: ComplexMatrix):
     return sdp.build_instance(hermitian_split(ts), 1), ts, s
 
 
+def in_caller_units(res: ellipsoid.SolveResult, s: float) -> ellipsoid.SolveResult:
+    """`res` of the instance C/s, with value, the bounds and best_cert's
+    falls multiplied by s, the scale of C.  For s a power of two each
+    product is exact in float."""
+    return dataclasses.replace(
+        res,
+        value=res.value * s,
+        lower_bound=res.lower_bound * s,
+        certified_gap=res.certified_gap * s,
+        lower_bound_dual=None if res.lower_bound_dual is None else res.lower_bound_dual * s,
+        falls=tuple(f * s for f in res.falls),
+    )
+
+
 def crawford(query: CrawfordQuery) -> CrawfordResult:
     """Compute chi(center, C) to within epsilon.
 
     SDP path: build the exact instance for the translate over s, the
     least power of two with s >= ||C - cI||_F (`scaled_instance`, ceiling
     1), solve it with the ellipsoid method at accuracy epsilon/s, and
-    multiply the value, the bounds and the nearest point by s, which is
-    exact in float.  The solved instance, and so the iteration cap, is
-    the same for C and 2^j C.  scale_factor is s, an exact Fraction that
-    may be below 1.  Oracle path: certified support search at
-    delta = epsilon.
-    BOTH runs the two and reports the SDP value, with the oracle value
-    and discrepancy in solver_stats.
+    multiply the value, the bounds and the nearest point by s
+    (`in_caller_units`).  The solved instance, and so the iteration cap,
+    is the same for C and 2^j C.  scale_factor is s, an exact Fraction
+    that may be below 1.  solver_stats holds every `ellipsoid.SolveResult`
+    field but value and X, whose comments define them, and outer_R,
+    epsilon_solver (epsilon/s), scale_factor and the perf_counter phase
+    timings in seconds: setup_s (translation through the certified ball
+    and its chart) and solve_s (the ascent and, if it leaves a gap, the
+    ellipsoid loop).  An `EllipsoidCapExceeded` is raised again in the
+    same units, quoting epsilon and s.
 
-    solver_stats carries perf_counter phase timings in seconds: setup_s
-    (translation through the certified ball and its chart) and solve_s
-    (the ascent and, if it leaves a gap, the ellipsoid loop) on the SDP
-    route, oracle_s (the support search
-    and witness) on the oracle route; BOTH carries all three.  The SDP
-    route also counts its feasibility cuts by block: cuts_spectral (on
-    X), cuts_modulus (the 2x2 block) and cuts_ceiling (the scalar), whose
-    sum is cuts_feasibility; cuts_modulus + cuts_ceiling steps took no
-    spectrum of X.  lower_bound is the solver's certified lb times s: the
-    larger of the objective's minimum over the ellipsoid and the dual
-    bound lambda_min(cos t A + sin t B) at each eigen-solve of the one
-    ascent on t, from t = arg w of the first certificate, the density I/n
-    of the strictly feasible centre G (w = tr(C - cI) / n over s), both capped by the
-    best certificate.  The ascent takes a Newton step where Newton's
-    model holds (lambda_min rose and is simple) and a Wolfe step on the
-    support points its eigenvectors gave elsewhere: at lambda_min <= 0,
-    at an overshoot or at a kink.  lower_bound_dual is the best dual
-    bound over its solves, times s, None only when tr(C - cI) = 0, which makes
-    the first certificate 0.  certs_dual counts the falls of the best
-    certificate to the rank-one density vv* of a Newton step's least
-    eigenvector v, or to a Wolfe step's point of the hull of I/n and such
-    vv* nearest 0.  dual_solves counts the pencil eigen-solves, of Newton
-    and of Wolfe steps, and closed_by names the kind of certificate that
-    holds the final value: feasible (I/n or a repaired center) or dual.
+    Oracle path: certified support search at delta = epsilon, with its
+    evaluations, theta and oracle_s.  BOTH runs the two and reports the
+    SDP value and stats, with oracle_value, oracle_theta, discrepancy and
+    oracle_s.
     """
     t_start = time.perf_counter()
     t_mat = query.matrix.translate(query.center)
@@ -170,34 +168,29 @@ def crawford(query: CrawfordQuery) -> CrawfordResult:
         if not 0.0 < eps_s < math.inf:
             k = scale.numerator.bit_length() - scale.denominator.bit_length()
             raise OverflowError(f"eps / s is {eps_s} at s = 2^{k}")
-        res = ellipsoid.solve(ball, eps_s)
+        try:
+            res = in_caller_units(ellipsoid.solve(ball, eps_s), s)
+        except ellipsoid.EllipsoidCapExceeded as e:
+            raise ellipsoid.EllipsoidCapExceeded(
+                f"{e.reason} at eps={eps:g}, s = {scale}; eps is likely below "
+                "float64 resolution for this input",
+                in_caller_units(e.result, s),
+            ) from None
         t_solve = time.perf_counter()
-        chi_val = res.value * s
+        chi_val = res.value
         nearest = complex(*inst.pencil_values(res.X)) * s
         witness = res.X
+        stats = {
+            f.name: getattr(res, f.name)
+            for f in dataclasses.fields(res)
+            if f.name not in ("value", "X")
+        }
         stats.update(
-            iterations=res.iterations,
-            iteration_cap=res.cap,
-            cuts_feasibility=res.cuts_feasibility,
-            cuts_objective=res.cuts_objective,
-            lower_bound=res.lower_bound * s,
-            certified_gap=res.certified_gap * s,
-            max_feasible_distance=res.max_feasible_distance,
             outer_R=float(ball.outer_R),
             epsilon_solver=eps_s,
             scale_factor=scale,
             setup_s=t_setup - t_start,
             solve_s=t_solve - t_setup,
-            cuts_spectral=res.cuts_spectral,
-            cuts_modulus=res.cuts_modulus,
-            cuts_ceiling=res.cuts_ceiling,
-            lower_bound_dual=(
-                None if res.lower_bound_dual is None
-                else res.lower_bound_dual * s
-            ),
-            certs_dual=res.certs_dual,
-            dual_solves=res.dual_solves,
-            closed_by=res.closed_by,
         )
 
     if query.method in (Method.ORACLE_SWEEP, Method.BOTH):

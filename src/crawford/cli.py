@@ -61,16 +61,6 @@ def parse_gaussian(s: str) -> GaussianRational:
     raise MatrixParseError(f"cannot parse Gaussian rational {s!r}")
 
 
-def format_gaussian(g: GaussianRational) -> str:
-    if g.im == 0:
-        return str(g.re)
-    if g.re == 0:
-        return f"{g.im}i"
-    if g.im > 0:
-        return f"{g.re}+{g.im}i"
-    return f"{g.re}-{-g.im}i"
-
-
 def load_matrix(path) -> ComplexMatrix:
     try:
         with open(path) as fh:
@@ -98,16 +88,6 @@ def load_matrix(path) -> ComplexMatrix:
         raise MatrixParseError(f"{path}: {e}") from e
 
 
-def save_matrix(c: ComplexMatrix, path) -> None:
-    doc = {
-        "n": c.n,
-        "entries": [[format_gaussian(x) for x in row] for row in c.entries],
-    }
-    with open(path, "w", newline="\n") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
-
-
 def _fmt_complex(z: complex) -> str:
     return f"{z.real:.10g} {'+' if z.imag >= 0 else '-'} {abs(z.imag):.10g}i"
 
@@ -128,19 +108,12 @@ def cmd_chi(args) -> int:
         doc = {
             "chi": result.chi,
             "z": [z.real, z.imag],
-            "iterations": int(stats.get("iterations", 0)),
             "method": result.method_used.value,
             "epsilon": args.eps,
+            **stats,
         }
-        for key in (
-            "lower_bound", "certified_gap", "setup_s", "solve_s", "oracle_s",
-            "cuts_spectral", "cuts_modulus", "cuts_ceiling",
-            "lower_bound_dual", "certs_dual",
-            "dual_solves", "closed_by",
-        ):
-            if key in stats:
-                doc[key] = stats[key]
-        print(json.dumps(doc))
+        # scale_factor, an exact Fraction, as its string "p" or "p/q"
+        print(json.dumps(doc, default=str))
         return 0
     print(f"chi = {result.chi:.10g}")
     if "short_circuit" in stats:

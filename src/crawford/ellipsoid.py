@@ -48,12 +48,12 @@ R-ball of `CertifiedBall.outer_R` holds the feasible set too, but with
 radius 12 + 4c in every direction.
 
 Iteration cap: each step shrinks the volume of E by at least
-exp(-1/(2(d + 1))).  At c = 1 the objective ranges over at most
-2 + 1/(n sqrt(3)) <= 3 on the inner ball, so shrinking that ball toward
-an optimum by min(1, eps/3) leaves a ball of near-optimal feasible
-points, which E keeps while the gap is open, and the run ends within
+exp(-1/(2(d + 1))).  The objective r ranges over [0, c + 2] on the
+feasible set, so shrinking the inner ball toward an optimum by
+min(1, eps/(c + 2)) leaves a ball of near-optimal feasible points, which
+E keeps while the gap is open, and the run ends within
 
-  cap = ceil(2 (d + 1) (1/2 ln det P_0 + d ln(n max(1, 3/eps)))) + 64
+  cap = ceil(2 (d + 1) (1/2 ln det P_0 + d ln(n max(1, (c + 2)/eps)))) + 64
 
 steps (Bland, Goldfarb & Todd, Oper. Res. 29(6), 1981).  Both terms are
 nonnegative, so the cap is at least 64 at every eps.
@@ -148,7 +148,7 @@ r = |sum lambda_i w(X_i)|.
              `pencil_values`, never off lambda_min or the planar
              arithmetic.
 
-`solve`'s `record` collects best_cert at each fall, of either kind: G's
+`SolveResult.falls` holds best_cert at each fall, of either kind: G's
 first, then the ascent's dual falls, then the loop's feasible ones.
 
 Each step keeps the part of the ellipsoid E on the far side of a deep
@@ -211,18 +211,23 @@ class ChartError(RuntimeError):
 
 class EllipsoidCapExceeded(RuntimeError):
     """The run ended before the certified gap closed: the iteration cap
-    was hit, or the ellipsoid degenerated.
+    was hit, or the ellipsoid degenerated; usually the requested epsilon
+    is below what float64 can certify here.
 
-    Carries best_cert, the best certified value (at most G's |tr C| / n),
-    the lower bound and the iteration; usually means the requested
-    epsilon is below what float64 can certify here.
+    `result` is the run's `SolveResult` so far: best_cert, at most G's
+    |tr C| / n, as its value, with its lower bound and iteration.
     """
 
-    def __init__(self, message, best, lower_bound, iterations):
-        super().__init__(message)
-        self.best = best
-        self.lower_bound = lower_bound
-        self.iterations = iterations
+    def __init__(self, reason: str, result: SolveResult):
+        super().__init__(
+            f"{reason}; best {result.value:.9g}, "
+            f"certified lower bound {result.lower_bound:.9g}"
+        )
+        self.reason = reason
+        self.result = result
+        self.best = result.value
+        self.lower_bound = result.lower_bound
+        self.iterations = result.iterations
 
 
 @dataclass(frozen=True)
@@ -335,22 +340,29 @@ class Cut:
 
 @dataclass(frozen=True)
 class SolveResult:
-    value: float
-    X: np.ndarray                       # density matrix, the witness
-    iterations: int
-    cap: int                            # iteration cap of the volume bound
+    """One solve's certified bracket lower_bound <= optimum <= value and
+    how it was reached, in the units of the solved instance.  The field
+    comments are the definitions; `api.crawford` reports every field but
+    value and X in `solver_stats`, with the bounds times s."""
+
+    value: float                        # best_cert, an upper bound on the optimum
+    X: np.ndarray                       # best_cert's density matrix, the witness
+    iterations: int                     # centres visited, G first; 1 if the ascent closes
+    iteration_cap: int                  # the volume bound on the steps (module docstring)
     cuts_feasibility: int               # cuts_spectral + cuts_modulus + cuts_ceiling
-    cuts_objective: int
+    cuts_objective: int                 # cuts at PSD-feasible centres
     cuts_spectral: int                  # on X, after its spectrum
     cuts_modulus: int                   # on the 2x2 block, no spectrum taken
     cuts_ceiling: int                   # on the scalar t, no spectrum taken
-    certified_gap: float
-    lower_bound: float
-    max_feasible_distance: float
-    lower_bound_dual: Optional[float]   # best lambda_min(cos t A + sin t B) taken
-    certs_dual: int                     # best_cert falls to a dual null vector
-    dual_solves: int                    # eigen-solves of cos t A + sin t B
+    certified_gap: float                # value - lower_bound
+    lower_bound: float                  # lb, a certified lower bound on the optimum
+    max_feasible_distance: float        # largest ||u|| of a PSD-feasible centre visited
+    lower_bound_dual: Optional[float]   # best lambda_min(cos t A + sin t B) taken;
+                                        # None when tr C = 0 makes best_cert 0 at G
+    certs_dual: int                     # best_cert falls to vv* or a Wolfe hull point
+    dual_solves: int                    # eigen-solves of cos t A + sin t B, both step kinds
     closed_by: str                      # feasible | dual: best_cert's kind
+    falls: tuple                        # best_cert at each fall, G's first, decreasing
 
 
 def certified_ball(inst: SdpInstance, c_matrix: ComplexMatrix) -> CertifiedBall:
@@ -583,11 +595,7 @@ def _shrink(z: np.ndarray, p_mat: np.ndarray, b: np.ndarray, alpha: float) -> No
     p_mat *= d * d * (1.0 - alpha * alpha) / (d * d - 1.0)
 
 
-def solve(
-    ball: CertifiedBall,
-    eps: float,
-    record: Optional[list] = None,
-) -> SolveResult:
+def solve(ball: CertifiedBall, eps: float) -> SolveResult:
     """Minimize <F_0, Z> over the ball's instance to certified accuracy eps.
 
     Deterministic.  The first certificate is G's density I/n, with w =
@@ -595,14 +603,9 @@ def solve(
     + sin t B): Newton steps where its model holds, and elsewhere Wolfe
     steps on the support points its eigenvectors give (see the module
     docstring).  When it leaves the gap open, the deep-cut loop runs from
-    G, whose feasible centres offer their repaired densities.  `record`,
-    if given, collects best_cert each time it falls, so its values
-    decrease.  `lower_bound_dual` is the best such lambda_min over the
-    eigen-solves taken, None only when tr C = 0, which makes best_cert 0
-    at G; `certs_dual` counts the falls to vv* or to a Wolfe step's hull
-    point, `dual_solves` the eigen-solves of both kinds of step, and
-    `closed_by` names the kind of certificate that holds the value:
-    feasible or dual.
+    G, whose feasible centres offer their repaired densities.  Raises
+    `EllipsoidCapExceeded`, with the result so far, when the gap is still
+    open at the cap or the ellipsoid degenerates.
     """
     if not (math.isfinite(eps) and eps > 0.0):
         raise ValueError("eps must be finite and positive")
@@ -610,11 +613,12 @@ def solve(
     inst = chart.inst
     n = chart.n
     d = chart.dim
-    # E keeps the inner ball shrunk toward an optimum by min(1, eps/3)
+    # E keeps the inner ball shrunk toward an optimum by min(1, eps/(c + 2))
+    spread = inst.frob_ceiling + 2.0
     cap = math.ceil(
         2 * (d + 1)
         * (0.5 * chart.initial_log_det
-           + d * math.log(max(1.0, 3.0 / eps) / float(ball.inner_r)))
+           + d * math.log(max(1.0, spread / eps) / float(ball.inner_r)))
     ) + 64
 
     # best_cert = |best_w|, w = <A,X> + i<B,X> of its density best_x
@@ -632,6 +636,7 @@ def solve(
     n_dual_solves = 0
     # the kind of certificate that holds best_cert
     closed_by = ""
+    falls = []
     max_dist = 0.0
 
     def fall(w, x, kind):
@@ -640,8 +645,7 @@ def solve(
         # lb may stand at a lambda_min that this certificate undercuts by
         # a few ulps of rounding
         lb = min(lb, best_cert)
-        if record is not None:
-            record.append(best_cert)
+        falls.append(best_cert)
 
     def pencil(c, s):
         # c A + s B, an n x n complex Hermitian matrix
@@ -652,7 +656,7 @@ def solve(
             value=best_cert,
             X=best_x,
             iterations=it,
-            cap=cap,
+            iteration_cap=cap,
             cuts_feasibility=sum(n_feas.values()),
             cuts_objective=n_obj,
             cuts_spectral=n_feas["spectral"],
@@ -665,6 +669,7 @@ def solve(
             certs_dual=n_certs_dual,
             dual_solves=n_dual_solves,
             closed_by=closed_by,
+            falls=tuple(falls),
         )
 
     # G = Z(I/n, c + 1) is strictly feasible (`certified_ball`), so I/n
@@ -753,9 +758,7 @@ def solve(
             n_obj += 1
         if not math.isfinite(gpg) or gpg <= 0.0:
             raise EllipsoidCapExceeded(
-                "ellipsoid degenerated (numerical breakdown); "
-                f"best {best_cert:.6g}, lower bound {lb:.6g}",
-                best_cert, lb, it,
+                "ellipsoid degenerated (numerical breakdown)", result(it)
             )
         root = math.sqrt(gpg)
         alpha = cut.depth / root
@@ -767,8 +770,5 @@ def solve(
         _shrink(z, p_mat, pg / root, alpha)
 
     raise EllipsoidCapExceeded(
-        f"iteration cap {cap} exceeded (volume bound exhausted); "
-        f"eps={eps:g} is likely below float64 resolution for this instance; "
-        f"best {best_cert:.9g}, certified lower bound {lb:.9g}",
-        best_cert, lb, cap,
+        f"iteration cap {cap} exceeded (volume bound exhausted)", result(cap)
     )

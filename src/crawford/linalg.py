@@ -166,11 +166,6 @@ class ComplexMatrix:
         return tuple(tuple(self[i, j] for j in range(n)) for i in range(n))
 
     @classmethod
-    def identity(cls, n: int) -> "ComplexMatrix":
-        eye = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-        return cls._of(eye, ((0,) * n,) * n, 1)
-
-    @classmethod
     def zeros(cls, n: int) -> "ComplexMatrix":
         return cls._of(((0,) * n,) * n, ((0,) * n,) * n, 1)
 
@@ -210,14 +205,6 @@ class ComplexMatrix:
 
     def __neg__(self) -> "ComplexMatrix":
         return ComplexMatrix._of(_negated(self.re), _negated(self.im), self.den)
-
-    def adjoint(self) -> "ComplexMatrix":
-        return ComplexMatrix._of(_transpose(self.re), _negated(_transpose(self.im)), self.den)
-
-    def denominator_lcm(self) -> int:
-        """lcm of the denominators of every entry's real and imaginary part:
-        the reduced `den`."""
-        return self.den
 
     def frobenius_sq(self) -> Fraction:
         """Sum of |entry|^2, exact: ||P + iQ||_F^2 over den^2."""

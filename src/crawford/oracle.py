@@ -79,11 +79,6 @@ def support_search(c: ComplexMatrix, delta: float) -> OracleSearch:
     return OracleSearch(chi=max(0.0, best), theta=theta, gmax=best, grid_size=evals)
 
 
-def chi_oracle(c: ComplexMatrix, delta: float) -> float:
-    """chi(C) to within delta, independently of the SDP route."""
-    return support_search(c, delta).chi
-
-
 def sample_boundary(c: ComplexMatrix, m: int):
     """m boundary points z_k = x_k* C x_k with x_k a top eigenvector of
     the support direction theta_k = 2 pi k / m.  Exact members of W(C);

@@ -125,10 +125,6 @@ class SdpInstance:
         return (2 * self.n, 2, 1)
 
     @property
-    def ambient_dim(self) -> int:
-        return 2 * self.n + 3
-
-    @property
     def m(self) -> int:
         return self.N + 4
 

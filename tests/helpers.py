@@ -1,6 +1,8 @@
 """Shared fixtures-in-spirit for the test suite: the reference 2x2
-example with known chi, and random matrix generators."""
+example with known chi, random matrix generators, and the matrix
+constructions and file writer that only tests need."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -40,8 +42,52 @@ IDENTITY2 = ComplexMatrix([[gr(1), gr(0)], [gr(0), gr(1)]])
 DIAG_PM = ComplexMatrix([[gr(1), gr(0)], [gr(0), gr(-1)]])
 
 
+def large(k):
+    """A 3 x 3 Gaussian-integer matrix with entries of order k, chi = 0.
+    The solver sees it over s ~ 9k, so it needs eps/s of about 1e-4/(9k)."""
+    return ComplexMatrix(
+        [
+            [gr(3 * k, -k), gr(2 * k, 7), gr(-5, k)],
+            [gr(k), gr(-4 * k, 2 * k), gr(1)],
+            [gr(0, -3 * k), gr(k, k), gr(2 * k, 5 * k)],
+        ]
+    )
+
+
 def identity(n):
-    return ComplexMatrix.identity(n)
+    return ComplexMatrix([[int(i == j) for j in range(n)] for i in range(n)])
+
+
+def adjoint(c: ComplexMatrix) -> ComplexMatrix:
+    """C*, the conjugate transpose."""
+    return ComplexMatrix([[x.conjugate() for x in col] for col in zip(*c.entries)])
+
+
+def ambient_dim(inst):
+    """2n + 3, the order of Z = diag(Y, [[u, v], [v, w]], t)."""
+    return sum(inst.block_sizes)
+
+
+def format_gaussian(g: GaussianRational) -> str:
+    """The matrix-file spelling of g, which `cli.parse_gaussian` reads."""
+    if g.im == 0:
+        return str(g.re)
+    if g.re == 0:
+        return f"{g.im}i"
+    if g.im > 0:
+        return f"{g.re}+{g.im}i"
+    return f"{g.re}-{-g.im}i"
+
+
+def save_matrix(c: ComplexMatrix, path) -> None:
+    """Write c as a matrix file that `cli.load_matrix` reads."""
+    doc = {
+        "n": c.n,
+        "entries": [[format_gaussian(x) for x in row] for row in c.entries],
+    }
+    with open(path, "w", newline="\n") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
 
 
 def random_gaussian_integer(rng, n, lo=-5, hi=5):
@@ -54,7 +100,7 @@ def random_gaussian_integer(rng, n, lo=-5, hi=5):
 
 def random_hermitian_gaussian_integer(rng, n, lo=-5, hi=5):
     c = random_gaussian_integer(rng, n, lo, hi)
-    return (c + c.adjoint()).scale(Fraction(1, 2))
+    return (c + adjoint(c)).scale(Fraction(1, 2))
 
 
 def random_density(rng, n):
@@ -91,7 +137,7 @@ def dense_constraints(inst):
     matrices, each entry its numerator over the row's denominator."""
     from crawford.sdp import constraints
 
-    m = inst.ambient_dim
+    m = ambient_dim(inst)
     return [
         (densify(((i, j, p / den) for i, j, p in f), m), float(b))
         for f, den, b in constraints(inst)

@@ -23,7 +23,6 @@ from crawford.linalg import (
     hat_embed,
     hermitian_split,
 )
-from crawford.oracle import chi_oracle
 from crawford.sdp import annihilators, build_instance, export_sdpa, objective, read_sdpa
 from helpers import (
     CHI_EXAMPLE,
@@ -31,6 +30,8 @@ from helpers import (
     EXAMPLE,
     EXAMPLE_CENTER,
     EXAMPLE_TILDE,
+    adjoint,
+    ambient_dim,
     blocks,
     dense_constraints,
     densify,
@@ -153,7 +154,7 @@ def test_criterion_04_structure_counts(report):
         inst = build_instance(hermitian_split(mat), frobenius_ceiling(mat))
         chart = build_chart(inst)
         ok &= len(fs) == N
-        ok &= inst.ambient_dim == 2 * n + 3
+        ok &= ambient_dim(inst) == 2 * n + 3
         ok &= (n + 2) * (2 * n + 3) == N + n * n + 4
         ok &= chart.dim == n * n
         ok &= np.linalg.matrix_rank(gram) == N
@@ -175,7 +176,7 @@ def test_criterion_05_certified_ball(report):
         mat = random_gaussian_integer(rng, n, -5, 5)
         inst = build_instance(hermitian_split(mat), frobenius_ceiling(mat))
         ball = certified_ball(inst, mat)
-        gy, guv, gt = blocks(densify(ball.center, inst.ambient_dim))
+        gy, guv, gt = blocks(densify(ball.center, ambient_dim(inst)))
         s_eigs = np.linalg.eigvalsh(guv)
         lam_g = min(
             np.linalg.eigvalsh(gy)[0], s_eigs[0], gt
@@ -225,8 +226,8 @@ def test_criterion_06_translation_and_scaling(report):
         # the adjoint, W(C*) = conj W(C); both give a different SDP instance
         direct = sdp_chi(mat, center=c, eps=eps)
         rotated = sdp_chi(mat.scale(gr(0, 1)), center=gr(0, 1) * c, eps=eps)
-        adjoint = sdp_chi(mat.adjoint(), center=c.conjugate(), eps=eps)
-        worst_t = max(worst_t, abs(direct - rotated), abs(direct - adjoint))
+        adjoined = sdp_chi(adjoint(mat), center=c.conjugate(), eps=eps)
+        worst_t = max(worst_t, abs(direct - rotated), abs(direct - adjoined))
         ell = ells[k % 3]
         base = sdp_chi(mat, eps=eps)
         scaled = sdp_chi(mat.scale(ell), eps=eps)
@@ -322,7 +323,7 @@ def test_criterion_10_sdpa_golden_file(report, tmp_path):
     identical = fresh.read_bytes() == golden.read_bytes()
     data = read_sdpa(fresh)
     cons = dense_constraints(inst)
-    mats = [densify(objective(inst.n), inst.ambient_dim)] + [f for f, _ in cons]
+    mats = [densify(objective(inst.n), ambient_dim(inst))] + [f for f, _ in cons]
     rt = 0.0
     for got, want in zip(data.matrices, mats):
         rt = max(
@@ -373,7 +374,7 @@ def test_scaling_report_not_gated(capsys):
         for n, centre, res, dt in found:
             lines.append(
                 f"[scaling report]   n={n}  centre={centre:3d}  chi={res.value:9.4f}  "
-                f"iterations={res.iterations:6d}  cap={res.cap:7d}  "
+                f"iterations={res.iterations:6d}  cap={res.iteration_cap:7d}  "
                 f"dual_solves={res.dual_solves:4d}  closed_by={res.closed_by:9s}  "
                 f"({dt:.2f} s)"
             )

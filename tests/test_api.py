@@ -192,12 +192,15 @@ class TestStatsAndValidation:
             res.chi - stats["lower_bound"], abs=1e-15
         )
         assert 0.0 <= stats["certified_gap"] <= EPS
-        # cuts by block, then the dual bound and certificate counts, the
-        # pencil eigen-solves and the kind of the final certificate; the
-        # modulus and ceiling cuts are the steps that took no spectrum of X
+        # the SolveResult fields but value and X, in their order, then the
+        # set-up's keys and the phase timings; the modulus and ceiling cuts
+        # are the steps that took no spectrum of X
         by_block = ["cuts_spectral", "cuts_modulus", "cuts_ceiling"]
-        assert list(stats)[-7:] == by_block + [
-            "lower_bound_dual", "certs_dual", "dual_solves", "closed_by",
+        assert list(stats) == [
+            "iterations", "iteration_cap", "cuts_feasibility", "cuts_objective",
+            *by_block, "certified_gap", "lower_bound", "max_feasible_distance",
+            "lower_bound_dual", "certs_dual", "dual_solves", "closed_by", "falls",
+            "outer_R", "epsilon_solver", "scale_factor", "setup_s", "solve_s",
         ]
         assert stats["cuts_feasibility"] == sum(stats[k] for k in by_block)
         # the dual bound is a lower bound on chi and never above lb, and

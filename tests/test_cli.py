@@ -8,14 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crawford.cli import (
-    MatrixParseError,
-    format_gaussian,
-    load_matrix,
-    main,
-    parse_gaussian,
-    save_matrix,
-)
+from crawford.api import CrawfordQuery, crawford, scaled_instance
+from crawford.cli import MatrixParseError, load_matrix, main, parse_gaussian
+from crawford.ellipsoid import EllipsoidCapExceeded, certified_ball, solve
 from crawford.linalg import ComplexMatrix, GaussianRational
 from helpers import (
     CHI_EXAMPLE,
@@ -23,8 +18,11 @@ from helpers import (
     DIAG_PM,
     EXAMPLE_TILDE,
     IDENTITY2,
+    format_gaussian,
     gr,
     identity,
+    large,
+    save_matrix,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -32,18 +30,6 @@ DATA = Path(__file__).parent / "data"
 # one entry of 10^160: exact input the CLI accepts, whose squared norm
 # exceeds the float64 range
 HUGE = ComplexMatrix([[gr(10**160), gr(1)], [gr(0), gr(2)]])
-
-
-def large(k):
-    """A 3 x 3 Gaussian-integer matrix with entries of order k, chi = 0.
-    The solver sees it over s ~ 9k, so it needs eps/s of about 1e-4/(9k)."""
-    return ComplexMatrix(
-        [
-            [gr(3 * k, -k), gr(2 * k, 7), gr(-5, k)],
-            [gr(k), gr(-4 * k, 2 * k), gr(1)],
-            [gr(0, -3 * k), gr(k, k), gr(2 * k, 5 * k)],
-        ]
-    )
 
 
 # a 3x3 Gaussian-integer matrix with chi(10, C) about 5.95
@@ -205,20 +191,28 @@ class TestCmdChi:
         assert list(payload.keys()) == [
             "chi",
             "z",
-            "iterations",
             "method",
             "epsilon",
-            "lower_bound",
-            "certified_gap",
-            "setup_s",
-            "solve_s",
+            "iterations",
+            "iteration_cap",
+            "cuts_feasibility",
+            "cuts_objective",
             "cuts_spectral",
             "cuts_modulus",
             "cuts_ceiling",
+            "certified_gap",
+            "lower_bound",
+            "max_feasible_distance",
             "lower_bound_dual",
             "certs_dual",
             "dual_solves",
             "closed_by",
+            "falls",
+            "outer_R",
+            "epsilon_solver",
+            "scale_factor",
+            "setup_s",
+            "solve_s",
         ]
         assert payload["setup_s"] >= 0.0 and payload["solve_s"] >= 0.0
         cuts = [payload[k] for k in ("cuts_spectral", "cuts_modulus", "cuts_ceiling")]
@@ -264,7 +258,8 @@ class TestCmdChi:
         payload = json.loads(capsys.readouterr().out)
         assert payload["method"] == "oracle"
         assert list(payload) == [
-            "chi", "z", "iterations", "method", "epsilon", "oracle_s"
+            "chi", "z", "method", "epsilon", "evaluations", "theta", "iterations",
+            "oracle_s",
         ]
         assert payload["oracle_s"] >= 0.0
         assert abs(payload["chi"] - CHI_EXAMPLE) < 1e-4
@@ -278,6 +273,74 @@ class TestCmdChi:
         chi = float(out.splitlines()[0].split("=")[1])
         assert abs(chi - 1.923) <= 1e-3
         assert "oracle evaluations = " in out
+
+
+class TestOneRecord:
+    """`ellipsoid.SolveResult` is the one definition of the SDP route's
+    statistics: `solver_stats` and `chi --json` hold each of its fields
+    but value and X, with the bounds times s, and every key that either
+    reported before keeps its name and meaning."""
+
+    SCALED = ("certified_gap", "lower_bound", "lower_bound_dual", "falls")
+    # the keys of solver_stats and of chi --json before they were read
+    # off SolveResult
+    OLD_STATS = (
+        "iterations", "iteration_cap", "cuts_feasibility", "cuts_objective",
+        "lower_bound", "certified_gap", "max_feasible_distance", "outer_R",
+        "epsilon_solver", "scale_factor", "setup_s", "solve_s", "cuts_spectral",
+        "cuts_modulus", "cuts_ceiling", "lower_bound_dual", "certs_dual",
+        "dual_solves", "closed_by",
+    )
+    OLD_JSON = (
+        "chi", "z", "iterations", "method", "epsilon", "lower_bound",
+        "certified_gap", "setup_s", "solve_s", "cuts_spectral", "cuts_modulus",
+        "cuts_ceiling", "lower_bound_dual", "certs_dual", "dual_solves",
+        "closed_by",
+    )
+
+    @pytest.mark.parametrize(
+        "mat, centre",
+        [(EXAMPLE_TILDE, "-3-i"), (COPRIME_DENOMINATORS, "1+i")],
+        ids=["example", "chi_zero"],
+    )
+    def test_stats_and_json_are_the_solve_result(self, tmp_path, capsys, mat, centre):
+        eps = 1e-4
+        c = parse_gaussian(centre)
+        result = crawford(CrawfordQuery(matrix=mat, center=c, epsilon=eps))
+        stats = result.solver_stats
+        p = write_matrix(tmp_path / "c.json", mat)
+        assert main(["chi", p, "--center", centre, "--eps", "1e-4", "--json"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1
+        doc = json.loads(out)
+        # the solve crawford() ran: C - cI over s, at eps/s
+        inst, ts, scale = scaled_instance(mat.translate(c))
+        s = float(scale)
+        ball = certified_ball(inst, ts)
+        res = solve(ball, eps / s)
+
+        assert result.chi == doc["chi"] == res.value * s
+        fields = [f.name for f in dataclasses.fields(res)]
+        assert fields[:2] == ["value", "X"]
+        for name in fields[2:]:
+            want = getattr(res, name)
+            if name == "falls":
+                want = tuple(f * s for f in want)
+            elif name in self.SCALED and want is not None:
+                want = want * s
+            assert stats[name] == want, name
+            assert doc[name] == (list(want) if name == "falls" else want), name
+        if mat is COPRIME_DENOMINATORS:
+            assert res.lower_bound == 0.0 and result.chi <= eps
+        assert set(self.OLD_STATS) <= set(stats)
+        assert set(self.OLD_JSON) <= set(doc)
+        assert stats["outer_R"] == doc["outer_R"] == float(ball.outer_R)
+        assert stats["epsilon_solver"] == doc["epsilon_solver"] == eps / s
+        assert stats["scale_factor"] == Fraction(doc["scale_factor"]) == scale
+        assert doc["method"] == "sdp" and doc["epsilon"] == eps
+        assert doc["z"] == [result.nearest_point.real, result.nearest_point.imag]
+        for key in ("setup_s", "solve_s"):
+            assert stats[key] >= 0.0 and doc[key] >= 0.0
 
 
 class TestExitCodes:
@@ -362,6 +425,27 @@ class TestExitCodes:
         else:
             assert code == 3
             assert err.startswith("solver error: ") and err.count("\n") == 1
+
+    def test_exit_3_in_the_callers_units(self, tmp_path, capsys):
+        # the solve of C/s at eps/s fails; crawford() raises it again with
+        # the bounds times s, and chi's message quotes eps and s, never eps/s
+        t = large(10**12)
+        inst, ts, scale = scaled_instance(t)
+        s = float(scale)
+        with pytest.raises(EllipsoidCapExceeded) as raw:
+            solve(certified_ball(inst, ts), 1e-4 / s)
+        with pytest.raises(EllipsoidCapExceeded) as got:
+            crawford(CrawfordQuery(matrix=t, epsilon=1e-4))
+        assert got.value.best == raw.value.best * s
+        assert got.value.lower_bound == raw.value.lower_bound * s
+        assert got.value.iterations == raw.value.iterations
+        assert got.value.result.iteration_cap == raw.value.result.iteration_cap
+        p = write_matrix(tmp_path / "l.json", t)
+        assert main(["chi", p, "--eps", "1e-4"]) == 3
+        err = capsys.readouterr().err
+        assert "eps=0.0001" in err and f"s = {scale}" in err
+        assert f"{1e-4 / s:g}" not in err
+        assert f"best {got.value.best:.9g}" in err
 
     def test_tiny_entries(self, tmp_path, capsys):
         # entries of 10^-200 and 10^-201: C/s is an instance of norm about

@@ -30,6 +30,7 @@ from helpers import (
     DIAG_PM,
     EXAMPLE,
     IDENTITY2,
+    ambient_dim,
     blocks,
     chart_coordinates,
     chart_jacobian,
@@ -63,7 +64,7 @@ class TestCertifiedBall:
         assert ball.inner_r == Fraction(1, 2)
         assert ball.outer_R == 40
         # S = [[c + 1 + x, y], [y, c + 1 - x]] with (x, y) = (1/n) tr C
-        gy, guv, gt = blocks(densify(ball.center, inst.ambient_dim, object))
+        gy, guv, gt = blocks(densify(ball.center, ambient_dim(inst), object))
         assert (guv[0, 0] - inst.frob_ceiling - 1, guv[0, 1]) == (3, 1)
         assert np.array_equal(guv.astype(float), np.array([[11.0, 1.0], [1.0, 5.0]]))
         assert np.array_equal(gy.astype(float), 0.5 * np.eye(4))
@@ -73,13 +74,13 @@ class TestCertifiedBall:
         inst, ball = make(IDENTITY2)
         assert ball.inner_r == Fraction(1, 2)
         assert ball.outer_R == 20
-        _, guv, _ = blocks(densify(ball.center, inst.ambient_dim))
+        _, guv, _ = blocks(densify(ball.center, ambient_dim(inst)))
         assert np.array_equal(guv, np.array([[4.0, 0.0], [0.0, 2.0]]))
 
     def test_trace_identities_exact(self):
         for mat in (EXAMPLE, IDENTITY2, DIAG_PM, identity(3)):
             inst, ball = make(mat)
-            gy, guv, gt = blocks(densify(ball.center, inst.ambient_dim, object))
+            gy, guv, gt = blocks(densify(ball.center, ambient_dim(inst), object))
             assert sum(gy[i, i] for i in range(2 * inst.n)) == 2
             u, w = guv[0, 0], guv[1, 1]
             assert u + w + 2 * gt == 2 * (inst.frob_ceiling + 2)
@@ -87,7 +88,7 @@ class TestCertifiedBall:
     def test_s_minus_identity_psd(self):
         for mat in (EXAMPLE, IDENTITY2, DIAG_PM):
             inst, ball = make(mat)
-            s = blocks(densify(ball.center, inst.ambient_dim))[1] - np.eye(2)
+            s = blocks(densify(ball.center, ambient_dim(inst)))[1] - np.eye(2)
             assert np.linalg.eigvalsh(s)[0] >= 0.0
 
     def test_wrong_matrix_rejected(self):
@@ -179,7 +180,7 @@ class TestChart:
     def test_basis_annihilates_all_constraints(self):
         inst, _ = make(EXAMPLE)
         chart = build_chart(inst)
-        m = inst.ambient_dim
+        m = ambient_dim(inst)
         for row in chart_jacobian(chart):
             direction = row.reshape(m, m)
             assert np.abs(direction - direction.T).max() < 1e-12
@@ -239,7 +240,7 @@ class TestChartGates:
 
     def test_origin_is_ball_center(self, charted):
         for inst, ball, chart, _ in charted:
-            g = densify(ball.center, inst.ambient_dim)
+            g = densify(ball.center, ambient_dim(inst))
             assert np.abs(chart.point(np.zeros(chart.dim)) - g).max() < 1e-12
 
 
@@ -296,20 +297,22 @@ class TestInitialEllipsoid:
         for inst, ball, chart, _ in charted:
             res = solve(ball, 1e-3)
             d = chart.dim
-            f0n = max(1.0, np.linalg.norm(densify(objective(inst.n), inst.ambient_dim)))
+            f0n = max(1.0, np.linalg.norm(densify(objective(inst.n), ambient_dim(inst))))
             r_in = float(ball.inner_r)
             half_logdet = 0.5 * np.linalg.slogdet(chart.initial_shape)[1]
+            # the objective r ranges over [0, c + 2] on the feasible set
+            spread = (inst.frob_ceiling + 2) * f0n
             cap = math.ceil(
-                2 * (d + 1) * (half_logdet + d * math.log(3.0 * f0n / (r_in * 1e-3)))
+                2 * (d + 1) * (half_logdet + d * math.log(spread / (r_in * 1e-3)))
             ) + 64
-            assert res.cap == cap
-            # the R-ball's cap, which this E_0 replaces
+            assert res.iteration_cap == cap
+            # the R-ball's cap, which this E_0 replaces, at the same spread
             big_r = float(ball.outer_R)
             ball_cap = math.ceil(
-                2 * d * (d + 1) * math.log(3.0 * big_r * f0n / (r_in * 1e-3))
+                2 * d * (d + 1) * math.log(spread * big_r / (r_in * 1e-3))
             ) + 64
-            assert res.cap <= ball_cap
-            assert 0 < res.iterations <= res.cap
+            assert res.iteration_cap <= ball_cap
+            assert 0 < res.iterations <= res.iteration_cap
 
 
 class TestSeparationOracle:
@@ -331,10 +334,10 @@ class TestSeparationOracle:
         # [[x, y], [y, -x]] with (x, y) = tr C / n, eigenvalues +-|tr C| / n
         inst, ball = make(EXAMPLE)
         chart = build_chart(inst)
-        _, guv, _ = blocks(densify(ball.center, inst.ambient_dim, object))
+        _, guv, _ = blocks(densify(ball.center, ambient_dim(inst), object))
         # S = [[c + 1 + x, y], [y, c + 1 - x]]
         x, y = float(guv[0, 0] - inst.frob_ceiling - 1), float(guv[0, 1])
-        zp = densify(ball.center, inst.ambient_dim)
+        zp = densify(ball.center, ambient_dim(inst))
         k = 2 * inst.n
         zp[k : k + 2, k : k + 2] = [[x, y], [y, -x]]
         zp[k + 2, k + 2] = inst.frob_ceiling + 2.0
@@ -566,14 +569,13 @@ class TestDeepCutUpdate:
         # certificate before the loop, so that is its first step
         inst, ball = make(diagonal(gr(2, 3), gr(2, -3), gr(5, 6)))
         self.always_deep(monkeypatch)
-        rec = []
-        res = solve(ball, 1e-4, record=rec)
+        res = solve(ball, 1e-4)
         assert res.iterations == 1
         assert res.dual_solves == res.certs_dual == 0
         assert res.lower_bound_dual is None
         # G's density is I/3, with w = tr(C)/3 = 3 + 2i
-        assert rec == [pytest.approx(abs(3 + 2j), abs=1e-12)]
-        assert res.lower_bound == res.value == rec[-1]
+        assert res.falls == (pytest.approx(abs(3 + 2j), abs=1e-12),)
+        assert res.lower_bound == res.value == res.falls[-1]
         assert res.closed_by == "feasible"
 
     def test_emptying_cut_at_g_returns_its_density(self, monkeypatch):
@@ -625,10 +627,9 @@ class TestSolve:
 
     def test_accepted_values_monotone(self):
         inst, ball = make(EXAMPLE)
-        rec = []
-        solve(ball, 1e-4, record=rec)
-        assert len(rec) >= 1
-        assert all(b <= a + 1e-15 for a, b in zip(rec, rec[1:]))
+        falls = solve(ball, 1e-4).falls
+        assert len(falls) >= 1
+        assert all(b <= a + 1e-15 for a, b in zip(falls, falls[1:]))
 
     def test_result_invariants(self):
         inst, ball = make(EXAMPLE)
@@ -639,7 +640,7 @@ class TestSolve:
         assert np.linalg.eigvalsh(0.5 * (zy + zy.T))[0] >= -tol
         assert np.linalg.eigvalsh(zuv)[0] >= -tol
         assert zt >= -tol
-        f0 = densify(objective(inst.n), inst.ambient_dim)
+        f0 = densify(objective(inst.n), ambient_dim(inst))
         assert res.value == pytest.approx((f0 * full).sum(), abs=1e-12)
         for f, b in dense_constraints(inst):
             assert abs((f * full).sum() - b) <= 1e-9
@@ -676,7 +677,7 @@ class TestSolve:
     def test_inner_ball_inclusion(self):
         inst, ball = make(EXAMPLE)
         chart = build_chart(inst)
-        g = densify(ball.center, inst.ambient_dim)
+        g = densify(ball.center, ambient_dim(inst))
         rng = np.random.default_rng(29)
         r_in = float(ball.inner_r)
         for _ in range(200):
@@ -709,10 +710,12 @@ class TestSolve:
 
     def test_cap_diagnostic_carries_state(self):
         inst, ball = make(EXAMPLE)
+        res = dataclasses.replace(solve(ball, 1e-4), value=2.0, lower_bound=1.0, iterations=5)
         try:
-            raise EllipsoidCapExceeded("test", best=2.0, lower_bound=1.0, iterations=5)
+            raise EllipsoidCapExceeded("test", res)
         except EllipsoidCapExceeded as e:
             assert e.best == 2.0 and e.lower_bound == 1.0 and e.iterations == 5
+            assert e.result is res and e.reason == "test"
 
 
 class TestEllipsoidAlone:
@@ -736,7 +739,7 @@ class TestEllipsoidAlone:
         assert "x_map" in ball.chart.__dict__
         assert res.lower_bound <= hi + 1e-9 and lo <= res.value + 1e-9
         assert res.certified_gap <= 1e-4
-        assert 1 < res.iterations <= res.cap
+        assert 1 < res.iterations <= res.iteration_cap
         assert res.closed_by == "feasible"
         assert res.dual_solves == 0 and res.lower_bound_dual is None
 
@@ -785,7 +788,7 @@ class TestLazyChart:
         assert calls == [] and chart.dim == 4
         x_map = chart.x_map
         assert calls == [2] and x_map.shape == (4, 8) and not x_map[-1].any()
-        assert chart.point(np.ones(4)).shape == (inst.ambient_dim,) * 2
+        assert chart.point(np.ones(4)).shape == (ambient_dim(inst),) * 2
         assert chart.x_map is x_map and calls == [2]
 
 
@@ -1203,17 +1206,16 @@ class TestWolfeStep:
 
         monkeypatch.setattr(np.linalg, "eigh", counted)
         inst, ball = make(mat)
-        rec = []
-        res = solve(ball, eps, record=rec)
+        res = solve(ball, eps)
         monkeypatch.undo()
         assert res.iterations == 1
         assert res.value <= eps and res.lower_bound == 0.0
         assert res.value == math.hypot(*inst.pencil_values(res.X))
-        assert all(b < a for a, b in zip(rec, rec[1:]))
+        assert all(b < a for a, b in zip(res.falls, res.falls[1:]))
         assert sum(is_pencil(inst, m) for m in calls) == res.dual_solves <= 4
-        if rec[0] > 0.0:
+        if res.falls[0] > 0.0:
             assert res.dual_solves >= 1 and res.lower_bound_dual <= 0.0
-            assert res.closed_by == "dual" and res.certs_dual == len(rec) - 1
+            assert res.closed_by == "dual" and res.certs_dual == len(res.falls) - 1
         return inst, res
 
     def test_chi_zero_closes_at_the_first_step(self, monkeypatch):

@@ -11,7 +11,6 @@ from crawford.linalg import (
     hermitian_split,
 )
 from crawford.oracle import (
-    chi_oracle,
     minimizing_witness,
     sample_boundary,
     support_search,
@@ -44,19 +43,19 @@ def sampled_gmax(mat: ComplexMatrix, m: int = 4096) -> float:
 
 class TestChiOracle:
     def test_reference_example(self):
-        got = chi_oracle(EXAMPLE, 1e-4)
+        got = support_search(EXAMPLE, 1e-4).chi
         assert abs(got - 1.923) < 1e-3
         assert abs(got - CHI_EXAMPLE) < 1e-4
 
     def test_indefinite_diagonal(self):
-        assert chi_oracle(DIAG_PM, 1e-4) == 0.0
+        assert support_search(DIAG_PM, 1e-4).chi == 0.0
 
     def test_identity(self):
-        assert chi_oracle(IDENTITY2, 1e-4) == pytest.approx(1.0, abs=1e-9)
+        assert support_search(IDENTITY2, 1e-4).chi == pytest.approx(1.0, abs=1e-9)
 
     def test_scalar_matrix(self):
         c = ComplexMatrix([[gr(3, 4)]])
-        assert chi_oracle(c, 1e-4) == pytest.approx(5.0, abs=1e-9)
+        assert support_search(c, 1e-4).chi == pytest.approx(5.0, abs=1e-9)
 
     def test_rejects_bad_delta(self):
         with pytest.raises(ValueError):
@@ -99,7 +98,7 @@ class TestChiOracle:
         c = EXAMPLE_TILDE.translate(gr(Fraction(9, 4), Fraction(-9, 4)))
         want = 9.0 * math.sqrt(2.0) / 4.0 - 3.0
         for delta in (1e-4, 1e-6):
-            assert chi_oracle(c, delta) == pytest.approx(want, abs=delta)
+            assert support_search(c, delta).chi == pytest.approx(want, abs=delta)
 
     def test_early_exit_inside(self):
         # 0 is a segment point of W(DIAG_PM) and the centre of the ellipse
@@ -151,7 +150,7 @@ class TestSampleBoundary:
             m = 400
             pts = sample_boundary(c, m)
             gap = 2.0 * math.pi * math.sqrt(float(c.frobenius_sq())) / m
-            chi = chi_oracle(c, 1e-2)
+            chi = support_search(c, 1e-2).chi
             assert min(abs(z) for z in pts) >= chi - gap - 1e-2
 
     def test_rotation_equivariance(self):
@@ -197,7 +196,7 @@ class TestMinimizingWitness:
         x = minimizing_witness(a_f, b_f, 0.0)
         z = complex(x.conj() @ c.to_complex() @ x)
         assert abs(z - 1.0) < 1e-9
-        assert chi_oracle(c, 1e-6) == pytest.approx(1.0, abs=1e-6)
+        assert support_search(c, 1e-6).chi == pytest.approx(1.0, abs=1e-6)
 
     def test_witness_agrees_with_chi_randomized(self):
         rng = np.random.default_rng(41)

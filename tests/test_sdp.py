@@ -18,6 +18,7 @@ from crawford.sdp import (
 from helpers import (
     EXAMPLE,
     DIAG_PM,
+    ambient_dim,
     blocks,
     dense_constraints,
     densify,
@@ -179,10 +180,10 @@ class TestBuildInstance:
 
     def test_objective_reads_half_u_plus_w(self):
         inst = example_instance()
-        f0 = densify(objective(inst.n), inst.ambient_dim)
+        f0 = densify(objective(inst.n), ambient_dim(inst))
         rng = np.random.default_rng(5)
         for _ in range(20):
-            vec = rng.standard_normal(inst.ambient_dim**2 + 1)
+            vec = rng.standard_normal(ambient_dim(inst)**2 + 1)
             z = np.zeros((7, 7))
             z[:4, :4] = vec[:16].reshape(4, 4)
             z[4:6, 4:6] = vec[16:20].reshape(2, 2)

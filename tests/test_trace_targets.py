@@ -4,14 +4,19 @@ resolves every target against the package on the test path, so a rename
 that breaks `perfbench/run.py --trace 1` fails here first.  It also reads
 the benchmark's runner and its tests, without running them, and resolves
 every `crawford` name they use, so a deletion that would end a benchmark
-run as `run_failed` fails here instead."""
+run as `run_failed` fails here instead.  Its counters read attributes
+of the traced functions' results and of `EllipsoidCapExceeded`; each hook
+is fed a real one, so a renamed attribute fails here too."""
 
 import ast
 import importlib
 import importlib.util
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
+from helpers import COPRIME_DENOMINATORS, EXAMPLE, large
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
@@ -19,12 +24,16 @@ TRACING = ROOT / "perfbench" / "tracing.py"
 BENCH_CALLERS = [ROOT / "perfbench" / "child.py", ROOT / "perfbench" / "test_perfbench.py"]
 
 
-def _targets():
+def _tracing():
     spec = importlib.util.spec_from_file_location("_perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def _targets():
     # the oracle's evaluation counter is patched outside TARGETS
-    return [(s, a) for s, a, _ in tracing.TARGETS] + [("crawford.oracle", "_gmin_at")]
+    return [(s, a) for s, a, _ in _tracing().TARGETS] + [("crawford.oracle", "_gmin_at")]
 
 
 def test_package_is_the_checkout():
@@ -110,3 +119,39 @@ def test_bench_name_resolves(name):
     for part in name.split(".")[1:]:
         path += "." + part
         obj = getattr(obj, part) if hasattr(obj, part) else importlib.import_module(path)
+
+
+def test_tracer_hooks_read_real_results():
+    from crawford import api, ellipsoid, linalg, oracle
+
+    tracer = _tracing().Tracer()
+    counts = tracer.counts
+    inst, ts, _ = api.scaled_instance(EXAMPLE)
+    ball = ellipsoid.certified_ball(inst, ts)
+    res = ellipsoid.solve(ball, 1e-4)
+    tracer._after_solve(res)
+    assert counts["iterations"] == res.iterations
+
+    # eps/s far below float resolution: the run ends in the exception
+    inst, ts, scale = api.scaled_instance(large(10**12))
+    with pytest.raises(ellipsoid.EllipsoidCapExceeded) as err:
+        ellipsoid.solve(ellipsoid.certified_ball(inst, ts), 1e-4 / float(scale))
+    tracer._solve_error(err.value)
+    assert counts["cap_exceeded"] == 1
+    assert counts["iterations"] == res.iterations + err.value.iterations
+
+    chart = ball.chart
+    centre = ellipsoid.separation_oracle(chart, np.zeros(chart.dim), math.inf)
+    # r = c + 1 + u_d / sqrt(3) beyond the ceiling c + 2
+    beyond = ellipsoid.separation_oracle(chart, np.eye(chart.dim)[-1] * 10.0, math.inf)
+    assert (centre.kind, beyond.kind) == ("objective", "feasibility")
+    tracer._after_separation(centre)
+    tracer._after_separation(beyond)
+    assert counts["feasibility_cuts"] == 1
+
+    search = oracle.support_search(EXAMPLE, 1e-4)
+    tracer._after_search(search)
+    assert counts["oracle_evals"] == search.grid_size > 0
+
+    tracer._after_clear(linalg.clear_denominators(COPRIME_DENOMINATORS))
+    assert counts["scale_digits_max"] == len("21")
