@@ -14,7 +14,6 @@ from .api import (
     CrawfordResult,
     Method,
     crawford,
-    crawford_number,
     numerical_radius_upper,
 )
 from .ellipsoid import (
@@ -71,7 +70,6 @@ __all__ = [
     "clear_denominators",
     "constraints",
     "crawford",
-    "crawford_number",
     "export_sdpa",
     "frobenius_ceiling",
     "hat_embed",

@@ -125,10 +125,12 @@ def crawford(query: CrawfordQuery) -> CrawfordResult:
     ellipsoid loop).  An `EllipsoidCapExceeded` is raised again in the
     same units, quoting epsilon and s.
 
-    Oracle path: certified support search at delta = epsilon, with its
-    evaluations, theta and oracle_s.  BOTH runs the two and reports the
-    SDP value and stats, with oracle_value, oracle_theta, discrepancy and
-    oracle_s.
+    Oracle path: certified support search at delta = epsilon.  Wherever
+    it runs, solver_stats gains evaluations (the search's evaluations of
+    g), theta (the direction of the best one) and oracle_s (its time).
+    BOTH runs the two routes and reports the SDP value and stats, and adds
+    oracle_value, the search's chi, and discrepancy, |chi - oracle_value|.
+    The zero matrix short-circuits to {"short_circuit": "zero matrix"}.
     """
     t_start = time.perf_counter()
     t_mat = query.matrix.translate(query.center)
@@ -143,7 +145,7 @@ def crawford(query: CrawfordQuery) -> CrawfordResult:
             nearest_point_original=center_c,
             witness_X=np.eye(n, dtype=complex) / n,
             method_used=query.method,
-            solver_stats={"short_circuit": "zero matrix", "iterations": 0},
+            solver_stats={"short_circuit": "zero matrix"},
             scale_factor=Fraction(1),
             ball=None,
         )
@@ -196,7 +198,6 @@ def crawford(query: CrawfordQuery) -> CrawfordResult:
     if query.method in (Method.ORACLE_SWEEP, Method.BOTH):
         t_oracle = time.perf_counter()
         search = oracle.support_search(t_mat, eps)
-        orc_stats = {"evaluations": search.grid_size, "theta": search.theta}
         if query.method is Method.ORACLE_SWEEP:
             chi_val = search.chi
             if search.chi > 0.0:
@@ -208,13 +209,13 @@ def crawford(query: CrawfordQuery) -> CrawfordResult:
             else:
                 nearest = 0j
                 witness = None
-            stats.update(orc_stats)
-            stats["iterations"] = search.grid_size
-        else:
-            stats["oracle_value"] = search.chi
-            stats["oracle_theta"] = search.theta
-            stats["discrepancy"] = abs(chi_val - search.chi)
-        stats["oracle_s"] = time.perf_counter() - t_oracle
+        stats.update(
+            evaluations=search.grid_size,
+            theta=search.theta,
+            oracle_s=time.perf_counter() - t_oracle,
+        )
+        if query.method is Method.BOTH:
+            stats.update(oracle_value=search.chi, discrepancy=abs(chi_val - search.chi))
 
     if chi_val > bound + eps:
         raise RuntimeError(
@@ -233,14 +234,3 @@ def crawford(query: CrawfordQuery) -> CrawfordResult:
         ball=ball,
     )
 
-
-def crawford_number(
-    matrix: ComplexMatrix,
-    center: GaussianRational = GaussianRational(0, 0),
-    epsilon: float = 1e-6,
-    method: Method = Method.SDP_ELLIPSOID,
-) -> float:
-    """Shorthand when only the value is wanted."""
-    return crawford(
-        CrawfordQuery(matrix=matrix, center=center, epsilon=epsilon, method=method)
-    ).chi

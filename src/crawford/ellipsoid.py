@@ -225,8 +225,8 @@ class EllipsoidCapExceeded(RuntimeError):
         )
         self.reason = reason
         self.result = result
-        self.best = result.value
-        self.lower_bound = result.lower_bound
+        # a copy of result.iterations, kept because perfbench/tracing.py
+        # reads e.iterations
         self.iterations = result.iterations
 
 

@@ -28,7 +28,8 @@ class OracleSearch:
     chi: float
     theta: float          # direction of the best evaluation
     gmax: float           # g at that direction, before clamping at 0
-    grid_size: int        # number of evaluations of g
+    grid_size: int        # number of evaluations of g: solver_stats'
+                          # "evaluations"; perfbench/tracing.py reads this name
 
 
 def hermitian_parts(c: ComplexMatrix):

@@ -12,7 +12,6 @@ from crawford.api import (
     CrawfordResult,
     Method,
     crawford,
-    crawford_number,
     numerical_radius_upper,
     scaled_instance,
     sdp_instance,
@@ -230,8 +229,11 @@ class TestStatsAndValidation:
     def test_oracle_stats_fields(self):
         res = run(EXAMPLE, method=Method.ORACLE_SWEEP)
         stats = res.solver_stats
-        assert stats["evaluations"] == support_search(EXAMPLE, EPS).grid_size
-        assert stats["iterations"] == stats["evaluations"] >= 4
+        search = support_search(EXAMPLE, EPS)
+        assert list(stats) == ["evaluations", "theta", "oracle_s"]
+        assert stats["evaluations"] == search.grid_size >= 4
+        assert stats["theta"] == search.theta
+        assert "iterations" not in stats
 
     @pytest.mark.parametrize(
         "method, keys",
@@ -262,10 +264,6 @@ class TestStatsAndValidation:
         # failed with a bare "math domain error" or a wrong value
         with pytest.raises(ValueError, match="finite and positive"):
             CrawfordQuery(matrix=EXAMPLE, epsilon=eps)
-
-    def test_shorthand(self):
-        val = crawford_number(EXAMPLE, epsilon=EPS)
-        assert val == pytest.approx(CHI_EXAMPLE, abs=EPS)
 
 
 class TestSetUp:

@@ -12,6 +12,7 @@ from crawford.api import CrawfordQuery, crawford, scaled_instance
 from crawford.cli import MatrixParseError, load_matrix, main, parse_gaussian
 from crawford.ellipsoid import EllipsoidCapExceeded, certified_ball, solve
 from crawford.linalg import ComplexMatrix, GaussianRational
+from crawford.oracle import support_search
 from helpers import (
     CHI_EXAMPLE,
     COPRIME_DENOMINATORS,
@@ -248,6 +249,12 @@ class TestCmdChi:
         out = capsys.readouterr().out
         assert code == 0
         assert "zero matrix" in out
+        # the short circuit runs no route, so no evaluation count is shown
+        assert "oracle evaluations" not in out
+        assert main(["chi", p, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert list(payload) == ["chi", "z", "method", "epsilon", "short_circuit"]
+        assert payload["short_circuit"] == "zero matrix"
 
     def test_oracle_method(self, tmp_path, capsys):
         p = write_matrix(tmp_path / "c.json", EXAMPLE_TILDE)
@@ -258,11 +265,33 @@ class TestCmdChi:
         payload = json.loads(capsys.readouterr().out)
         assert payload["method"] == "oracle"
         assert list(payload) == [
-            "chi", "z", "method", "epsilon", "evaluations", "theta", "iterations",
-            "oracle_s",
+            "chi", "z", "method", "epsilon", "evaluations", "theta", "oracle_s",
         ]
         assert payload["oracle_s"] >= 0.0
         assert abs(payload["chi"] - CHI_EXAMPLE) < 1e-4
+
+    def test_both_method_adds_the_oracle_keys(self, tmp_path, capsys):
+        # the SDP route's keys, then the oracle's under the same names as
+        # on --method oracle, then the two that compare the routes
+        p = write_matrix(tmp_path / "c.json", EXAMPLE_TILDE)
+        argv = ["chi", p, "--center=-3-i", "--eps", "1e-4", "--json"]
+        assert main(argv) == 0
+        sdp_keys = list(json.loads(capsys.readouterr().out))
+        assert main([*argv, "--method", "both"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert list(payload) == [
+            *sdp_keys, "evaluations", "theta", "oracle_s", "oracle_value",
+            "discrepancy",
+        ]
+        search = support_search(EXAMPLE_TILDE.translate(gr(-3, -1)), 1e-4)
+        assert payload["evaluations"] == search.grid_size
+        assert payload["theta"] == search.theta
+        assert payload["oracle_value"] == search.chi
+        assert payload["discrepancy"] == abs(payload["chi"] - search.chi)
+        assert main(argv[:-1] + ["--method", "both"]) == 0
+        out = capsys.readouterr().out
+        assert f"oracle evaluations = {search.grid_size}\n" in out
+        assert "iterations = " in out
 
     def test_oracle_method_default_eps(self, tmp_path, capsys):
         # at the default eps, 1e-6, the oracle route must still be quick
@@ -436,8 +465,8 @@ class TestExitCodes:
             solve(certified_ball(inst, ts), 1e-4 / s)
         with pytest.raises(EllipsoidCapExceeded) as got:
             crawford(CrawfordQuery(matrix=t, epsilon=1e-4))
-        assert got.value.best == raw.value.best * s
-        assert got.value.lower_bound == raw.value.lower_bound * s
+        assert got.value.result.value == raw.value.result.value * s
+        assert got.value.result.lower_bound == raw.value.result.lower_bound * s
         assert got.value.iterations == raw.value.iterations
         assert got.value.result.iteration_cap == raw.value.result.iteration_cap
         p = write_matrix(tmp_path / "l.json", t)
@@ -445,7 +474,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "eps=0.0001" in err and f"s = {scale}" in err
         assert f"{1e-4 / s:g}" not in err
-        assert f"best {got.value.best:.9g}" in err
+        assert f"best {got.value.result.value:.9g}" in err
 
     def test_tiny_entries(self, tmp_path, capsys):
         # entries of 10^-200 and 10^-201: C/s is an instance of norm about

@@ -714,8 +714,9 @@ class TestSolve:
         try:
             raise EllipsoidCapExceeded("test", res)
         except EllipsoidCapExceeded as e:
-            assert e.best == 2.0 and e.lower_bound == 1.0 and e.iterations == 5
-            assert e.result is res and e.reason == "test"
+            assert e.result is res and e.reason == "test" and e.iterations == 5
+            assert str(e) == "test; best 2, certified lower bound 1"
+            assert not hasattr(e, "best") and not hasattr(e, "lower_bound")
 
 
 class TestEllipsoidAlone:
