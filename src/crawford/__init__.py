@@ -7,78 +7,27 @@ instance whose optimum equals chi, seeds the ellipsoid method with an
 explicit strictly-feasible ball, and certifies the value from both sides.
 The oracle route maximizes over support directions with a certified
 Lipschitz branch-and-bound.  The two share no solving logic.
+
+The package re-exports the library API only: `crawford` with its query
+and `Method`, and the types a caller builds (`ComplexMatrix`,
+`GaussianRational`), receives (`CrawfordResult`) or catches
+(`EllipsoidCapExceeded`).  Everything else is imported from its module:
+`crawford.linalg`, `crawford.sdp`, `crawford.ellipsoid`,
+`crawford.oracle`, `crawford.api` and `crawford.cli`.
 """
 
-from .api import (
-    CrawfordQuery,
-    CrawfordResult,
-    Method,
-    crawford,
-    numerical_radius_upper,
-)
-from .ellipsoid import (
-    AffineChart,
-    CertifiedBall,
-    EllipsoidCapExceeded,
-    SolveResult,
-    build_chart,
-    certified_ball,
-    separation_oracle,
-    solve,
-)
-from .linalg import (
-    ComplexMatrix,
-    GaussianRational,
-    HermitianPencil,
-    clear_denominators,
-    frobenius_ceiling,
-    hat_embed,
-    hat_upper,
-    hermitian_split,
-)
-from .oracle import sample_boundary
-from .sdp import (
-    SdpInstance,
-    annihilators,
-    ball_center,
-    build_instance,
-    constraints,
-    export_sdpa,
-    objective,
-    read_sdpa,
-)
+from .api import CrawfordQuery, CrawfordResult, Method, crawford
+from .ellipsoid import EllipsoidCapExceeded
+from .linalg import ComplexMatrix, GaussianRational
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineChart",
-    "CertifiedBall",
     "ComplexMatrix",
     "CrawfordQuery",
     "CrawfordResult",
     "EllipsoidCapExceeded",
     "GaussianRational",
-    "HermitianPencil",
     "Method",
-    "SdpInstance",
-    "SolveResult",
-    "annihilators",
-    "ball_center",
-    "build_chart",
-    "build_instance",
-    "certified_ball",
-    "clear_denominators",
-    "constraints",
     "crawford",
-    "export_sdpa",
-    "frobenius_ceiling",
-    "hat_embed",
-    "hat_upper",
-    "hermitian_split",
-    "numerical_radius_upper",
-    "objective",
-    "read_sdpa",
-    "sample_boundary",
-    "separation_oracle",
-    "solve",
 ]

@@ -49,7 +49,6 @@ class CrawfordResult:
     nearest_point_original: complex   # nearest_point + center
     witness_X: Optional[np.ndarray]   # density matrix, None only for the
                                       # oracle path when chi clamps to 0
-    method_used: Method
     solver_stats: dict
     scale_factor: Fraction            # s of `scaled_instance`; 1 off the SDP route
     ball: Optional[ellipsoid.CertifiedBall]  # SDP route only, with its chart
@@ -65,7 +64,7 @@ def sdp_instance(t: ComplexMatrix):
     (instance, l*t, l).  Its optimum is l chi(0, t).  `crawford export`
     writes it; `crawford` solves `scaled_instance`."""
     cint, scale = clear_denominators(t)
-    inst = sdp.build_instance(hermitian_split(cint), frobenius_ceiling(cint))
+    inst = sdp.build_instance(*hermitian_split(cint), frobenius_ceiling(cint))
     return inst, cint, scale
 
 
@@ -91,7 +90,7 @@ def scaled_instance(t: ComplexMatrix):
         k -= 1
     s = Fraction(2) ** k
     ts = t.scale(1 / s)
-    return sdp.build_instance(hermitian_split(ts), 1), ts, s
+    return sdp.build_instance(*hermitian_split(ts), 1), ts, s
 
 
 def in_caller_units(res: ellipsoid.SolveResult, s: float) -> ellipsoid.SolveResult:
@@ -144,7 +143,6 @@ def crawford(query: CrawfordQuery) -> CrawfordResult:
             nearest_point=0j,
             nearest_point_original=center_c,
             witness_X=np.eye(n, dtype=complex) / n,
-            method_used=query.method,
             solver_stats={"short_circuit": "zero matrix"},
             scale_factor=Fraction(1),
             ball=None,
@@ -228,7 +226,6 @@ def crawford(query: CrawfordQuery) -> CrawfordResult:
         nearest_point=nearest,
         nearest_point_original=nearest + center_c,
         witness_X=witness,
-        method_used=query.method,
         solver_stats=stats,
         scale_factor=scale,
         ball=ball,

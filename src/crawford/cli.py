@@ -108,7 +108,7 @@ def cmd_chi(args) -> int:
         doc = {
             "chi": result.chi,
             "z": [z.real, z.imag],
-            "method": result.method_used.value,
+            "method": args.method,
             "epsilon": args.eps,
             **stats,
         }
@@ -173,6 +173,8 @@ def cmd_range(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # raises ValueError, exit 2, on a negative seed before any solve
+    rng = np.random.default_rng(args.seed)
     c = load_matrix(args.matrix)
     eps = args.eps
     failures = []
@@ -199,7 +201,6 @@ def cmd_verify(args) -> int:
     ball = result.ball                  # None only on the zero short circuit
     if ball is not None:
         chart = ball.chart
-        rng = np.random.default_rng(args.seed)
         r_in = float(ball.inner_r)
         zs = np.array(
             [

@@ -1,5 +1,5 @@
 """Exact Gaussian-rational matrices, Hermitian splitting, and the real
-symmetric (hat) embedding used by the SDP construction.
+symmetric (hat) embedding's entries used by the SDP construction.
 
 A matrix over Q[i] is stored as Gaussian-integer numerators P + iQ over
 one positive denominator l, reduced so that l is the lcm of the entries'
@@ -243,42 +243,28 @@ class ComplexMatrix:
         return ComplexMatrix._of(*shifted, den)
 
 
-@dataclass(frozen=True)
-class HermitianPencil:
-    """Hermitian split C = A + iB."""
-
-    a: ComplexMatrix
-    b: ComplexMatrix
-
-    @property
-    def n(self) -> int:
-        return self.a.n
-
-
-def hermitian_split(c: ComplexMatrix) -> HermitianPencil:
-    """C = A + iB with A = (C + C*)/2 and B = (C - C*)/(2i), both Hermitian.
-    With C = (P + iQ) / l, both are Gaussian-integer over 2l:
+def hermitian_split(c: ComplexMatrix) -> tuple[ComplexMatrix, ComplexMatrix]:
+    """The pair (A, B) of C = A + iB with A = (C + C*)/2 and B = (C - C*)/(2i),
+    both Hermitian.  With C = (P + iQ) / l, both are Gaussian-integer over 2l:
 
       2l A = (P + P') + (Q - Q') i,
       2l B = (Q + Q') + (P' - P) i."""
     p, q = c.re, c.im
     pt, qt = _transpose(p), _transpose(q)
     den = 2 * c.den
-    pencil = HermitianPencil(
-        a=ComplexMatrix._of(_combine(add, p, pt), _combine(sub, q, qt), den),
-        b=ComplexMatrix._of(_combine(add, q, qt), _combine(sub, pt, p), den),
-    )
-    if not (pencil.a.is_hermitian() and pencil.b.is_hermitian()):
+    a = ComplexMatrix._of(_combine(add, p, pt), _combine(sub, q, qt), den)
+    b = ComplexMatrix._of(_combine(add, q, qt), _combine(sub, pt, p), den)
+    if not (a.is_hermitian() and b.is_hermitian()):
         raise ValueError("Hermitian split produced a non-Hermitian part")
-    return pencil
+    return a, b
 
 
 def hat_upper(h: ComplexMatrix) -> list:
     """The nonzero upper-triangle entries (i, j, p), i <= j, of the real
     symmetric embedding [[Re H, -Im H], [Im H, Re H]] of a Hermitian
     n x n H, as a list row by row; p is an int numerator over h.den, so
-    the entry is p / h.den.  The one writer of the hat layout: `hat_embed`
-    and the SDP constraints read it."""
+    the entry is p / h.den.  The one writer of the hat layout: the SDP
+    constraints read it."""
     n = h.n
     re = [[(j, p) for j, p in enumerate(row[i:], i) if p] for i, row in enumerate(h.re)]
     out = []
@@ -287,21 +273,6 @@ def hat_upper(h: ComplexMatrix) -> list:
         out += [(i, n + j, -q) for j, q in enumerate(row) if q]
     for i in range(n):
         out += [(n + i, n + j, p) for j, p in re[i]]
-    return out
-
-
-def hat_embed(h: ComplexMatrix) -> np.ndarray:
-    """Real symmetric embedding [[Re H, -Im H], [Im H, Re H]] of a
-    Hermitian H, as a 2n x 2n object array of Fraction.
-
-    The embedding halves the inner product, <H, K> = (1/2) <hat H, hat K>,
-    preserves semidefiniteness, and doubles every eigenvalue's multiplicity.
-    """
-    if not h.is_hermitian():
-        raise ValueError("hat embedding is defined for Hermitian input")
-    out = np.full((2 * h.n, 2 * h.n), Fraction(0), dtype=object)
-    for i, j, p in hat_upper(h):
-        out[i, j] = out[j, i] = Fraction(p, h.den)
     return out
 
 

@@ -42,7 +42,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .linalg import ComplexMatrix, HermitianPencil, hat_upper
+from .linalg import ComplexMatrix, hat_upper
 
 
 def _block_position(n: int, i: int) -> Tuple[int, int]:
@@ -129,13 +129,14 @@ class SdpInstance:
         return self.N + 4
 
 
-def build_instance(pencil: HermitianPencil, frob_ceiling: int) -> SdpInstance:
-    """The instance of the given Hermitian pencil and ceiling."""
+def build_instance(a: ComplexMatrix, b: ComplexMatrix, frob_ceiling: int) -> SdpInstance:
+    """The instance of the Hermitian pair (A, B) of `linalg.hermitian_split`
+    and the ceiling."""
     if frob_ceiling < 1:
         raise ValueError("frob_ceiling must be a positive integer")
-    if pencil.a.is_zero() and pencil.b.is_zero():
+    if a.is_zero() and b.is_zero():
         raise ValueError("zero pencil: chi is 0, no instance to build")
-    return SdpInstance(n=pencil.n, frob_ceiling=frob_ceiling, a=pencil.a, b=pencil.b)
+    return SdpInstance(n=a.n, frob_ceiling=frob_ceiling, a=a, b=b)
 
 
 def objective(n: int) -> Sparse:

@@ -20,7 +20,7 @@ from crawford.linalg import (
     ComplexMatrix,
     GaussianRational,
     frobenius_ceiling,
-    hat_embed,
+    hat_upper,
     hermitian_split,
 )
 from crawford.sdp import annihilators, build_instance, export_sdpa, objective, read_sdpa
@@ -35,6 +35,7 @@ from helpers import (
     blocks,
     dense_constraints,
     densify,
+    exact_entries,
     gr,
     identity,
     random_gaussian_integer,
@@ -151,7 +152,7 @@ def test_criterion_04_structure_counts(report):
         fs = [densify(a, 2 * n + 3).ravel() for a in annihilators(n)]
         gram = np.array([[u @ v for v in fs] for u in fs])
         mat = identity(n) if n != 2 else EXAMPLE
-        inst = build_instance(hermitian_split(mat), frobenius_ceiling(mat))
+        inst = build_instance(*hermitian_split(mat), frobenius_ceiling(mat))
         chart = build_chart(inst)
         ok &= len(fs) == N
         ok &= ambient_dim(inst) == 2 * n + 3
@@ -174,7 +175,7 @@ def test_criterion_05_certified_ball(report):
     details = []
     for n in (2, 3, 4, 5, 6):
         mat = random_gaussian_integer(rng, n, -5, 5)
-        inst = build_instance(hermitian_split(mat), frobenius_ceiling(mat))
+        inst = build_instance(*hermitian_split(mat), frobenius_ceiling(mat))
         ball = certified_ball(inst, mat)
         gy, guv, gt = blocks(densify(ball.center, ambient_dim(inst)))
         s_eigs = np.linalg.eigvalsh(guv)
@@ -270,12 +271,11 @@ def test_criterion_08_hat_embedding_properties(report):
         h1 = random_hermitian_gaussian_integer(rng, n)
         h2 = random_hermitian_gaussian_integer(rng, n)
         ip = float((h1.to_complex().conj() * h2.to_complex()).sum().real)
-        hat_ip = 0.5 * float(
-            (hat_embed(h1).astype(float) * hat_embed(h2).astype(float)).sum()
-        )
+        hat1, hat2 = (densify(exact_entries(hat_upper(h), h.den), 2 * n) for h in (h1, h2))
+        hat_ip = 0.5 * float((hat1 * hat2).sum())
         worst_ip = max(worst_ip, abs(ip - hat_ip))
         base = np.linalg.eigvalsh(h1.to_complex())
-        doubled = np.linalg.eigvalsh(hat_embed(h1).astype(float))
+        doubled = np.linalg.eigvalsh(hat1)
         worst_ev = max(worst_ev, np.abs(np.repeat(base, 2) - doubled).max())
     ok = worst_ip <= 1e-9 and worst_ev <= 1e-9
     assert report(
@@ -316,7 +316,7 @@ def test_criterion_09_frobenius_upper_bound(report):
 
 
 def test_criterion_10_sdpa_golden_file(report, tmp_path):
-    inst = build_instance(hermitian_split(EXAMPLE), frobenius_ceiling(EXAMPLE))
+    inst = build_instance(*hermitian_split(EXAMPLE), frobenius_ceiling(EXAMPLE))
     fresh = tmp_path / "fresh.dat-s"
     export_sdpa(inst, fresh)
     golden = DATA / "example_reference.dat-s"
@@ -359,7 +359,7 @@ def test_scaling_report_not_gated(capsys):
             centre = frobenius_ceiling(mat) + 1
             cases.append((centre, mat.translate(GaussianRational(centre, 0))))
         for centre, c in cases:
-            inst = build_instance(hermitian_split(c), frobenius_ceiling(c))
+            inst = build_instance(*hermitian_split(c), frobenius_ceiling(c))
             ball = certified_ball(inst, c)
             t0 = time.time()
             res = solve(ball, eps)

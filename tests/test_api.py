@@ -46,7 +46,6 @@ class TestReferenceExample:
     def test_sdp_route(self):
         res = run(EXAMPLE_TILDE, center=EXAMPLE_CENTER)
         assert CHI_EXAMPLE - 1e-9 <= res.chi <= CHI_EXAMPLE + EPS
-        assert res.method_used is Method.SDP_ELLIPSOID
         assert abs(abs(res.nearest_point) - res.chi) <= 2 * EPS
         assert res.nearest_point_original == pytest.approx(
             res.nearest_point + complex(-3.0, -1.0), abs=1e-12
@@ -55,7 +54,6 @@ class TestReferenceExample:
     def test_oracle_route(self):
         res = run(EXAMPLE_TILDE, center=EXAMPLE_CENTER, method=Method.ORACLE_SWEEP)
         assert res.chi == pytest.approx(CHI_EXAMPLE, abs=EPS)
-        assert res.method_used is Method.ORACLE_SWEEP
 
     def test_both_routes_agree(self):
         res = run(EXAMPLE_TILDE, center=EXAMPLE_CENTER, method=Method.BOTH)
@@ -137,9 +135,9 @@ class TestWitness:
         assert np.allclose(x, x.conj().T)
         assert np.trace(x).real == pytest.approx(1.0, abs=1e-9)
         assert np.linalg.eigvalsh(x)[0] >= -1e-9
-        pen = hermitian_split(EXAMPLE)
-        za = float((pen.a.to_complex().conj() * x).sum().real)
-        zb = float((pen.b.to_complex().conj() * x).sum().real)
+        a, b = hermitian_split(EXAMPLE)
+        za = float((a.to_complex().conj() * x).sum().real)
+        zb = float((b.to_complex().conj() * x).sum().real)
         assert math.hypot(za, zb) <= res.chi + 2 * EPS
         assert complex(za, zb) == pytest.approx(res.nearest_point, abs=2e-3)
 

@@ -144,32 +144,46 @@ class TestMatrixFiles:
             load_matrix(p)
 
 
-@pytest.mark.parametrize("command", ["chi", "verify", "export", "range"])
+EVERY_COMMAND = pytest.mark.parametrize("command", ["chi", "verify", "export", "range"])
+
+
 class TestInputChecks:
     """main checks eps before it dispatches and each command parses the
     centre after it reads the matrix, so a bad eps outranks a missing file
-    and a missing file outranks a bad centre."""
+    and a missing file outranks a bad centre.  verify checks its seed
+    before it reads the matrix."""
 
+    @EVERY_COMMAND
     @pytest.mark.parametrize("eps", ["0", "1"])
     def test_epsilon_window(self, tmp_path, capsys, command, eps):
         p = write_matrix(tmp_path / "c.json", IDENTITY2)
         assert main([command, p, "--eps", eps]) == 2
         assert "epsilon must lie in (0, 1)" in capsys.readouterr().err
 
+    @EVERY_COMMAND
     def test_bad_center(self, tmp_path, capsys, command):
         p = write_matrix(tmp_path / "c.json", IDENTITY2)
         assert main([command, p, "--center", "nope"]) == 2
         assert "cannot parse Gaussian rational 'nope'" in capsys.readouterr().err
 
+    @EVERY_COMMAND
     def test_missing_file_before_bad_center(self, tmp_path, capsys, command):
         absent = str(tmp_path / "absent.json")
         assert main([command, absent, "--center", "nope"]) == 4
         assert capsys.readouterr().err.startswith("io error: ")
 
+    @EVERY_COMMAND
     def test_bad_eps_before_missing_file(self, tmp_path, capsys, command):
         absent = str(tmp_path / "absent.json")
         assert main([command, absent, "--eps", "0"]) == 2
         assert "epsilon must lie in (0, 1)" in capsys.readouterr().err
+
+    def test_negative_seed_before_any_solve(self, tmp_path, capsys):
+        c = ComplexMatrix([[gr(1), gr(0, 2)], [gr(0), gr(3, 1)]])
+        assert main(["verify", write_matrix(tmp_path / "c.json", c), "--seed", "-1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 class TestCmdChi:

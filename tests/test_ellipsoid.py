@@ -47,7 +47,7 @@ from helpers import (
 
 
 def make(mat: ComplexMatrix):
-    inst = build_instance(hermitian_split(mat), frobenius_ceiling(mat))
+    inst = build_instance(*hermitian_split(mat), frobenius_ceiling(mat))
     return inst, certified_ball(inst, mat)
 
 

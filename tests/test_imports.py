@@ -1,6 +1,7 @@
 """Every name a `crawford` module imports is used there, and every name
 in `__all__` resolves: an import nobody reads is dead code that hides
-what a module depends on."""
+what a module depends on.  The package itself exports exactly the
+library API, which covers what the README's Library block imports."""
 
 import ast
 import importlib
@@ -60,3 +61,30 @@ def test_all_names_resolve(name):
     )
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert not missing
+
+
+def test_package_exports_the_library_api():
+    assert crawford.__all__ == [
+        "ComplexMatrix",
+        "CrawfordQuery",
+        "CrawfordResult",
+        "EllipsoidCapExceeded",
+        "GaussianRational",
+        "Method",
+        "crawford",
+    ]
+
+
+def test_readme_library_imports_resolve():
+    readme = (PACKAGE.parents[1] / "README.md").read_text()
+    section = readme.split("## Library", 1)[1]
+    code = section.split("```python", 1)[1].split("```", 1)[0]
+    imports = [
+        node
+        for node in ast.walk(ast.parse(code))
+        if isinstance(node, ast.ImportFrom) and node.module == "crawford"
+    ]
+    names = [alias.name for node in imports for alias in node.names]
+    assert names, "the README's Library block imports nothing from crawford"
+    assert set(names) <= set(crawford.__all__)
+    assert all(hasattr(crawford, name) for name in names)

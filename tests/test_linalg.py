@@ -15,7 +15,7 @@ from crawford.linalg import (
     GaussianRational,
     clear_denominators,
     frobenius_ceiling,
-    hat_embed,
+    hat_upper,
     hermitian_split,
 )
 from crawford.sdp import annihilators, ball_center, build_instance, constraints
@@ -68,10 +68,6 @@ def reference_hat(h: ComplexMatrix) -> np.ndarray:
     return np.block([[re, -im], [im, re]])
 
 
-def all_fractions(arr) -> bool:
-    return all(isinstance(v, Fraction) for v in np.asarray(arr).flat)
-
-
 class TestGaussianRational:
     @given(gaussians, gaussians)
     def test_ring_ops_exact(self, a, b):
@@ -97,26 +93,26 @@ class TestGaussianRational:
 
 class TestHermitianSplit:
     def test_reference_example(self):
-        pen = hermitian_split(EXAMPLE)
-        assert pen.a == ComplexMatrix([[gr(3), gr(1, -2)], [gr(1, 2), gr(3)]])
-        assert pen.b == ComplexMatrix([[gr(1), gr(-2, 1)], [gr(-2, -1), gr(1)]])
+        a, b = hermitian_split(EXAMPLE)
+        assert a == ComplexMatrix([[gr(3), gr(1, -2)], [gr(1, 2), gr(3)]])
+        assert b == ComplexMatrix([[gr(1), gr(-2, 1)], [gr(-2, -1), gr(1)]])
 
     def test_untranslated_example(self):
-        pen = hermitian_split(EXAMPLE_TILDE)
-        assert pen.a == ComplexMatrix([[gr(0), gr(1, -2)], [gr(1, 2), gr(0)]])
-        assert pen.b == ComplexMatrix([[gr(0), gr(-2, 1)], [gr(-2, -1), gr(0)]])
+        a, b = hermitian_split(EXAMPLE_TILDE)
+        assert a == ComplexMatrix([[gr(0), gr(1, -2)], [gr(1, 2), gr(0)]])
+        assert b == ComplexMatrix([[gr(0), gr(-2, 1)], [gr(-2, -1), gr(0)]])
 
     def test_identity_has_no_skew_part(self):
-        pen = hermitian_split(identity(3))
-        assert pen.a == identity(3)
-        assert pen.b.is_zero()
+        a, b = hermitian_split(identity(3))
+        assert a == identity(3)
+        assert b.is_zero()
 
     @settings(max_examples=60)
     @given(small_matrix(2))
     def test_reconstruction_exact(self, c):
-        pen = hermitian_split(c)
-        assert pen.a.is_hermitian() and pen.b.is_hermitian()
-        recon = pen.a + pen.b.scale(GaussianRational(0, 1))
+        a, b = hermitian_split(c)
+        assert a.is_hermitian() and b.is_hermitian()
+        recon = a + b.scale(GaussianRational(0, 1))
         assert recon == c
 
 
@@ -133,20 +129,22 @@ class TestExactSetupMatchesReference:
             adj = adjoint(m)
             a_ref = (m + adj).scale(Fraction(1, 2))
             b_ref = (m - adj).scale(GaussianRational(0, Fraction(-1, 2)))
-            pen = hermitian_split(m)
-            assert pen.a == a_ref and pen.b == b_ref
-            for hat, ref in ((hat_embed(pen.a), a_ref), (hat_embed(pen.b), b_ref)):
-                assert all_fractions(hat)
+            a, b = hermitian_split(m)
+            assert a == a_ref and b == b_ref
+            for h, ref in ((a, a_ref), (b, b_ref)):
+                upper = hat_upper(h)
+                assert all(type(p) is int for _, _, p in upper)
+                hat = densify(exact_entries(upper, h.den), 2 * m.n, object)
                 assert np.array_equal(hat, reference_hat(ref))
             if m.is_zero():
                 continue
             k = frobenius_ceiling(m)
-            inst = build_instance(pen, k)
+            inst = build_instance(a, b, k)
             cons = constraints(inst)
             size, h = ambient_dim(inst), 2 * m.n
             # each row is int numerators over its denominator
             assert all(type(p) is int for f, _, _ in cons for _, _, p in f)
-            assert [den for _, den, _ in cons] == [1] * inst.N + [pen.a.den, pen.b.den, 1, 1]
+            assert [den for _, den, _ in cons] == [1] * inst.N + [a.den, b.den, 1, 1]
             exact = [densify(exact_entries(f, den), size, object) for f, den, _ in cons]
             assert np.array_equal(exact[inst.N][:h, :h], -reference_hat(a_ref))
             assert np.array_equal(exact[inst.N + 1][:h, :h], -reference_hat(b_ref))
@@ -166,7 +164,7 @@ class TestExactSetupMatchesReference:
 class TestIntegerRows:
     """Every row of `sdp.constraints` is int numerators over one row
     denominator, and divided by it equals the Fraction reference built
-    from `hat_embed`, entry for entry and in the same order."""
+    from the dense hat embedding, entry for entry and in the same order."""
 
     @pytest.mark.parametrize("form", [scaled_instance, sdp_instance])
     @settings(max_examples=40, deadline=None)
@@ -177,12 +175,14 @@ class TestIntegerRows:
         k = 2 * inst.n
 
         def negated_upper(h):
-            # the nonzero upper triangle, row by row: hat_upper's order
-            return [(i, j, -h[i, j]) for i in range(k) for j in range(i, k) if h[i, j]]
+            # hat H densified, then its nonzero upper triangle row by row:
+            # hat_upper's order
+            d = densify(exact_entries(hat_upper(h), h.den), k, object)
+            return [(i, j, -d[i, j]) for i in range(k) for j in range(i, k) if d[i, j]]
 
         want = [(list(f), 0) for f in annihilators(inst.n)] + [
-            (negated_upper(hat_embed(inst.a)) + [(k, k, 1), (k + 1, k + 1, -1)], 0),
-            (negated_upper(hat_embed(inst.b)) + [(k, k + 1, 1)], 0),
+            (negated_upper(inst.a) + [(k, k, 1), (k + 1, k + 1, -1)], 0),
+            (negated_upper(inst.b) + [(k, k + 1, 1)], 0),
             ([(i, i, 1) for i in range(k)], 2),
             ([(k, k, 1), (k + 1, k + 1, 1), (k + 2, k + 2, 2)], 2 * (inst.frob_ceiling + 2)),
         ]
@@ -194,23 +194,19 @@ class TestIntegerRows:
 
 class TestHatEmbed:
     def test_reference_pair(self):
-        pen = hermitian_split(EXAMPLE)
+        a, b = hermitian_split(EXAMPLE)
         expect_a = np.array(
             [[3, 1, 0, 2], [1, 3, -2, 0], [0, -2, 3, 1], [2, 0, 1, 3]]
         )
         expect_b = np.array(
             [[1, -2, 0, -1], [-2, 1, 1, 0], [0, 1, 1, -2], [-1, 0, -2, 1]]
         )
-        assert np.array_equal(hat_embed(pen.a).astype(float), expect_a)
-        assert np.array_equal(hat_embed(pen.b).astype(float), expect_b)
+        assert np.array_equal(densify(exact_entries(hat_upper(a), a.den), 4), expect_a)
+        assert np.array_equal(densify(exact_entries(hat_upper(b), b.den), 4), expect_b)
 
     def test_identity(self):
-        h = hat_embed(identity(3))
-        assert np.array_equal(h.astype(float), np.eye(6))
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            hat_embed(ComplexMatrix([[gr(0), gr(1)], [gr(0), gr(0)]]))
+        h = identity(3)
+        assert np.array_equal(densify(exact_entries(hat_upper(h), h.den), 6), np.eye(6))
 
     @settings(max_examples=40)
     @given(small_matrix(2), small_matrix(2))
@@ -222,7 +218,8 @@ class TestHatEmbed:
             GaussianRational(0),
         )
         assert lhs.im == 0
-        rhs = (hat_embed(h1) * hat_embed(h2)).sum()
+        hat1, hat2 = (densify(exact_entries(hat_upper(h), h.den), 4, object) for h in (h1, h2))
+        rhs = (hat1 * hat2).sum()
         assert 2 * lhs.re == rhs
 
     def test_eigenvalue_doubling(self):
@@ -232,7 +229,7 @@ class TestHatEmbed:
             h = random_gaussian_integer(rng, n)
             h = (h + adjoint(h)).scale(Fraction(1, 2))
             base = np.linalg.eigvalsh(h.to_complex())
-            hatted = np.linalg.eigvalsh(hat_embed(h).astype(float))
+            hatted = np.linalg.eigvalsh(densify(exact_entries(hat_upper(h), h.den), 2 * n))
             assert np.allclose(np.repeat(base, 2), hatted, atol=1e-9)
 
     def test_psd_preserved_both_ways(self):
@@ -251,7 +248,7 @@ class TestHatEmbed:
                 for i in range(2)
             ]
             psd = ComplexMatrix(psd_rows)
-            lam = np.linalg.eigvalsh(hat_embed(psd).astype(float))
+            lam = np.linalg.eigvalsh(densify(exact_entries(hat_upper(psd), psd.den), 4))
             assert lam[0] >= -1e-9
 
 

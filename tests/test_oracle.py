@@ -29,8 +29,8 @@ from helpers import (
 
 
 def float_parts(mat: ComplexMatrix):
-    pen = hermitian_split(mat)
-    return pen.a.to_complex(), pen.b.to_complex()
+    a, b = hermitian_split(mat)
+    return a.to_complex(), b.to_complex()
 
 
 def sampled_gmax(mat: ComplexMatrix, m: int = 4096) -> float:

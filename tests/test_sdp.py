@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from crawford.linalg import ComplexMatrix, frobenius_ceiling, hat_embed, hermitian_split
+from crawford.linalg import ComplexMatrix, frobenius_ceiling, hermitian_split
 from crawford.sdp import (
     SdpInstance,
     annihilators,
@@ -30,8 +30,7 @@ from helpers import (
 
 
 def example_instance() -> SdpInstance:
-    pen = hermitian_split(EXAMPLE)
-    return build_instance(pen, frobenius_ceiling(EXAMPLE))
+    return build_instance(*hermitian_split(EXAMPLE), frobenius_ceiling(EXAMPLE))
 
 
 def sym_unit(m, i, j):
@@ -45,7 +44,7 @@ def modulus_block(x, y, r):
     """The 2x2 block of Z(X, r) for a 1x1 C = x + iy, where X = [[1]]
     gives <A, X> = x and <B, X> = y."""
     mat = ComplexMatrix([[gr(x, y)]])
-    inst = build_instance(hermitian_split(mat), frobenius_ceiling(mat))
+    inst = build_instance(*hermitian_split(mat), frobenius_ceiling(mat))
     return blocks(assemble_feasible_point(inst, np.eye(1), r))[1]
 
 
@@ -58,7 +57,7 @@ class TestModulusBlock:
 
     def test_origin(self):
         # C = diag(1, -1) and X = I/2 give <A, X> = <B, X> = 0
-        inst = build_instance(hermitian_split(DIAG_PM), frobenius_ceiling(DIAG_PM))
+        inst = build_instance(*hermitian_split(DIAG_PM), frobenius_ceiling(DIAG_PM))
         m = blocks(assemble_feasible_point(inst, 0.5 * np.eye(2), 0.0))[1]
         assert np.array_equal(m, np.zeros((2, 2)))
 
@@ -138,9 +137,7 @@ class TestBuildInstance:
         inst = example_instance()
         fields = [f.name for f in dataclasses.fields(SdpInstance)]
         assert fields == ["n", "frob_ceiling", "a", "b"]
-        pen = hermitian_split(EXAMPLE)
-        assert inst.a == pen.a
-        assert inst.b == pen.b
+        assert (inst.a, inst.b) == hermitian_split(EXAMPLE)
         assert inst.frob_ceiling == frobenius_ceiling(EXAMPLE) == 7
 
     def test_reference_tail_blocks(self):
@@ -156,13 +153,18 @@ class TestBuildInstance:
         tails = [(densify(exact_entries(f, den), 7, object), b) for f, den, b in cons[inst.N :]]
         assert len(tails) == 4
         f1, b1 = tails[0]
-        assert np.array_equal(f1[:4, :4], -hat_embed(inst.a))
+        # -hat A and -hat B of the worked example
+        assert np.array_equal(
+            f1[:4, :4], -np.array([[3, 1, 0, 2], [1, 3, -2, 0], [0, -2, 3, 1], [2, 0, 1, 3]])
+        )
         assert np.array_equal(
             f1[4:6, 4:6].astype(float), np.array([[1.0, 0.0], [0.0, -1.0]])
         )
         assert f1[6, 6] == 0 and b1 == 0
         f2, b2 = tails[1]
-        assert np.array_equal(f2[:4, :4], -hat_embed(inst.b))
+        assert np.array_equal(
+            f2[:4, :4], -np.array([[1, -2, 0, -1], [-2, 1, 1, 0], [0, 1, 1, -2], [-1, 0, -2, 1]])
+        )
         assert np.array_equal(
             f2[4:6, 4:6].astype(float), np.array([[0.0, 1.0], [1.0, 0.0]])
         )
@@ -193,9 +195,9 @@ class TestBuildInstance:
 
     def test_feasible_iff_r_dominates_modulus(self):
         inst = example_instance()
-        pen = hermitian_split(EXAMPLE)
-        a_f = pen.a.to_complex()
-        b_f = pen.b.to_complex()
+        a, b = hermitian_split(EXAMPLE)
+        a_f = a.to_complex()
+        b_f = b.to_complex()
         rng = np.random.default_rng(9)
         for _ in range(40):
             x = random_density(rng, 2)
@@ -221,14 +223,14 @@ class TestBuildInstance:
                 assert abs((f * full).sum()) < 1e-9
 
     def test_rejects_zero_pencil(self):
-        pen = hermitian_split(ComplexMatrix.zeros(2))
+        a, b = hermitian_split(ComplexMatrix.zeros(2))
         with pytest.raises(ValueError):
-            build_instance(pen, 1)
+            build_instance(a, b, 1)
 
     def test_rejects_bad_ceiling(self):
-        pen = hermitian_split(EXAMPLE)
+        a, b = hermitian_split(EXAMPLE)
         with pytest.raises(ValueError):
-            build_instance(pen, 0)
+            build_instance(a, b, 0)
 
 
 class TestExportSdpa:
