@@ -14,6 +14,7 @@ Exit codes: 0 ok, 2 parse error, 3 solver diagnostic, 4 I/O error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -202,13 +203,10 @@ def cmd_verify(args) -> int:
     if ball is not None:
         chart = ball.chart
         r_in = float(ball.inner_r)
-        zs = np.array(
-            [
-                chart.point(r_in * (w / np.linalg.norm(w)))
-                for w in rng.standard_normal((20, chart.dim))
-            ]
-        )
-        # Z's blocks, 2n, 2 and 1, each one eigvalsh over the 20 points
+        # 20 points on the inner sphere, assembled as one (20, m, m) batch;
+        # Z's blocks, 2n, 2 and 1, each one eigvalsh over all of them
+        w = rng.standard_normal((20, chart.dim))
+        zs = chart.point(r_in * (w / np.linalg.norm(w, axis=1, keepdims=True)))
         k = 2 * chart.n
         worst = min(
             float(np.linalg.eigvalsh(zs[:, :k, :k]).min()),
@@ -257,7 +255,9 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # built on the first call and reused: parse_args keeps no state
     ap = argparse.ArgumentParser(
         prog="crawford",
         description="Crawford number chi(c, C) via certified SDP / ellipsoid "

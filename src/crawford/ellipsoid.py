@@ -313,12 +313,16 @@ class AffineChart:
         m, p, q = self._initial_scales()
         return m * math.log(p) + math.log(q)
 
-    def density(self, u: np.ndarray) -> np.ndarray:
-        n = self.n
-        return (self.x_origin + u @ self.x_map).view(complex).reshape(n, n)
+    # density, modulus and point take one u of shape (d,) or a batch of
+    # shape (k, d), and return one value or k of them
 
-    def modulus(self, u: np.ndarray) -> float:
-        return self.inst.frob_ceiling + 1.0 + _RHO * float(u[-1])
+    def density(self, u: np.ndarray) -> np.ndarray:
+        flat = self.x_origin + u @ self.x_map
+        return flat.view(complex).reshape(flat.shape[:-1] + (self.n, self.n))
+
+    def modulus(self, u: np.ndarray):
+        rho = _RHO * np.asarray(u)[..., -1]
+        return self.inst.frob_ceiling + 1.0 + (rho if rho.ndim else float(rho))
 
     def point(self, u: np.ndarray) -> np.ndarray:
         return assemble_feasible_point(self.inst, self.density(u), self.modulus(u))

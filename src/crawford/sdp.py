@@ -36,7 +36,7 @@ solver-facing views.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from fractions import Fraction
 from typing import List, Tuple
 
@@ -79,6 +79,12 @@ def annihilators(n: int) -> List[Sparse]:
       4. E_{i, n+j} + E_{j, n+i} for i < j < n: Im block antisymmetric.
       5. E_{ij} - E_{(n+i)(n+j)} for i <= j < n: the two Re blocks agree.
     """
+    return [f for f, _, _ in _annihilator_rows(n)]
+
+
+@cache
+def _annihilator_rows(n: int) -> Tuple[Row, ...]:
+    # built once per n and shared: a Row is immutable all the way down
     if n < 1:
         raise ValueError("n must be positive")
     k = 2 * n
@@ -88,7 +94,7 @@ def annihilators(n: int) -> List[Sparse]:
     out += [((i, n + j, 1), (j, n + i, 1)) for i in range(n) for j in range(i + 1, n)]
     out += [((i, j, 1), (n + i, n + j, -1)) for i in range(n) for j in range(i, n)]
     assert len(out) == n * n + 7 * n + 2
-    return out
+    return tuple((f, 1, 0) for f in out)
 
 
 @dataclass(frozen=True)
@@ -97,10 +103,13 @@ class SdpInstance:
     ceiling c >= ||C||_F.  The constraints are generated from it by
     `constraints`."""
 
-    n: int
     frob_ceiling: int
     a: ComplexMatrix
     b: ComplexMatrix
+
+    @property
+    def n(self) -> int:
+        return self.a.n
 
     @cached_property
     def pencil_flat(self) -> np.ndarray:
@@ -136,7 +145,7 @@ def build_instance(a: ComplexMatrix, b: ComplexMatrix, frob_ceiling: int) -> Sdp
         raise ValueError("frob_ceiling must be a positive integer")
     if a.is_zero() and b.is_zero():
         raise ValueError("zero pencil: chi is 0, no instance to build")
-    return SdpInstance(n=a.n, frob_ceiling=frob_ceiling, a=a, b=b)
+    return SdpInstance(frob_ceiling=frob_ceiling, a=a, b=b)
 
 
 def objective(n: int) -> Sparse:
@@ -155,7 +164,7 @@ def constraints(inst: SdpInstance) -> List[Row]:
     def minus_hat(h):
         return [(i, j, -p) for i, j, p in hat_upper(h)]
 
-    return [(f, 1, 0) for f in annihilators(inst.n)] + [
+    return list(_annihilator_rows(inst.n)) + [
         (tuple(minus_hat(inst.a) + [(k, k, da), (k + 1, k + 1, -da)]), da, 0),
         (tuple(minus_hat(inst.b) + [(k, k + 1, db)]), db, 0),
         (tuple((i, i, 1) for i in range(k)), 1, 2),
@@ -273,22 +282,30 @@ def read_sdpa(path) -> SdpaData:
     )
 
 
-def assemble_feasible_point(inst: SdpInstance, dens: np.ndarray, r: float) -> np.ndarray:
+def assemble_feasible_point(inst: SdpInstance, dens: np.ndarray, r) -> np.ndarray:
     """The dense float Z(X, r) = diag(hat X, [[r + x, y], [y, r - x]],
     c + 2 - r) with x + iy = <A, X> + i<B, X> and c = frob_ceiling.
 
     For a Hermitian X of trace 1 this satisfies every equality constraint,
     and every equality-feasible point is of this form.  It is PSD exactly
     when X is PSD and |x + iy| <= r <= c + 2; the objective reads r.
+
+    A leading batch axis is carried through: dens of shape (..., n, n) and
+    r of shape (...) give Z of shape (..., 2n+3, 2n+3), one point per index.
     """
-    dens = np.asarray(dens, dtype=complex)
-    x, y = inst.pencil_values(dens)
+    dens = np.ascontiguousarray(dens, dtype=complex)
+    r = np.asarray(r, dtype=float)
+    lead = dens.shape[:-2]
+    # <A, X> and <B, X> as in `SdpInstance.pencil_values`, per point
+    x, y = (dens.reshape(lead + (-1,)).view(float) @ inst.pencil_flat.T).T
     n, k = inst.n, 2 * inst.n
-    z = np.zeros((k + 3, k + 3))
+    z = np.zeros(lead + (k + 3, k + 3))
     # hat X = [[Re X, -Im X], [Im X, Re X]], a quadrant at a time
-    z[:n, :n] = z[n:k, n:k] = dens.real
-    z[n:k, :n] = dens.imag
-    z[:n, n:k] = -dens.imag
-    z[k : k + 2, k : k + 2] = [[r + x, y], [y, r - x]]
-    z[k + 2, k + 2] = inst.frob_ceiling + 2.0 - r
+    z[..., :n, :n] = z[..., n:k, n:k] = dens.real
+    z[..., n:k, :n] = dens.imag
+    z[..., :n, n:k] = -dens.imag
+    z[..., k, k] = r + x
+    z[..., k, k + 1] = z[..., k + 1, k] = y
+    z[..., k + 1, k + 1] = r - x
+    z[..., k + 2, k + 2] = inst.frob_ceiling + 2.0 - r
     return z

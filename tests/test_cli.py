@@ -186,6 +186,47 @@ class TestInputChecks:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+class TestParserReuse:
+    """main builds its parser once per process; a run leaves nothing in it
+    that the next run reads."""
+
+    def test_built_once(self):
+        from crawford.cli import build_parser
+
+        assert build_parser() is build_parser()
+
+    def test_runs_back_to_back_print_what_they_print_alone(self, tmp_path, capsys):
+        from crawford.cli import build_parser
+
+        p = write_matrix(tmp_path / "c.json", EXAMPLE_TILDE)
+        runs = [
+            ["chi", p, "--center=-3-i", "--eps", "1e-4", "--json", "--method", "both"],
+            ["chi", p, "--center=-3-i", "--eps", "1e-4"],
+            ["verify", p, "--eps", "1e-4", "--seed", "7"],
+        ]
+
+        def run(argv):
+            assert main(argv) == 0
+            out = capsys.readouterr().out
+            if "--json" not in argv:
+                return out
+            # the wall-clock keys differ from run to run
+            return {k: v for k, v in json.loads(out).items() if not k.endswith("_s")}
+
+        alone = []
+        for argv in runs:
+            build_parser.cache_clear()
+            alone.append(run(argv))
+        parser = build_parser()
+        assert [run(argv) for argv in runs] == alone
+        assert build_parser() is parser
+        with pytest.raises(SystemExit) as exc:
+            main(["chi", p, "--eps", "abc"])
+        assert exc.value.code == 2
+        assert "invalid float value: 'abc'" in capsys.readouterr().err
+        assert run(runs[1]) == alone[1]
+
+
 class TestCmdChi:
     def test_reference_example_text(self, tmp_path, capsys):
         p = write_matrix(tmp_path / "c.json", EXAMPLE_TILDE)
@@ -679,35 +720,53 @@ class TestCmdVerify:
         assert "rotation_identity: FAIL" in out
 
     def test_inner_ball_matches_a_point_by_point_loop(self, tmp_path, capsys, monkeypatch):
-        # the check assembles its 20 points one at a time and takes each
-        # block's eigenvalues over all of them at once; the least one is
-        # the least of the per-point spectra
+        # the check assembles its 20 points in one batched call and takes
+        # each block's eigenvalues over all of them at once; each row is
+        # the single-point Z, and the least eigenvalue is the least of the
+        # per-point spectra
         import numpy as np
 
         from crawford import ellipsoid
 
-        points = []
+        calls = []
         point = ellipsoid.AffineChart.point
 
         def spy(chart, u):
             z = point(chart, u)
-            points.append((chart.n, z))
+            calls.append((chart, np.array(u), z))
             return z
 
         monkeypatch.setattr(ellipsoid.AffineChart, "point", spy)
         p = write_matrix(tmp_path / "c.json", GAUSSIAN4)
         assert main(["verify", p, "--eps", "1e-4", "--seed", "7"]) == 0
         out = capsys.readouterr().out
-        assert len(points) == 20
+        assert len(calls) == 1
+        chart, u, zs = calls[0]
+        n = chart.n
+        assert u.shape == (20, chart.dim) == (20, n * n)
+        # each row on the sphere of the certified inner radius 1/n
+        assert np.abs(np.linalg.norm(u, axis=1) - 1 / n).max() <= 1e-15
+        one_by_one = np.array([point(chart, row) for row in u])
+        assert zs.shape == one_by_one.shape
+        assert np.abs(zs - one_by_one).max() <= 1e-15
         worst = min(
             min(
                 float(np.linalg.eigvalsh(z[: 2 * n, : 2 * n])[0]),
                 float(np.linalg.eigvalsh(z[2 * n : 2 * n + 2, 2 * n : 2 * n + 2])[0]),
                 float(z[2 * n + 2, 2 * n + 2]),
             )
-            for n, z in points
+            for z in one_by_one
         )
         assert f"inner_ball: PASS (min eigenvalue {worst:.3g})" in out
+
+    def test_one_by_one_matrix(self, tmp_path, capsys):
+        # n = 1: the chart has d = 1, rho's coordinate alone, and an empty
+        # traceless basis; the inner-ball batch is 20 points of size 5
+        p = write_matrix(tmp_path / "c.json", ComplexMatrix([[gr(2, -1)]]))
+        assert main(["verify", p, "--center=1/2+i", "--eps", "1e-4"]) == 0
+        out = capsys.readouterr().out
+        assert "inner_ball: PASS" in out
+        assert "FAIL" not in out
 
     def test_outer_ball_reads_the_witness(self, tmp_path, capsys, monkeypatch):
         # chi = 0 closes at the ball centre, so the solve visits no other

@@ -197,6 +197,27 @@ class TestChart:
             for f, b in dense_constraints(inst):
                 assert abs((f * full).sum() - b) < 1e-10
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_batched_rows_are_single_points(self, n):
+        # a (k, d) batch gives k rows, each the single-point value; at
+        # n = 1, d = 1 and the traceless basis is empty.  The batched
+        # products sum in another order, so X and Z agree to a few units
+        # in the last place of their largest entries, 1 and c + 2
+        c = random_gaussian_integer(np.random.default_rng(600 + n), n, -5, 5)
+        inst, ball = make(c.translate(gr(1, 1)))
+        chart = ball.chart
+        u = float(ball.inner_r) * np.random.default_rng(n).standard_normal((20, chart.dim))
+        dens, r, z = chart.density(u), chart.modulus(u), chart.point(u)
+        assert dens.shape == (20, n, n)
+        assert r.shape == (20,)
+        assert z.shape == (20, ambient_dim(inst), ambient_dim(inst))
+        ulp = np.finfo(float).eps
+        for i, row in enumerate(u):
+            assert np.abs(dens[i] - chart.density(row)).max() <= 4 * ulp
+            assert r[i] == chart.modulus(row)
+            assert type(chart.modulus(row)) is float
+            assert np.abs(z[i] - chart.point(row)).max() <= 4 * ulp * (inst.frob_ceiling + 2)
+
 
 def assert_contraction(inst, jac):
     """The eigenvalues of J J' lie in [1/(1 + c^2), 1], and u_d's row is

@@ -131,12 +131,23 @@ class TestSubspaceBasis:
         with pytest.raises(ValueError):
             annihilators(0)
 
+    def test_each_call_returns_a_fresh_list(self):
+        # the rows are built once per n; a caller that edits its list, as
+        # the certificate tamper tests do, leaves the next caller's intact
+        inst = example_instance()
+        got, cons = annihilators(2), constraints(inst)
+        got.clear()
+        cons[0] = None
+        assert len(annihilators(2)) == 20
+        assert constraints(inst)[0] == (annihilators(2)[0], 1, 0)
+
 
 class TestBuildInstance:
     def test_instance_is_its_data(self):
         inst = example_instance()
         fields = [f.name for f in dataclasses.fields(SdpInstance)]
-        assert fields == ["n", "frob_ceiling", "a", "b"]
+        assert fields == ["frob_ceiling", "a", "b"]
+        assert inst.n == inst.a.n == 2
         assert (inst.a, inst.b) == hermitian_split(EXAMPLE)
         assert inst.frob_ceiling == frobenius_ceiling(EXAMPLE) == 7
 
