@@ -83,11 +83,11 @@ def scaled_instance(t: ComplexMatrix):
     def covers(k):
         return (den << 2 * k) >= num if k >= 0 else den >= (num << -2 * k)
 
+    # the start never covers too much: 4^(k - 1) den < 2^(bitlen(num) - 2)
+    # < num, so the least covering k is the first one it reaches upward
     k = (num.bit_length() - den.bit_length()) // 2
     while not covers(k):
         k += 1
-    while covers(k - 1):
-        k -= 1
     s = Fraction(2) ** k
     ts = t.scale(1 / s)
     return sdp.build_instance(*hermitian_split(ts), 1), ts, s

@@ -169,10 +169,12 @@ cut {x : g.(x - z) <= -depth} (Bland, Goldfarb & Todd, Oper. Res. 29(6),
                step, a central cut).
 
 Neither discards a feasible point with objective below best_cert, so
-every optimum stays in E.  When a cut leaves nothing of E
-(alpha = depth / sqrt(g' P g) >= 1), no feasible point has objective
-below best_cert, so best_cert is also a lower bound: lb becomes best_cert
-and the run returns.  G's density holds best_cert before the first cut,
+every optimum stays in E.  Every cut, of either kind, goes through one
+update, P g along its normal g (`_shrink`), and is counted in one record
+keyed by its block, which `SolveResult`'s cuts_* fields read.  When a
+cut leaves nothing of E (alpha = depth / sqrt(g' P g) >= 1), no feasible
+point has objective below best_cert, so best_cert is also a lower bound:
+lb becomes best_cert and the run returns.  G's density holds best_cert before the first cut,
 so such a cut always has a certificate to return.
 
 Termination: best_cert - lb <= eps, so the reported value is within eps
@@ -451,7 +453,8 @@ def separation_oracle(chart: AffineChart, u: np.ndarray, best_value: float) -> C
     violated block's v'Zv at depth -lambda_min - tol).  PSD tolerance is
     tol = 1e-9 (1 + ||Z||_F).
 
-    X is read once, as its flat layout.  The 2x2 and scalar blocks come
+    X is `chart.density(u)`, read once, with its pencil values from
+    `SdpInstance.pencil_values`.  The 2x2 and scalar blocks come
     first: their eigenvalues r - |w(X)| and t = c + 2 - r are closed-form,
     and when either is below -tol the more violated of the two gives the
     cut, with no spectrum of X.  Only when both hold is X's spectrum taken:
@@ -459,13 +462,14 @@ def separation_oracle(chart: AffineChart, u: np.ndarray, best_value: float) -> C
     matching complex w, so the big block needs only X.  The cut of a
     PSD-feasible point carries eigh(X), for its repair."""
     inst = chart.inst
-    flat = chart.x_origin + u @ chart.x_map
-    a, b = (inst.pencil_flat @ flat).tolist()
+    x = chart.density(u)
+    a, b = inst.pencil_values(x)
     r = chart.modulus(u)
     t = inst.frob_ceiling + 2.0 - r
     m = math.hypot(a, b)
     lam_t = r - m
     # ||Z||_F^2 = 2 ||X||_F^2 + ||[[r+a, b], [b, r-a]]||_F^2 + t^2
+    flat = x.reshape(-1).view(float)
     xx = float(flat @ flat)
     tol = 1e-9 * (1.0 + math.sqrt(2.0 * (xx + r * r + m * m) + t * t))
 
@@ -474,43 +478,35 @@ def separation_oracle(chart: AffineChart, u: np.ndarray, best_value: float) -> C
             # v'[[r+a, b], [b, r-a]]v = r + (p^2 - q^2) a + 2pq b for unit
             # v = (p, q); the smallest eigenvalue r - m is reached at
             # (p^2 - q^2, 2pq) = -(a, b) / m, and at m = 0 by every v
-            block, worst = "modulus", lam_t
+            block, lam = "modulus", lam_t
             normal = -chart.objective_grad
             if m > 0.0:
                 normal = normal + chart.pencil_grad @ (a / m, b / m)
         else:
-            block, worst, normal = "ceiling", t, chart.objective_grad
-        return Cut(
-            kind="feasibility",
-            normal=normal,
-            min_eig=worst,
-            objective=r,
-            depth=max(0.0, -worst - tol),
-            block=block,
-        )
-
-    n = chart.n
-    wx, qx = np.linalg.eigh(flat.view(complex).reshape(n, n))
-    lam_x = float(wx[0])
-    if lam_x < -tol:
-        w = qx[:, 0]
-        ww = (w[:, None] * w.conj()).ravel().view(float)
-        return Cut(
-            kind="feasibility",
-            normal=-(chart.x_map @ ww),
-            min_eig=lam_x,
-            objective=r,
-            depth=max(0.0, -lam_x - tol),
-            block="spectral",
-        )
-
+            block, lam, normal = "ceiling", t, chart.objective_grad
+    else:
+        wx, qx = np.linalg.eigh(x)
+        lam = float(wx[0])
+        if lam < -tol:
+            v = qx[:, 0]
+            block = "spectral"
+            normal = -(chart.x_map @ (v[:, None] * v.conj()).ravel().view(float))
+        else:
+            return Cut(
+                kind="objective",
+                normal=chart.objective_grad,
+                min_eig=min(lam, lam_t, t),
+                objective=r,
+                depth=max(0.0, r - best_value),
+                spectrum=(wx, qx),
+            )
     return Cut(
-        kind="objective",
-        normal=chart.objective_grad,
-        min_eig=min(lam_x, lam_t, t),
+        kind="feasibility",
+        normal=normal,
+        min_eig=lam,
         objective=r,
-        depth=max(0.0, r - best_value),
-        spectrum=(wx, qx),
+        depth=max(0.0, -lam - tol),
+        block=block,
     )
 
 
@@ -590,12 +586,11 @@ def _shrink(z: np.ndarray, p_mat: np.ndarray, b: np.ndarray, alpha: float) -> No
         return
     tau = (1.0 + d * alpha) / (d + 1.0)
     sigma = 2.0 * tau / (1.0 + alpha)
-    step = tau * b
-    z -= step
-    # sqrt(sigma) b on both sides, written over tau b: entries (i, j) and
-    # (j, i) multiply the same two floats, so P stays exactly symmetric
-    np.multiply(b, math.sqrt(sigma), out=step)
-    p_mat -= step[:, None] * step
+    z -= tau * b
+    # sqrt(sigma) b on both sides: entries (i, j) and (j, i) multiply the
+    # same two floats, so P stays exactly symmetric
+    s = math.sqrt(sigma) * b
+    p_mat -= s[:, None] * s
     p_mat *= d * d * (1.0 - alpha * alpha) / (d * d - 1.0)
 
 
@@ -634,8 +629,8 @@ def solve(ball: CertifiedBall, eps: float) -> SolveResult:
     lb = 0.0
     # the best lambda_min(cos t A + sin t B), None until one is taken
     lb_dual: Optional[float] = None
-    n_obj = 0
-    n_feas = {"spectral": 0, "modulus": 0, "ceiling": 0}
+    # cuts by `Cut.block`, with objective cuts under "objective"
+    cuts = dict.fromkeys(("objective", "spectral", "modulus", "ceiling"), 0)
     n_certs_dual = 0
     n_dual_solves = 0
     # the kind of certificate that holds best_cert
@@ -661,11 +656,11 @@ def solve(ball: CertifiedBall, eps: float) -> SolveResult:
             X=best_x,
             iterations=it,
             iteration_cap=cap,
-            cuts_feasibility=sum(n_feas.values()),
-            cuts_objective=n_obj,
-            cuts_spectral=n_feas["spectral"],
-            cuts_modulus=n_feas["modulus"],
-            cuts_ceiling=n_feas["ceiling"],
+            cuts_feasibility=cuts["spectral"] + cuts["modulus"] + cuts["ceiling"],
+            cuts_objective=cuts["objective"],
+            cuts_spectral=cuts["spectral"],
+            cuts_modulus=cuts["modulus"],
+            cuts_ceiling=cuts["ceiling"],
             certified_gap=best_cert - lb,
             lower_bound=lb,
             max_feasible_distance=max_dist,
@@ -745,21 +740,16 @@ def solve(ball: CertifiedBall, eps: float) -> SolveResult:
             if abs(w) < best_cert:
                 fall(w, x, "feasible")
 
-        # the objective's gradient is e_d / sqrt(3): g'Pg is P's last
-        # diagonal entry over 3, and P g is P's last column over sqrt(3)
+        # the objective's gradient is e_d / sqrt(3), so its g'Pg over E is
+        # P's last diagonal entry over 3
         gpg_obj = float(p_mat[-1, -1]) * _RHO * _RHO
         lb = max(lb, min(best_cert, cut.objective - math.sqrt(max(gpg_obj, 0.0))))
         if best_cert - lb <= eps:
             return result(it)
 
-        if cut.kind == "feasibility":
-            pg = p_mat @ cut.normal
-            gpg = float(cut.normal @ pg)
-            n_feas[cut.block] += 1
-        else:
-            pg = p_mat[:, -1] * _RHO
-            gpg = gpg_obj
-            n_obj += 1
+        cuts[cut.block or "objective"] += 1
+        pg = p_mat @ cut.normal
+        gpg = float(cut.normal @ pg)
         if not math.isfinite(gpg) or gpg <= 0.0:
             raise EllipsoidCapExceeded(
                 "ellipsoid degenerated (numerical breakdown)", result(it)

@@ -1,4 +1,5 @@
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crawford import ellipsoid
 from crawford.api import (
     CrawfordQuery,
     CrawfordResult,
@@ -16,6 +18,7 @@ from crawford.api import (
     scaled_instance,
     sdp_instance,
 )
+from crawford.cli import main
 from crawford.linalg import ComplexMatrix, GaussianRational, hermitian_split
 from crawford.oracle import support_search
 from helpers import (
@@ -31,6 +34,7 @@ from helpers import (
     near_boundary_draws,
     outside_centre,
     random_gaussian_integer,
+    save_matrix,
 )
 
 EPS = 1e-4
@@ -303,6 +307,23 @@ class TestSetUp:
         assert s * s >= q > s * s / 4
         assert inst.frob_ceiling == 1
 
+    def test_scale_factor_for_random_ratios(self):
+        # ||C||_F^2 = (a^2 + b^2) / d^2 with a, b and d of up to 400 bits,
+        # so the squared norm falls on both sides of 1
+        rnd = random.Random(89)
+        sides = set()
+        for _ in range(300):
+            a, b, d = (rnd.getrandbits(rnd.randint(1, 400)) for _ in range(3))
+            mat = ComplexMatrix([[gr(Fraction(a, d + 1), Fraction(b + 1, d + 1))]])
+            q = mat.frobenius_sq()
+            _, _, s = scaled_instance(mat)
+            # s = 2^k for k of either sign
+            assert 1 in (s.numerator, s.denominator)
+            assert max(s.numerator, s.denominator).bit_count() == 1
+            assert s * s >= q > s * s / 4
+            sides.add(q > 1)
+        assert sides == {True, False}
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_zero_matrix_has_no_scaled_instance(self, n):
         # every power of two covers ||0||_F^2 = 0, so there is no least one
@@ -378,6 +399,52 @@ class TestLoopAfterTheAscent:
         assert abs(res.chi - 2.0) <= 1e-6
         assert stats["lower_bound"] <= 2.0 <= res.chi + 1e-12
         assert 1 < stats["iterations"] < 218
+
+
+class TestIterationCap:
+    """The loop's last exit: with no ascent steps and E never shrinking,
+    neither bound can move, and the run stops at the cap with G's
+    density as its certificate."""
+
+    @pytest.fixture
+    def frozen(self, monkeypatch):
+        monkeypatch.setattr(ellipsoid, "_ASCENT_STEPS", 0)
+        monkeypatch.setattr(ellipsoid, "_shrink", lambda z, p_mat, b, alpha: None)
+
+    def test_crawford_raises_at_the_cap(self, frozen):
+        with pytest.raises(ellipsoid.EllipsoidCapExceeded) as got:
+            crawford(CrawfordQuery(matrix=EXAMPLE, epsilon=EPS))
+        e = got.value
+        assert e.reason.startswith("iteration cap")
+        assert "eps=0.0001" in str(e) and "s = 8" in str(e)
+        res = e.result
+        assert res.iterations == res.iteration_cap == e.iterations
+        assert res.lower_bound <= CHI_EXAMPLE <= res.value
+        assert np.array_equal(res.X, np.eye(2) / 2)
+
+    def test_cli_exits_3(self, frozen, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        save_matrix(EXAMPLE, path)
+        assert main(["chi", str(path), "--eps", "1e-4"]) == 3
+        assert capsys.readouterr().err.startswith("solver error: iteration cap")
+
+
+class TestExactModulusOfOneEntry:
+    """chi(0, [c]) = |c| exactly.  At c = 10^32 + 1 float(c) lies
+    5,366,162,204,393,471 above c, and the bracket [float(c), float(c)]
+    is reported with gap 0: it misses c.  An honest run either raises
+    or brackets c within eps."""
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+    def test_bracket_holds_or_raises(self):
+        c, eps = 10**32 + 1, 1e-6
+        try:
+            res = crawford(CrawfordQuery(matrix=ComplexMatrix([[gr(c)]]), epsilon=eps))
+        except ellipsoid.EllipsoidCapExceeded:
+            return
+        lower = res.solver_stats["lower_bound"]
+        assert Fraction(lower) <= c <= Fraction(res.chi)
+        assert res.chi - lower <= eps
 
 
 class TestScaleInvariance:

@@ -1,6 +1,9 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -446,6 +449,13 @@ class TestExitCodes:
         p = write_matrix(tmp_path / "c.json", IDENTITY2)
         assert main(["chi", p, "--center", "nope"]) == 2
 
+    def test_json_list_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "list.json"
+        p.write_text('[["1", "0"], ["0", "1"]]')
+        assert main(["chi", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and 'need an object with "n" and "entries"' in err
+
     def test_bad_eps(self, tmp_path, capsys):
         p = write_matrix(tmp_path / "c.json", IDENTITY2)
         assert main(["chi", p, "--eps", "2.0"]) == 2
@@ -677,6 +687,13 @@ class TestCmdRange:
         text = out.read_text()
         assert "<polyline" in text and "<circle" in text
 
+    def test_svg_into_a_missing_directory_exits_4(self, tmp_path, capsys):
+        p = write_matrix(tmp_path / "c.json", EXAMPLE_TILDE)
+        out = tmp_path / "absent" / "r.svg"
+        assert main(["range", p, "--samples", "64", "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("io error: cannot write SVG ") and "r.svg" in err
+
     def test_samples_floor(self, tmp_path, capsys):
         p = write_matrix(tmp_path / "i.json", IDENTITY2)
         assert main(["range", p, "--samples", "2"]) == 2
@@ -889,3 +906,24 @@ class TestCmdVerify:
         out = capsys.readouterr().out
         assert code == 0
         assert "0" in out
+
+
+class TestModuleEntryPoint:
+    def test_python_m_runs_main(self, tmp_path):
+        # `python -m crawford.cli` in a fresh interpreter, as a user runs it
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
+        )
+        p = write_matrix(tmp_path / "c.json", EXAMPLE_TILDE)
+        proc = subprocess.run(
+            [sys.executable, "-m", "crawford.cli", "chi", p, "--center=-3-i", "--eps", "1e-4"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        chi_line = [ln for ln in proc.stdout.splitlines() if ln.startswith("chi")][0]
+        assert abs(float(chi_line.split()[-1]) - CHI_EXAMPLE) < 1e-3

@@ -96,6 +96,22 @@ class TestCertifiedBall:
         with pytest.raises(ValueError):
             certified_ball(inst, IDENTITY2)
 
+    def test_matrix_of_another_size_rejected(self):
+        # its first entries are IDENTITY2's, so only the size check tells
+        # the two apart: the entrywise comparison stops at the shorter one
+        inst, _ = make(IDENTITY2)
+        bigger = ComplexMatrix([[gr(1), gr(0), gr(0)], [gr(1), gr(5), gr(0)], [gr(0)] * 3])
+        with pytest.raises(ValueError, match="instance was not built from this matrix"):
+            certified_ball(inst, bigger)
+
+    def test_ceiling_below_the_norm_rejected(self):
+        # ceiling 1 under ||3 I_2||_F = sqrt(18): S - I = diag(4, -2), so
+        # G is not interior, though it meets every equality constraint
+        mat = identity(2).scale(3)
+        inst = build_instance(*hermitian_split(mat), 1)
+        with pytest.raises(ValueError, match="S - I is not PSD"):
+            certified_ball(inst, mat)
+
     @pytest.mark.parametrize("k", range(4))
     def test_shifted_tail_rhs_rejected(self, k, monkeypatch):
         inst, _ = make(EXAMPLE)
@@ -845,6 +861,12 @@ class TestRepair:
             assert w == complex(*inst.pencil_values(x))
             assert val == math.hypot(*inst.pencil_values(x))
             assert val >= CHI_EXAMPLE - 1e-9
+
+    def test_negative_definite_density_raises(self):
+        # clipping -I to the PSD cone leaves trace 0, nothing to rescale
+        inst, _ = make(EXAMPLE)
+        with pytest.raises(ellipsoid.ChartError, match="repair collapsed the trace"):
+            repair_point(inst, -np.eye(2, dtype=complex))
 
 
 def hull_samples(w, steps=400):

@@ -1,10 +1,12 @@
 """Every name a `crawford` module imports is used there, and every name
 in `__all__` resolves: an import nobody reads is dead code that hides
-what a module depends on.  The package itself exports exactly the
+what a module depends on.  Every function and class the package defines
+is named somewhere else.  The package itself exports exactly the
 library API, which covers what the README's Library block imports."""
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -61,6 +63,61 @@ def test_all_names_resolve(name):
     )
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert not missing
+
+
+def docstring_nodes(tree):
+    """The string constants that are docstrings: they describe code, they
+    do not name it for use."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant):
+                out.add(id(first.value))
+    return out
+
+
+def named_in(tree):
+    """Every identifier the tree names as a name, an attribute or an
+    import, and every identifier of a non-docstring string constant made
+    only of dotted or colon-separated names ("crawford.linalg:ComplexMatrix",
+    "translate"), as perfbench's TARGETS names the functions it patches."""
+    docs = docstring_nodes(tree)
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.rpartition(".")[2])
+        elif (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and id(node) not in docs
+            and re.fullmatch(r"[\w.:]+", node.value)
+        ):
+            out.update(re.split(r"[.:]", node.value))
+    return out
+
+
+def test_every_definition_is_named_elsewhere():
+    # a definition's own def or class statement binds its name without
+    # naming it, so a function or class nothing names anywhere is dead
+    root = PACKAGE.parents[1]
+    named = set()
+    for folder in ("src", "tests", "scripts", "perfbench"):
+        for path in (root / folder).rglob("*.py"):
+            named |= named_in(ast.parse(path.read_text()))
+    dead = [
+        f"{name}.py:{node.lineno} {node.name}"
+        for name in MODULES
+        for node in ast.walk(ast.parse((PACKAGE / f"{name}.py").read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in named
+    ]
+    assert not dead, f"defined in crawford but never named: {dead}"
 
 
 def test_package_exports_the_library_api():

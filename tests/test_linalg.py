@@ -455,3 +455,22 @@ class TestComplexMatrixValues:
                 [[complex(float(x.re), float(x.im)) for x in row] for row in c.entries]
             )
             assert c.to_complex().tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("rows", [[], [[gr(1), gr(2)], [gr(3)]]], ids=["empty", "ragged"])
+    def test_rejects_empty_and_ragged(self, rows):
+        with pytest.raises(ValueError, match="square and nonempty"):
+            ComplexMatrix(rows)
+
+    def test_sum_of_different_sizes_rejected(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            EXAMPLE + ComplexMatrix.zeros(3)
+
+    # a complex is a pair of floats: exact entries only
+    @pytest.mark.parametrize(
+        "entry, message",
+        [(1 + 2j, "floats are not accepted"), (0.5, "cannot coerce 0.5")],
+        ids=["complex", "float"],
+    )
+    def test_inexact_entry_rejected(self, entry, message):
+        with pytest.raises(TypeError, match=message):
+            ComplexMatrix([[entry]])

@@ -327,3 +327,23 @@ class TestReadSdpa:
         path.write_text(text)
         with pytest.raises(ValueError, match="bad.dat-s"):
             read_sdpa(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1\n3\n4 2\n0.0\n", "need nBLOCK positive block sizes"),
+            ("2\n3\n4 2 1\n0.0\n", "b length does not match mDIM"),
+            ("1\n3\n4 2 1\n0.0\n1 1 1 1 x\n", "bad entry line '1 1 1 1 x'"),
+        ],
+        ids=["sizes_short_of_nblock", "b_short_of_mdim", "non_numeric_entry"],
+    )
+    def test_each_check_names_its_fault(self, tmp_path, text, message):
+        path = tmp_path / "bad.dat-s"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            read_sdpa(path)
+
+    def test_unreadable_path_carries_path(self, tmp_path):
+        path = tmp_path / "absent.dat-s"
+        with pytest.raises(OSError, match="cannot read SDPA file .*absent.dat-s"):
+            read_sdpa(path)
